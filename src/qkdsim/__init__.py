@@ -33,11 +33,9 @@ from .physics import (
 from .qkd_unit import KeyBlock, MonitorAgent, QkdUnitPair
 from .qpm import (
     MitigationEvent,
-    PathStatus,
     Qpm,
     QpmConfig,
     detect_failure,
-    run_loop,
     select_next_path,
 )
 from .scenario import (

@@ -5,15 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .physics import CalibrationError
 from .report import summarize
-from .scenario import (
-    EXIT_USAGE,
-    ScenarioError,
-    run_scenario,
-    sweep_attack_power,
-)
-from .topology import TopologyError
+from .scenario import EXIT_USAGE, run_scenario, sweep_attack_power
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,8 +68,8 @@ def main(argv=None) -> int:
                                        include_timestamp=False)
             print(text, end="")
             return 0 if all_pass else 1
-    except (TopologyError, ScenarioError, CalibrationError,
-            FileNotFoundError, ValueError) as exc:
+    # TopologyError, ScenarioError and CalibrationError are ValueErrors.
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

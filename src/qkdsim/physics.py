@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 ATTACK_OFF = float("-inf")
 
@@ -251,7 +251,3 @@ def sample(
     if q >= abort_qber(params.ec_efficiency):
         s = 0.0
     return QuantumSample(skr_bps=s, qber=q)
-
-
-def with_ec_efficiency(params: ChannelParams, ec_efficiency: float) -> ChannelParams:
-    return replace(params, ec_efficiency=ec_efficiency)

@@ -15,7 +15,7 @@ fresh session's empty readings are not mistaken for an attack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 AVAILABLE = "AVAILABLE"
@@ -57,12 +57,6 @@ class QpmConfig:
 
 
 @dataclass(frozen=True)
-class PathStatus:
-    path_id: str
-    state: str
-
-
-@dataclass(frozen=True)
 class MitigationEvent:
     t: float
     kind: str
@@ -98,16 +92,9 @@ def detect_failure(reading: Mapping, history, config: QpmConfig,
     )
 
 
-def select_next_path(statuses) -> Optional[str]:
+def select_next_path(statuses: Mapping[str, str]) -> Optional[str]:
     """First path in list order whose state is AVAILABLE."""
-    if isinstance(statuses, Mapping):
-        items = statuses.items()
-    else:
-        items = [
-            (s.path_id, s.state) if isinstance(s, PathStatus) else (s[0], s[1])
-            for s in statuses
-        ]
-    for path_id, state in items:
+    for path_id, state in statuses.items():
         if state == AVAILABLE:
             return path_id
     return None
@@ -218,14 +205,3 @@ class Qpm:
         self.events.append(event)
         if self.sink is not None:
             self.sink(event)
-
-
-def run_loop(config: QpmConfig, topology, controller_client, qkd_client,
-             clock, scheduler, duration_s: float,
-             sink: Optional[Callable[[MitigationEvent], None]] = None) -> list[MitigationEvent]:
-    """Convenience driver: provision, poll until duration_s, return events."""
-    qpm = Qpm(config, topology, controller_client, qkd_client, clock, scheduler, sink)
-    t0 = clock.now()
-    scheduler.at(t0, lambda: qpm.startup(t0), priority=Qpm.PRIORITY)
-    scheduler.run_until(duration_s)
-    return qpm.events

@@ -36,7 +36,7 @@ from .physics import ATTACK_OFF, qber, skr
 from .qkd_unit import QkdUnitPair
 from .qpm import DETECTED, EXHAUSTED, RECONFIG_DONE, REINIT_DONE, Qpm, QpmConfig
 from .switch import OpticalSwitch
-from .topology import Topology, load_topology, resolve_active_path
+from .topology import NUMBER, Topology, checked, load_topology, resolve_active_path
 
 PRIORITY_ATTACK = 0
 PRIORITY_QPM = Qpm.PRIORITY
@@ -70,20 +70,20 @@ def load_scenario(file_path: str) -> Scenario:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"cannot parse {file_path}: {exc}") from exc
-    duration = data.get("duration_s")
-    if not isinstance(duration, (int, float)) or duration <= 0:
+    duration = checked(data, "duration_s", NUMBER, "scenario", ScenarioError)
+    if duration <= 0:
         raise ScenarioError("duration_s must be a positive number")
     events = []
     seen: set[tuple[float, str]] = set()
     last_t = -1.0
-    for entry in data.get("events", []):
-        t = entry.get("t")
-        link = entry.get("link")
+    for index, entry in enumerate(checked(data, "events", list, "scenario",
+                                          ScenarioError, default=[])):
+        where = f"event {index}"
+        t = checked(entry, "t", NUMBER, where, ScenarioError)
+        link = checked(entry, "link", str, where, ScenarioError)
         power = entry.get("attack_power_dbm")
-        if not isinstance(t, (int, float)) or t < 0:
+        if t < 0:
             raise ScenarioError(f"event time must be a non-negative number, got {t!r}")
-        if not isinstance(link, str):
-            raise ScenarioError("event link must be a string")
         if power == "off":
             power_dbm = ATTACK_OFF
         elif isinstance(power, (int, float)):

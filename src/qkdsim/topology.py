@@ -2,24 +2,31 @@
 
 The topology is loaded once from a JSON file and treated as immutable.
 Paths are ordered lists of cross-connects written in Alice-to-Bob
-orientation (in_port faces Alice, out_port faces Bob); fixed fiber
-cabling between switches is implied by consecutive cross-connects and
-derived at load time. resolve_active_path answers the one question the
-rest of the system asks: given what the switches currently have
-installed, which pre-computed path (if any) is fully lit end to end.
+orientation (in_port faces Alice, out_port faces Bob); fiber cabling
+between switches is implied by consecutive cross-connects.
+resolve_active_path answers the one question the rest of the system
+asks: which pre-computed path, if any, do the installed switch tables
+light? A path is lit when each of its cross-connects is installed, in
+either orientation, and is the only entry on either of its ports.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, fields
+from itertools import combinations
+from typing import Iterable, Optional
 
 from .physics import CalibrationAnchors, ChannelParams, calibrate
 
 LINK_KINDS = ("coupler", "mcf", "multihop")
 
 Port = tuple[str, int]
+
+NUMBER = (int, float)
+_KIND_NAMES = {int: "an integer", NUMBER: "a number", str: "a string",
+               list: "a list", Mapping: "an object"}
 
 
 class TopologyError(ValueError):
@@ -38,10 +45,6 @@ class CrossConnect:
                 f"cross-connect on {self.switch} maps port {self.in_port} to itself"
             )
 
-    @property
-    def ports(self) -> frozenset[int]:
-        return frozenset((self.in_port, self.out_port))
-
 
 @dataclass(frozen=True)
 class LinkSpec:
@@ -58,11 +61,8 @@ class PathSpec:
     cross_connects: tuple[CrossConnect, ...]
 
     def port_set(self) -> set[Port]:
-        used: set[Port] = set()
-        for cc in self.cross_connects:
-            used.add((cc.switch, cc.in_port))
-            used.add((cc.switch, cc.out_port))
-        return used
+        return {(cc.switch, port) for cc in self.cross_connects
+                for port in (cc.in_port, cc.out_port)}
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,6 @@ class Topology:
     paths: tuple[PathSpec, ...]  # order is the QPM selection order
     alice_port: Port
     bob_port: Port
-    cables: dict[Port, Port] = field(default_factory=dict)
 
     def link(self, link_id: str) -> LinkSpec:
         for link in self.links:
@@ -93,96 +92,70 @@ class Topology:
         return [p.path_id for p in self.paths]
 
 
-def _require(data: Mapping, key: str, where: str):
+def checked(data, key: str, kind, where: str, error: type = TopologyError,
+            default=MISSING):
+    """data[key] checked to be a kind (default if missing), else raise error."""
+    if not isinstance(data, Mapping):
+        raise error(f"{where} must be an object")
     if key not in data:
-        raise TopologyError(f"{where}: missing required field '{key}'")
-    return data[key]
+        if default is MISSING:
+            raise error(f"{where}: missing required field '{key}'")
+        return default
+    value = data[key]
+    if not isinstance(value, kind):
+        raise error(f"{where}: {key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _numbers(cls, data, where: str) -> dict:
+    """Keyword arguments for dataclass cls, read as numbers from data."""
+    return {f.name: checked(data, f.name, NUMBER, where, default=f.default)
+            for f in fields(cls)}
 
 
 def _parse_channel(data: Mapping, where: str) -> ChannelParams:
     if "calibrate" in data:
-        anchors = data["calibrate"]
-        return calibrate(
-            CalibrationAnchors(
-                baseline_skr_bps=_require(anchors, "baseline_skr_bps", where),
-                baseline_qber=_require(anchors, "baseline_qber", where),
-                knee_power_dbm=_require(anchors, "knee_power_dbm", where),
-                death_power_dbm=_require(anchors, "death_power_dbm", where),
-                suppression_db=_require(anchors, "suppression_db", where),
-                ec_efficiency=anchors.get("ec_efficiency", 1.2),
-            )
-        )
-    return ChannelParams(
-        sifted_rate_cps=_require(data, "sifted_rate_cps", where),
-        intrinsic_error=_require(data, "intrinsic_error", where),
-        dark_rate_cps=_require(data, "dark_rate_cps", where),
-        noise_coupling_cps_per_mw=_require(data, "noise_coupling_cps_per_mw", where),
-        suppression_db=_require(data, "suppression_db", where),
-        ec_efficiency=data.get("ec_efficiency", 1.2),
-        knee_sharpness=data.get("knee_sharpness", 1.0),
-    )
+        anchors = checked(data, "calibrate", Mapping, where)
+        return calibrate(CalibrationAnchors(**_numbers(CalibrationAnchors, anchors, where)))
+    return ChannelParams(**_numbers(ChannelParams, data, where))
 
 
-def _parse_endpoint(raw, name: str, switches: Mapping[str, int]) -> Port:
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-        raise TopologyError(f"{name} must be a [switch, port] pair")
-    sw, port = raw[0], raw[1]
-    if sw not in switches:
-        raise TopologyError(f"{name} references unknown switch '{sw}'")
-    if not isinstance(port, int) or not 0 <= port < switches[sw]:
-        raise TopologyError(f"{name} port {port} out of range on switch '{sw}'")
-    return (sw, port)
-
-
-def _check_port(sw: str, port: int, switches: Mapping[str, int], where: str):
-    if sw not in switches:
-        raise TopologyError(f"{where} references unknown switch '{sw}'")
+def _port(raw, switches: Mapping[str, int], where: str) -> Port:
+    """raw checked to be a [switch, port] pair that exists in switches."""
+    if len(raw) != 2:
+        raise TopologyError(f"{where} must be a [switch, port] pair")
+    sw, port = raw
+    if not isinstance(sw, str) or sw not in switches:
+        raise TopologyError(f"{where} references unknown switch {sw!r}")
     if not isinstance(port, int) or not 0 <= port < switches[sw]:
         raise TopologyError(f"{where} port {port} out of range on switch '{sw}'")
-
-
-def _derive_cables(topo_paths: Iterable[PathSpec]) -> dict[Port, Port]:
-    """Fixed fiber runs implied by consecutive cross-connects of each path."""
-    cables: dict[Port, Port] = {}
-    for path in topo_paths:
-        ccs = path.cross_connects
-        for left, right in zip(ccs, ccs[1:]):
-            a: Port = (left.switch, left.out_port)
-            b: Port = (right.switch, right.in_port)
-            for end, other in ((a, b), (b, a)):
-                if cables.get(end, other) != other:
-                    raise TopologyError(
-                        f"path '{path.path_id}': port {end} would be cabled to "
-                        f"both {cables[end]} and {other}"
-                    )
-            cables[a] = b
-            cables[b] = a
-    return cables
+    return (sw, port)
 
 
 def parse_topology(data: Mapping) -> Topology:
     """Validate a parsed topology document and build the immutable value."""
     switches: dict[str, int] = {}
-    for entry in _require(data, "switches", "topology"):
-        sw_id = _require(entry, "id", "switch entry")
-        ports = _require(entry, "ports", "switch entry")
+    for entry in checked(data, "switches", list, "topology"):
+        sw_id = checked(entry, "id", str, "switch entry")
+        ports = checked(entry, "ports", int, f"switch '{sw_id}'")
         if sw_id in switches:
             raise TopologyError(f"duplicate switch id '{sw_id}'")
-        if not isinstance(ports, int) or ports < 1:
+        if ports < 1:
             raise TopologyError(f"switch '{sw_id}' must have a positive port count")
         switches[sw_id] = ports
 
-    alice_port = _parse_endpoint(_require(data, "alice_port", "topology"), "alice_port", switches)
-    bob_port = _parse_endpoint(_require(data, "bob_port", "topology"), "bob_port", switches)
+    alice_port, bob_port = (_port(checked(data, name, list, "topology"), switches, name)
+                            for name in ("alice_port", "bob_port"))
     if alice_port == bob_port:
         raise TopologyError("alice_port and bob_port must differ")
 
-    links: list[LinkSpec] = []
-    for entry in _require(data, "links", "topology"):
-        link_id = _require(entry, "id", "link entry")
-        kind = _require(entry, "kind", f"link '{link_id}'")
-        hop_count = _require(entry, "hop_count", f"link '{link_id}'")
-        if any(l.link_id == link_id for l in links):
+    links: dict[str, LinkSpec] = {}
+    for entry in checked(data, "links", list, "topology"):
+        link_id = checked(entry, "id", str, "link entry")
+        where = f"link '{link_id}'"
+        kind = checked(entry, "kind", str, where)
+        hop_count = checked(entry, "hop_count", int, where)
+        if link_id in links:
             raise TopologyError(f"duplicate link id '{link_id}'")
         if kind not in LINK_KINDS:
             raise TopologyError(f"link '{link_id}' has unknown kind '{kind}'")
@@ -192,85 +165,74 @@ def parse_topology(data: Mapping) -> Topology:
         elif hop_count != 1:
             raise TopologyError(f"{kind} link '{link_id}' must have hop_count = 1")
         try:
-            channel = _parse_channel(_require(entry, "channel", f"link '{link_id}'"), f"link '{link_id}' channel")
+            channel = _parse_channel(checked(entry, "channel", Mapping, where), "channel")
         except ValueError as exc:
-            raise TopologyError(f"link '{link_id}': {exc}") from exc
-        links.append(LinkSpec(link_id=link_id, kind=kind, hop_count=hop_count, channel=channel))
+            raise TopologyError(f"{where}: {exc}") from exc
+        links[link_id] = LinkSpec(link_id=link_id, kind=kind, hop_count=hop_count,
+                                  channel=channel)
 
-    paths: list[PathSpec] = []
-    raw_paths = _require(data, "paths", "topology")
+    paths: dict[str, PathSpec] = {}
+    raw_paths = checked(data, "paths", list, "topology")
     if not raw_paths:
         raise TopologyError("topology must define at least one path")
     for entry in raw_paths:
-        path_id = _require(entry, "id", "path entry")
-        link_id = _require(entry, "link", f"path '{path_id}'")
-        if any(p.path_id == path_id for p in paths):
+        path_id = checked(entry, "id", str, "path entry")
+        where = f"path '{path_id}'"
+        link_id = checked(entry, "link", str, where)
+        if path_id in paths:
             raise TopologyError(f"duplicate path id '{path_id}'")
-        if not any(l.link_id == link_id for l in links):
+        if link_id not in links:
             raise TopologyError(f"path '{path_id}' references unknown link '{link_id}'")
-        raw_ccs = _require(entry, "cross_connects", f"path '{path_id}'")
+        raw_ccs = checked(entry, "cross_connects", list, where)
         if not raw_ccs:
             raise TopologyError(f"path '{path_id}' has no cross-connects")
-        ccs = []
+        ccs: list[CrossConnect] = []
+        seen: set[Port] = set()  # one port drives at most one cross-connect in a path
         for raw_cc in raw_ccs:
-            sw = _require(raw_cc, "switch", f"path '{path_id}' cross-connect")
-            in_port = _require(raw_cc, "in_port", f"path '{path_id}' cross-connect")
-            out_port = _require(raw_cc, "out_port", f"path '{path_id}' cross-connect")
-            _check_port(sw, in_port, switches, f"path '{path_id}'")
-            _check_port(sw, out_port, switches, f"path '{path_id}'")
-            ccs.append(CrossConnect(switch=sw, in_port=in_port, out_port=out_port))
-        paths.append(PathSpec(path_id=path_id, link_id=link_id, cross_connects=tuple(ccs)))
-
-    # One port drives at most one cross-connect within a path.
-    for path in paths:
-        seen: set[Port] = set()
-        for cc in path.cross_connects:
+            cc_where = f"{where} cross-connect"
+            cc = CrossConnect(switch=checked(raw_cc, "switch", str, cc_where),
+                              in_port=checked(raw_cc, "in_port", int, cc_where),
+                              out_port=checked(raw_cc, "out_port", int, cc_where))
             for port in ((cc.switch, cc.in_port), (cc.switch, cc.out_port)):
-                if port in seen:
-                    raise TopologyError(
-                        f"path '{path.path_id}' reuses port {port}"
-                    )
+                if _port(port, switches, where) in seen:
+                    raise TopologyError(f"path '{path_id}' reuses port {port}")
                 seen.add(port)
+            ccs.append(cc)
+        # Anchoring and orientation: first cross-connect leaves the Alice
+        # QKD port, last one lands on the Bob QKD port.
+        if (ccs[0].switch, ccs[0].in_port) != alice_port:
+            raise TopologyError(f"path '{path_id}' does not start at alice_port")
+        if (ccs[-1].switch, ccs[-1].out_port) != bob_port:
+            raise TopologyError(f"path '{path_id}' does not end at bob_port")
+        paths[path_id] = PathSpec(path_id=path_id, link_id=link_id,
+                                  cross_connects=tuple(ccs))
 
     # Parallel paths may meet only at the QKD endpoint ports.
     endpoint_ports = {alice_port, bob_port}
-    for i, a in enumerate(paths):
-        for b in paths[i + 1:]:
-            shared = (a.port_set() & b.port_set()) - endpoint_ports
-            if shared:
-                raise TopologyError(
-                    f"paths '{a.path_id}' and '{b.path_id}' share port {sorted(shared)[0]}"
-                )
+    for a, b in combinations(paths.values(), 2):
+        shared = (a.port_set() & b.port_set()) - endpoint_ports
+        if shared:
+            raise TopologyError(
+                f"paths '{a.path_id}' and '{b.path_id}' share port {sorted(shared)[0]}"
+            )
 
-    # Anchoring and orientation: first cross-connect leaves the Alice QKD
-    # port, last one lands on the Bob QKD port.
-    for path in paths:
-        first, last = path.cross_connects[0], path.cross_connects[-1]
-        if (first.switch, first.in_port) != alice_port:
-            raise TopologyError(f"path '{path.path_id}' does not start at alice_port")
-        if (last.switch, last.out_port) != bob_port:
-            raise TopologyError(f"path '{path.path_id}' does not end at bob_port")
-
-    single_hop_sizes = [len(p.cross_connects) for p in paths
-                        if next(l for l in links if l.link_id == p.link_id).kind != "multihop"]
-    for path in paths:
-        link = next(l for l in links if l.link_id == path.link_id)
-        if link.kind == "multihop" and single_hop_sizes:
-            if len(path.cross_connects) <= max(single_hop_sizes):
-                raise TopologyError(
-                    f"multihop path '{path.path_id}' must use more cross-connects "
-                    "than any single-hop path"
-                )
+    longest_single_hop = max((len(p.cross_connects) for p in paths.values()
+                              if links[p.link_id].kind != "multihop"), default=0)
+    for path in paths.values():
+        if (links[path.link_id].kind == "multihop"
+                and len(path.cross_connects) <= longest_single_hop):
+            raise TopologyError(
+                f"multihop path '{path.path_id}' must use more cross-connects "
+                "than any single-hop path"
+            )
 
     topo = Topology(
         switches=switches,
-        links=tuple(links),
-        paths=tuple(paths),
+        links=tuple(links.values()),
+        paths=tuple(paths.values()),
         alice_port=alice_port,
         bob_port=bob_port,
-        cables={},
     )
-    object.__setattr__(topo, "cables", _derive_cables(topo.paths))
 
     # Round trip: installing exactly one path's cross-connects must light
     # exactly that path.
@@ -278,10 +240,9 @@ def parse_topology(data: Mapping) -> Topology:
         states = {sw: set() for sw in switches}
         for cc in path.cross_connects:
             states[cc.switch].add((cc.in_port, cc.out_port))
-        if resolve_active_path(topo, states) != path.path_id:
-            raise TopologyError(
-                f"path '{path.path_id}' does not form a circuit from alice_port to bob_port"
-            )
+        lit = resolve_active_path(topo, states)
+        if lit != path.path_id:
+            raise TopologyError(f"installing path '{path.path_id}' alone lights path '{lit}'")
     return topo
 
 
@@ -299,40 +260,25 @@ def resolve_active_path(
     topology: Topology,
     switch_states: Mapping[str, Iterable[tuple[int, int]]],
 ) -> Optional[str]:
-    """Identify which pre-computed path is fully established, if any.
+    """Identify which pre-computed path is lit, if any.
 
     switch_states maps each switch id to its installed cross-connect
-    entries as (in_port, out_port) pairs. The fabric is walked hop by hop
-    from the Alice QKD port, treating each entry as a bidirectional port
-    bridge and following fixed cables between switches. Returns the
-    path id whose cross-connect set is exactly the traversed circuit, or
-    None when no complete unambiguous circuit exists.
+    entries as (in_port, out_port) pairs. A path is lit when each of its
+    cross-connects is installed, in either orientation, and is the only
+    entry on either of its ports. Returns the first lit path in
+    topology.paths order, or None when no complete unambiguous circuit
+    exists. Every path leaves alice_port and paths share no other port
+    but bob_port, so at most one path is ever lit.
     """
-    tables: dict[str, list[tuple[int, int]]] = {
-        sw: list(switch_states[sw]) for sw in topology.switches
-    }
-    total_entries = sum(len(t) for t in tables.values())
-
-    traversed: set[tuple[str, frozenset[int]]] = set()
-    current: Port = topology.alice_port
-    for _ in range(total_entries + 1):
-        sw, port = current
-        using = [(i, o) for (i, o) in tables[sw] if port in (i, o)]
-        if len(using) != 1:
-            return None  # dark port, or ambiguous fabric state
-        in_port, out_port = using[0]
-        entry = (sw, frozenset((in_port, out_port)))
-        if entry in traversed:
-            return None  # loop
-        traversed.add(entry)
-        current = (sw, out_port if port == in_port else in_port)
-        if current == topology.bob_port:
-            for path in topology.paths:
-                wanted = {(cc.switch, cc.ports) for cc in path.cross_connects}
-                if wanted == traversed:
-                    return path.path_id
-            return None
-        if current not in topology.cables:
-            return None  # circuit dead-ends on an uncabled port
-        current = topology.cables[current]
+    # port -> the port its only entry bridges it to; None when shared.
+    bridges: dict[Port, Optional[int]] = {}
+    for sw in topology.switches:
+        for in_port, out_port in switch_states[sw]:
+            for port, other in (((sw, in_port), out_port), ((sw, out_port), in_port)):
+                bridges[port] = None if port in bridges else other
+    for path in topology.paths:
+        if all(bridges.get((cc.switch, cc.in_port)) == cc.out_port
+               and bridges.get((cc.switch, cc.out_port)) == cc.in_port
+               for cc in path.cross_connects):
+            return path.path_id
     return None

@@ -58,6 +58,14 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    def test_topology_directory_is_a_usage_error(self, tmp_path, configs, capsys):
+        code = main(["run", "--topology", str(tmp_path),
+                     "--scenario", str(configs / "attack-link1.json"),
+                     "--seed", "1", "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_required_flag_exits_2(self, configs):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--topology", str(configs / "reference_topology.json")])

@@ -14,14 +14,12 @@ from qkdsim.qpm import (
     EXHAUSTED,
     FAILED,
     MONITORING,
-    PathStatus,
     Qpm,
     QpmConfig,
     RECONFIG_DONE,
     RECONFIG_SENT,
     REINIT_DONE,
     detect_failure,
-    run_loop,
     select_next_path,
 )
 
@@ -80,10 +78,6 @@ class TestSelectNextPath:
 
     def test_active_is_not_a_candidate(self):
         assert select_next_path({"a": ACTIVE, "b": AVAILABLE}) == "b"
-
-    def test_accepts_path_status_objects_and_pairs(self):
-        assert select_next_path([PathStatus("a", FAILED), PathStatus("b", AVAILABLE)]) == "b"
-        assert select_next_path([("a", FAILED), ("b", AVAILABLE)]) == "b"
 
     def test_empty(self):
         assert select_next_path({}) is None
@@ -281,16 +275,6 @@ class TestMitigationLoop:
         done = next(e for e in qpm.events if e.kind == REINIT_DONE)
         # One-second polls see the transition within one second of t=90.
         assert 90.0 <= done.t <= 91.0
-
-    def test_run_loop_returns_events(self):
-        events = None
-        clock = SimClock()
-        scheduler = Scheduler(clock)
-        qkd = StubQkd(clock, {0.0: reading(state="Initializing", key_bits=0),
-                              100.0: reading()})
-        events = run_loop(CFG, FakeTopology(["link1"]), StubController(), qkd,
-                          clock, scheduler, duration_s=300.0)
-        assert [e.kind for e in events] == [RECONFIG_SENT, RECONFIG_DONE, REINIT_DONE]
 
     def test_event_serialization_schema(self):
         qpm, scheduler, _, _ = build_qpm({0.0: reading(state="Initializing", key_bits=0)})

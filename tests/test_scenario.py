@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -72,6 +73,8 @@ class TestLoadScenario:
             {"t": 5, "link": "l", "attack_power_dbm": -4},
             {"t": 5, "link": "l", "attack_power_dbm": -9}]},
          "duplicate"),
+        ([{"duration_s": 60}], "scenario must be an object"),
+        ({"duration_s": 60, "events": [[1, "l", -4]]}, "event 0 must be an object"),
     ])
     def test_malformed_documents(self, tmp_path, doc, match):
         with pytest.raises(ScenarioError, match=match):
@@ -383,3 +386,29 @@ class TestRunScenarioArtifacts:
         info = json.loads((tmp_path / "b" / "run_info.json").read_text())
         assert info["exhausted"] is True
         assert info["final_qpm_mode"] == "ALARM"
+
+
+# sha256 prefixes of the deterministic artifacts of the conftest reference
+# runs. run_info.json and summary.txt are left out: they embed input paths.
+GOLDEN = {
+    "run_link1": {
+        "metrics.csv": "e455cf4dbf2bc9af", "qpm_log.ndjson": "361a64894e9a4f60",
+        "controller_log.ndjson": "a25f215ae0d6dae2", "timing.csv": "d06d0e6c37d1e78e"},
+    "run_two_episodes": {
+        "metrics.csv": "6cf6fffeda4efdd6", "qpm_log.ndjson": "39654e8b529cf64e",
+        "controller_log.ndjson": "ddc3799535e50f45", "timing.csv": "704f30da5760be3c"},
+    "run_all_links": {
+        "metrics.csv": "182a94e426c03f45", "qpm_log.ndjson": "a1289bf9357d3d9d",
+        "controller_log.ndjson": "b7fde2ae40cee5ea", "timing.csv": "fcfe693b10d22961"},
+    "run_steady_link2": {
+        "metrics.csv": "ba99a2e8118e2201", "qpm_log.ndjson": "7e3df5b282f694bc",
+        "controller_log.ndjson": "63cb494e87339f90", "timing.csv": "b32c5657e6ba83ef"},
+}
+
+
+@pytest.mark.parametrize("run_fixture", sorted(GOLDEN))
+def test_reference_artifacts_match_golden_hashes(request, run_fixture):
+    out = request.getfixturevalue(run_fixture)["out"]
+    hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+              for name in GOLDEN[run_fixture]}
+    assert hashes == GOLDEN[run_fixture]

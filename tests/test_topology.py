@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qkdsim.switch import CMD_ADD, OpticalSwitch
 from qkdsim.topology import (
     CrossConnect,
     TopologyError,
@@ -62,16 +63,6 @@ class TestReferenceTopology:
             assert link.channel.dark_rate_cps == 0.0
             assert link.channel.knee_sharpness > 1.0
 
-    def test_cables_derived_from_consecutive_cross_connects(self, reference_topology):
-        cables = reference_topology.cables
-        assert cables[("alice", 1)] == ("bob", 1)
-        assert cables[("bob", 1)] == ("alice", 1)
-        assert cables[("alice", 3)] == ("int1", 0)
-        assert cables[("int1", 1)] == ("int2", 0)
-        assert cables[("int2", 1)] == ("bob", 3)
-        # Each fiber appears under both of its ends.
-        assert len(cables) == 10
-
     def test_lookup_helpers(self, reference_topology):
         topo = reference_topology
         assert topo.link_for_path("link2").kind == "mcf"
@@ -103,6 +94,12 @@ class TestResolveActivePath:
         states = states_for(reference_topology, "link1", "link2")
         assert resolve_active_path(reference_topology, states) is None
 
+    def test_second_entry_on_an_exit_port_is_ambiguous(self, reference_topology):
+        # link1 leaves alice on port 1; a second entry there darkens it.
+        states = states_for(reference_topology, "link1")
+        states["alice"].add((1, 5))
+        assert resolve_active_path(reference_topology, states) is None
+
     def test_unrelated_entries_elsewhere_do_not_matter(self, reference_topology):
         states = states_for(reference_topology, "link1")
         states["int1"].add((2, 3))
@@ -119,28 +116,39 @@ class TestResolveActivePath:
     def test_loop_returns_none(self, reference_topology):
         topo = reference_topology
         states = {sw: set() for sw in topo.switches}
-        # Bridge 0-1 then 1-0 again via a second switch pairing back.
+        # link1's alice entry, then a bob entry that lands on port 2
+        # instead of the Bob QKD port: no path is fully installed.
         states["alice"] = {(0, 1)}
         states["bob"] = {(1, 2)}
-        # (bob,2) is uncabled, walk dead-ends.
         assert resolve_active_path(topo, states) is None
 
-    @given(st.sets(st.integers(0, 7)))
+    @given(st.lists(st.tuples(st.integers(0, 7), st.booleans()), max_size=12))
     def test_resolved_path_is_fully_installed(self, reference_topology, picks):
+        # Picks go through real flow-mods and a barrier, so the committed
+        # tables never share a port between two entries.
         topo = reference_topology
         all_ccs = [cc for p in topo.paths for cc in p.cross_connects]
-        states = {sw: set() for sw in topo.switches}
-        for i in picks:
+        switches = {sid: OpticalSwitch(sid, n) for sid, n in topo.switches.items()}
+        for xid, (i, reverse) in enumerate(picks, start=1):
             cc = all_ccs[i % len(all_ccs)]
-            states[cc.switch].add((cc.in_port, cc.out_port))
+            ports = (cc.out_port, cc.in_port) if reverse else (cc.in_port, cc.out_port)
+            switches[cc.switch].handle_flow_mod(xid, CMD_ADD, *ports)
+        for sw in switches.values():
+            sw.handle_barrier(0)
+        states = {sid: sw.query_entries() for sid, sw in switches.items()}
         resolved = resolve_active_path(topo, states)
+
+        def users(cc):
+            return [set(e) for e in states[cc.switch] if {cc.in_port, cc.out_port} & set(e)]
+
+        for path in topo.paths:
+            installed = all({cc.in_port, cc.out_port} in users(cc)
+                            for cc in path.cross_connects)
+            # A fully installed path is the one resolved, and only it.
+            assert installed == (path.path_id == resolved)
         if resolved is not None:
-            installed = {(cc.switch, cc.in_port, cc.out_port)
-                         for sw, entries in states.items() for (i, o) in [*entries]
-                         for cc in [CrossConnect(sw, i, o)]}
-            wanted = {(cc.switch, cc.in_port, cc.out_port)
-                      for cc in topo.path(resolved).cross_connects}
-            assert wanted <= installed
+            for cc in topo.path(resolved).cross_connects:
+                assert users(cc) == [{cc.in_port, cc.out_port}]
 
 
 def _mutate(doc: dict, fn) -> dict:
@@ -207,6 +215,16 @@ class TestValidation:
                          id="missing-switches"),
             pytest.param(lambda d: d["links"][0]["channel"]["calibrate"].pop("knee_power_dbm"),
                          id="missing-calibration-field"),
+            pytest.param(lambda d: d["links"][0]["channel"]["calibrate"].__setitem__(
+                "knee_power_dbm", "-68"),
+                         id="calibration-anchor-is-a-string"),
+            pytest.param(lambda d: d["links"][2].__setitem__("hop_count", "3"),
+                         id="hop-count-is-a-string"),
+            pytest.param(lambda d: d.update(bob_port=["alice", 5], paths=[
+                {"id": p, "link": p,
+                 "cross_connects": [{"switch": "alice", "in_port": 0, "out_port": 5}]}
+                for p in ("link1", "link2")]),
+                         id="paths-share-an-alice-to-bob-cross-connect"),
         ],
     )
     def test_bad_documents_rejected(self, doc, mutator):
