@@ -16,7 +16,7 @@ fresh session's empty readings are not mistaken for an attack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 AVAILABLE = "AVAILABLE"
 ACTIVE = "ACTIVE"
@@ -106,18 +106,16 @@ class Qpm:
     PRIORITY = 2
 
     def __init__(self, config: QpmConfig, topology, controller_client, qkd_client,
-                 clock, scheduler, sink: Optional[Callable[[MitigationEvent], None]] = None):
+                 clock, scheduler):
         self.config = config
         self.topology = topology
         self.controller_client = controller_client
         self.qkd_client = qkd_client
         self.clock = clock
         self.scheduler = scheduler
-        self.sink = sink
         self.statuses: dict[str, str] = {p: AVAILABLE for p in topology.path_ids()}
         self.mode = MONITORING
         self.active_path: Optional[str] = None
-        self.installed_path: Optional[str] = None
         self.events: list[MitigationEvent] = []
         self.history: list[dict] = []
         self._t_path_change: Optional[float] = None
@@ -160,7 +158,7 @@ class Qpm:
                     f"last_key_size_bits={reading['last_key_size_bits']} "
                     f"state={reading['state']}"),
         )
-        self._failover(tear_down=self.installed_path,
+        self._failover(tear_down=failed,
                        detail=f"fail over from {failed}", failed_path=failed)
 
     def _failover(self, tear_down: Optional[str], detail: str,
@@ -183,7 +181,6 @@ class Qpm:
             if status == 200 and body.get("outcome") == "SUCCESS":
                 self.statuses[target] = ACTIVE
                 self.active_path = target
-                self.installed_path = target
                 xids = [tx["xid"] for tx in body["transactions"]]
                 self._emit(RECONFIG_DONE, path=target, detail=detail, xids=xids)
                 self._t_path_change = self.clock.now()
@@ -203,5 +200,3 @@ class Qpm:
         event = MitigationEvent(t=self.clock.now(), kind=kind, path=path,
                                 detail=detail, xids=xids)
         self.events.append(event)
-        if self.sink is not None:
-            self.sink(event)

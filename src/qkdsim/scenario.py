@@ -123,10 +123,7 @@ class ScenarioRun:
     """State of one deterministic simulated run."""
 
     def __init__(self, topology: Topology, scenario: Scenario, seed: int,
-                 qpm_config: Optional[QpmConfig] = None,
-                 link_latency_s: float = 0.002,
-                 init_time_s: float = 120.0,
-                 key_interval_s: float = 60.0):
+                 qpm_config: Optional[QpmConfig] = None):
         known_links = {link.link_id for link in topology.links}
         for event in scenario.events:
             if event.link_id not in known_links:
@@ -137,21 +134,23 @@ class ScenarioRun:
         self.clock = SimClock()
         self.scheduler = Scheduler(self.clock)
         self.rng = np.random.default_rng(seed)
-        self.unit = QkdUnitPair(self.rng, init_time_s=init_time_s,
-                                key_interval_s=key_interval_s)
+        self.unit = QkdUnitPair(self.rng)
         self.switches = {
             sid: OpticalSwitch(sid, ports) for sid, ports in topology.switches.items()
         }
+        # The lit (path_id, link): empty tables light nothing, and only a
+        # barrier commit changes any table.
+        self._circuit = (None, None)
+        for sw in self.switches.values():
+            sw.on_commit = self._on_commit
         self.links = {
-            sid: InProcessSwitchLink(sw, self.clock, latency_s=link_latency_s)
-            for sid, sw in self.switches.items()
+            sid: InProcessSwitchLink(sw, self.clock) for sid, sw in self.switches.items()
         }
         self.controller_records: list[dict] = []
         self.controller = SdnController(
             topology, self.links, self.clock, log=self.controller_records.append)
         self.northbound = Northbound(self.controller)
-        self.controller_client = LocalControllerClient(
-            self.northbound, self.clock, latency_s=link_latency_s)
+        self.controller_client = LocalControllerClient(self.northbound, self.clock)
         self.qpm = Qpm(qpm_config or QpmConfig(), topology,
                        self.controller_client, LocalQkdClient(self),
                        self.clock, self.scheduler)
@@ -161,12 +160,16 @@ class ScenarioRun:
 
     # -- time-consistent unit state -------------------------------------------
 
-    def current_circuit(self):
+    def _on_commit(self, _switch: OpticalSwitch):
         states = {sid: sw.query_entries() for sid, sw in self.switches.items()}
         path_id = resolve_active_path(self.topology, states)
-        if path_id is None:
+        link = None if path_id is None else self.topology.link_for_path(path_id)
+        self._circuit = (path_id, link)
+
+    def current_circuit(self):
+        path_id, link = self._circuit
+        if link is None:
             return None, None, ATTACK_OFF
-        link = self.topology.link_for_path(path_id)
         return path_id, link.channel, self.attack_powers[link.link_id]
 
     def sync_unit(self):

@@ -2,16 +2,18 @@
 
 Flow-mod messages stage cross-connect changes without optical effect;
 a barrier commits everything staged since the last barrier in one
-atomic step. Staging is validated against the projected table (committed
-entries plus pending mods applied in order) so conflicts are rejected
-up front and a barrier can never fail. The committed table is swapped
-in as a single reference assignment, which is what makes concurrent
-table queries see all-or-nothing batches.
+atomic step. Each flow-mod is validated against, and applied to, one
+staged table (the committed table plus every accepted mod), so conflicts
+are rejected up front and a barrier can never fail. The barrier swaps
+the staged table in as a single reference assignment, which is what
+makes concurrent table queries see all-or-nothing batches, and then
+announces the commit once through on_commit.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from typing import Callable, Optional
 
 STATUS_STAGED = "STAGED"
@@ -30,9 +32,8 @@ class ProtocolError(ValueError):
 class OpticalSwitch:
     """One switch agent: a committed cross-connect table plus staged mods.
 
-    on_commit_step, when set, is invoked as on_commit_step(switch, index)
-    after each staged mod is applied to the working copy during a barrier
-    commit; tests use it to interleave table observations with the commit.
+    on_commit, when set, is invoked as on_commit(switch) once per barrier,
+    after the staged table has been swapped in.
     """
 
     def __init__(self, switch_id: str, port_count: int):
@@ -41,8 +42,9 @@ class OpticalSwitch:
         self.switch_id = switch_id
         self.port_count = port_count
         self._table: dict[int, int] = {}
-        self._pending: list[tuple[int, str, int, int]] = []  # (xid, cmd, in, out)
-        self.on_commit_step: Optional[Callable[["OpticalSwitch", int], None]] = None
+        self._staged: dict[int, int] = {}
+        self._pending: list[int] = []  # xids staged since the last barrier
+        self.on_commit: Optional[Callable[["OpticalSwitch"], None]] = None
 
     # -- protocol handlers ------------------------------------------------
 
@@ -65,20 +67,22 @@ class OpticalSwitch:
             raise ProtocolError(f"unknown flow-mod command {command!r}")
         status = self._stage_status(command, in_port, out_port)
         if status == STATUS_STAGED:
-            self._pending.append((xid, command, in_port, out_port))
+            self._pending.append(xid)
+            if command == CMD_ADD:
+                self._staged[in_port] = out_port
+            else:
+                del self._staged[in_port]
         return {"type": "FLOW_MOD_ACK", "xid": xid, "status": status}
 
     def handle_barrier(self, xid: int) -> dict:
-        """Commit all staged mods atomically, in staged order."""
-        committed_xids = [mod[0] for mod in self._pending]
-        working = dict(self._table)
-        for index, (_, command, in_port, out_port) in enumerate(self._pending):
-            self._apply(working, command, in_port, out_port)
-            if self.on_commit_step is not None:
-                self.on_commit_step(self, index)
-        self._check_exclusive(working)
+        """Commit all staged mods atomically, then announce the commit."""
+        self._check_exclusive(self._staged)
+        committed_xids = self._pending
         self._pending = []
-        self._table = working  # the atomic step: one reference swap
+        self._table = self._staged  # the atomic step: one reference swap
+        self._staged = dict(self._table)
+        if self.on_commit is not None:
+            self.on_commit(self)
         return {"type": "BARRIER_REPLY", "xid": xid, "committed_xids": committed_xids}
 
     def query_table(self) -> dict[int, int]:
@@ -98,26 +102,16 @@ class OpticalSwitch:
         for port in (in_port, out_port):
             if not isinstance(port, int) or not 0 <= port < self.port_count:
                 return STATUS_NO_SUCH_PORT
-        projected = dict(self._table)
-        for _, cmd, i, o in self._pending:
-            self._apply(projected, cmd, i, o)
         if command == CMD_ADD:
             if in_port == out_port:
                 return STATUS_PORT_IN_USE
-            used = set(projected) | set(projected.values())
+            used = set(self._staged) | set(self._staged.values())
             if in_port in used or out_port in used:
                 return STATUS_PORT_IN_USE
         else:
-            if projected.get(in_port) != out_port:
+            if self._staged.get(in_port) != out_port:
                 return STATUS_NO_SUCH_ENTRY
         return STATUS_STAGED
-
-    @staticmethod
-    def _apply(table: dict[int, int], command: str, in_port: int, out_port: int):
-        if command == CMD_ADD:
-            table[in_port] = out_port
-        else:
-            del table[in_port]
 
     def _check_exclusive(self, table: dict[int, int]):
         ports = list(table.keys()) + list(table.values())
@@ -130,18 +124,21 @@ class OpticalSwitch:
 class SwitchAgent:
     """Line-oriented protocol shim over one OpticalSwitch.
 
-    Turns NDJSON request lines into NDJSON reply lines; shared by the
-    in-process transport and the socket server so both speak an identical
-    wire format.
+    Turns NDJSON request lines into NDJSON reply lines for the socket
+    server. Messages are handled one at a time: the server serves each
+    connection on its own thread, and staging is check-then-write on the
+    switch's staged table.
     """
 
     def __init__(self, switch: OpticalSwitch):
         self.switch = switch
+        self._lock = threading.Lock()
 
     def greeting_line(self) -> str:
         return json.dumps(self.switch.hello(), separators=(",", ":")) + "\n"
 
     def process_line(self, line: str) -> str:
         msg = json.loads(line)
-        reply = self.switch.handle_message(msg)
+        with self._lock:
+            reply = self.switch.handle_message(msg)
         return json.dumps(reply, separators=(",", ":")) + "\n"

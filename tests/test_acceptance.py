@@ -189,23 +189,21 @@ class TestControlPlaneGuarantees:
 
         observed: list = []
 
-        def observe(_switch, _index):
+        def observe(_switch):
             states = {sw: s.query_entries() for sw, s in switches.items()}
             observed.append(resolve_active_path(reference_topology, states))
 
         for s in switches.values():
-            s.on_commit_step = observe
+            s.on_commit = observe
         report = controller.handle_reconfigure(ReconfigRequest("r1", "link1", "link2"))
-        final_states = {sw: s.query_entries() for sw, s in switches.items()}
-        final = resolve_active_path(reference_topology, final_states)
         residue = sum(s.pending_count for s in switches.values())
-        ok = (report.outcome == "SUCCESS" and len(observed) >= 4
-              and set(observed) <= {"link1", None} and final == "link2"
+        # Bob commits first and breaks link1; Alice's commit lights link2.
+        ok = (report.outcome == "SUCCESS" and observed == [None, "link2"]
               and residue == 0)
         _report(8, ok,
-                f"{len(observed)} interleaved observations during failover saw "
-                f"{sorted(set(str(o) for o in observed))}, never two complete "
-                f"paths; final path link2, no staged residue")
+                f"fabric after each of {len(observed)} commits during failover: "
+                f"{[str(o) for o in observed]}, never two complete paths; "
+                f"final path link2, no staged residue")
 
     def test_ac09_xid_hygiene_and_one_flow_mod_per_cross_connect(
             self, run_two_episodes, reference_topology):

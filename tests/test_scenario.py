@@ -6,6 +6,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qkdsim.physics import ATTACK_OFF
 from qkdsim.qpm import (
@@ -30,6 +32,7 @@ from qkdsim.scenario import (
     sweep_attack_power,
     timing_rows,
 )
+from qkdsim.topology import resolve_active_path
 
 
 def write_json(path, obj) -> str:
@@ -248,6 +251,39 @@ class TestScenarioRun:
         # Each path was provisioned exactly once before being written off.
         done_paths = [e.path for e in run.qpm.events if e.kind == RECONFIG_DONE]
         assert done_paths == ["link1", "link2", "link3"]
+
+    @given(st.lists(st.tuples(st.sampled_from([None, "link1", "link2", "link3"]),
+                              st.sampled_from(["link1", "link2", "link3"]),
+                              st.sampled_from([None, "alice", "bob", "int1", "int2"]),
+                              st.integers(0, 4)),
+                    max_size=12))
+    # Bob commits, then Alice is lost at her barrier: link1 is broken.
+    @example(requests=[(None, "link1", None, 0), ("link1", "link2", "alice", 2)])
+    def test_current_circuit_tracks_the_fabric(self, reference_topology, requests):
+        """After every reconfigure, failed or not, the circuit is the lit path.
+
+        A request may lose one switch after that switch's first `sent`
+        messages, so it can fail at a flow-mod, at a barrier (leaving
+        other switches committed) or during compensation.
+        """
+        run = ScenarioRun(reference_topology, Scenario(60.0, ()), seed=1)
+        for index, (tear_down, set_up, down, sent) in enumerate(requests):
+            if down is not None:
+                link, forward, budget = run.links[down], run.links[down].send, iter(range(sent))
+
+                def send(msg):
+                    link.connected = next(budget, None) is not None
+                    return forward(msg)
+
+                link.send = send
+            status, _ = run.northbound.post_reconfigure(
+                {"request_id": f"r{index}", "tear_down": tear_down, "set_up": set_up})
+            assert status == 200
+            if down is not None:
+                del link.send
+                link.connected = True
+            states = {sid: sw.query_entries() for sid, sw in run.switches.items()}
+            assert run.current_circuit()[0] == resolve_active_path(reference_topology, states)
 
 
 @pytest.fixture(scope="module")

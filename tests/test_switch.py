@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 from hypothesis import given
@@ -107,16 +109,18 @@ class TestStaging:
 
 class TestBarrierAtomicity:
     def test_commit_is_invisible_until_the_swap(self, sw):
-        """Table queries during the commit walk still see the old table."""
+        """Staged mods stay invisible; on_commit fires once per barrier, after the swap."""
+        observed = []
+        sw.on_commit = lambda s: observed.append((s.query_table(), s.pending_count))
         sw.handle_flow_mod(1, CMD_ADD, 0, 1)
         sw.handle_barrier(2)
         sw.handle_flow_mod(3, CMD_DELETE, 0, 1)
         sw.handle_flow_mod(4, CMD_ADD, 0, 2)
-        observed = []
-        sw.on_commit_step = lambda s, index: observed.append((index, s.query_table()))
+        assert sw.query_table() == {0: 1}
+        assert observed == [({0: 1}, 0)]
         sw.handle_barrier(5)
-        assert observed == [(0, {0: 1}), (1, {0: 1})]
-        assert sw.query_table() == {0: 2}
+        sw.handle_barrier(6)  # empty
+        assert observed == [({0: 1}, 0), ({0: 2}, 0), ({0: 2}, 0)]
 
     def test_mods_commit_in_staged_order(self, sw):
         sw.handle_flow_mod(1, CMD_ADD, 0, 1)
@@ -147,20 +151,60 @@ commands = st.one_of(
 )
 
 
+class ReplayModel:
+    """Reference staging: replay the pending mods over a copy of the table."""
+
+    def __init__(self, port_count: int):
+        self.port_count, self.table, self.pending = port_count, {}, []
+
+    def projected(self) -> dict[int, int]:
+        table = dict(self.table)
+        for _, cmd, i, o in self.pending:
+            if cmd == CMD_ADD:
+                table[i] = o
+            else:
+                del table[i]
+        return table
+
+    def flow_mod(self, xid, cmd, i, o) -> str:
+        table = self.projected()
+        if not all(0 <= p < self.port_count for p in (i, o)):
+            status = STATUS_NO_SUCH_PORT
+        elif cmd == CMD_ADD:
+            used = set(table) | set(table.values())
+            status = STATUS_PORT_IN_USE if i == o or i in used or o in used else STATUS_STAGED
+        else:
+            status = STATUS_STAGED if table.get(i) == o else STATUS_NO_SUCH_ENTRY
+        if status == STATUS_STAGED:
+            self.pending.append((xid, cmd, i, o))
+        return status
+
+    def barrier(self) -> list[int]:
+        committed = [mod[0] for mod in self.pending]
+        self.table, self.pending = self.projected(), []
+        return committed
+
+
 class TestExclusivityProperty:
     @given(st.lists(commands, max_size=60))
     def test_committed_table_never_reuses_a_port(self, ops):
-        """Whatever a client sends, accepted batches keep ports exclusive."""
+        """Whatever a client sends, accepted batches keep ports exclusive,
+        and every ack and commit matches the replay reference model."""
         sw = OpticalSwitch("fuzz", 6)
+        model = ReplayModel(6)
         xid = 0
         for kind, cmd, in_port, out_port in ops:
             xid += 1
             if kind == "BARRIER":
-                sw.handle_barrier(xid)  # raises RuntimeError if staging let a conflict through
+                reply = sw.handle_barrier(xid)  # raises RuntimeError if staging let a conflict through
+                assert reply["committed_xids"] == model.barrier()
+                assert sw.query_table() == model.table
             else:
                 ack = sw.handle_flow_mod(xid, cmd, in_port, out_port)
                 assert ack["xid"] == xid
-        sw.handle_barrier(xid + 1)
+                assert ack["status"] == model.flow_mod(xid, cmd, in_port, out_port)
+        assert sw.handle_barrier(xid + 1)["committed_xids"] == model.barrier()
+        assert sw.query_table() == model.table
         table = sw.query_table()
         ports = list(table.keys()) + list(table.values())
         assert len(ports) == len(set(ports))
@@ -189,3 +233,32 @@ class TestSwitchAgent:
         agent = SwitchAgent(sw)
         with pytest.raises(json.JSONDecodeError):
             agent.process_line("not json\n")
+
+    def test_concurrent_connections_cannot_stage_a_conflict(self, sw, monkeypatch):
+        """Two threads racing conflicting ADDs: exactly one is staged."""
+        check = sw._stage_status
+
+        def slow_check(*args):
+            status = check(*args)
+            time.sleep(0.05)  # widen the gap between the check and the write
+            return status
+
+        monkeypatch.setattr(sw, "_stage_status", slow_check)
+        agent = SwitchAgent(sw)
+        acks = []
+
+        def send(xid, in_port):
+            line = json.dumps({"type": "FLOW_MOD", "xid": xid, "command": CMD_ADD,
+                               "in_port": in_port, "out_port": 1})
+            acks.append(json.loads(agent.process_line(line))["status"])
+
+        threads = [threading.Thread(target=send, args=(xid, in_port))
+                   for xid, in_port in ((1, 0), (2, 2))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert sorted(acks) == [STATUS_PORT_IN_USE, STATUS_STAGED]
+        agent.process_line('{"type":"BARRIER_REQUEST","xid":3}')
+        assert len(sw.query_table()) == 1
