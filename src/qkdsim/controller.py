@@ -77,7 +77,8 @@ class ReconfigReport:
         return (self.completed_at - self.started_at) * 1000.0
 
     def to_http_body(self) -> dict:
-        return {
+        """Northbound reply; a failed request also says why."""
+        body = {
             "request_id": self.request_id,
             "outcome": self.outcome,
             "transactions": [
@@ -86,6 +87,9 @@ class ReconfigReport:
             ],
             "duration_ms": self.duration_ms,
         }
+        if self.outcome != OUTCOME_SUCCESS:
+            body["error"] = self.error
+        return body
 
 
 class InProcessSwitchLink:

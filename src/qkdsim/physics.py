@@ -229,6 +229,11 @@ def calibrate(anchors: CalibrationAnchors) -> ChannelParams:
     return params
 
 
+@functools.lru_cache(maxsize=1024)
+def _means(params: ChannelParams, attack_power_dbm: float) -> tuple[float, float]:
+    return qber(params, attack_power_dbm), skr(params, attack_power_dbm)
+
+
 def sample(
     params: ChannelParams,
     attack_power_dbm: float,
@@ -240,10 +245,11 @@ def sample(
 
     Relative Gaussian jitter, clamped to valid ranges; rng is a
     numpy Generator owned by the caller. A sample whose QBER lands at or
-    above the abort point reports zero key rate.
+    above the abort point reports zero key rate. The means are memoised
+    per (channel, power): they change only when the attack does, while
+    a run samples once per key interval.
     """
-    q_mean = qber(params, attack_power_dbm)
-    s_mean = skr(params, attack_power_dbm)
+    q_mean, s_mean = _means(params, attack_power_dbm)
     q = q_mean * (1.0 + qber_sigma * rng.standard_normal()) if qber_sigma else q_mean
     s = s_mean * (1.0 + skr_sigma * rng.standard_normal()) if skr_sigma else s_mean
     q = min(max(q, 0.0), 0.5)

@@ -84,6 +84,24 @@ class QkdUnitPair:
             self._now += dt
             self._to_idle()
             return []
+        # Fast paths: a tick that ends more than _EPS before the end of
+        # the init period or key interval is one iteration of the loop
+        # below, with the same float arithmetic (such a dt is never above
+        # the time left, so the loop's min() would pick dt too). No-op
+        # ticks of dt <= _EPS and ticks reaching a boundary take the loop.
+        if dt > _EPS:
+            if self.state == STATE_GENERATING:
+                elapsed = self._interval_elapsed + dt
+                if elapsed < self.key_interval_s - _EPS:
+                    self._interval_elapsed = elapsed
+                    self._now += dt
+                    return []
+            elif self.state == STATE_INITIALIZING:
+                init_remaining = self._init_remaining - dt
+                if init_remaining > _EPS:
+                    self._init_remaining = init_remaining
+                    self._now += dt
+                    return []
         produced: list[KeyBlock] = []
         remaining = dt
         while remaining > _EPS:

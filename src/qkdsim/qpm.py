@@ -118,6 +118,8 @@ class Qpm:
         self.active_path: Optional[str] = None
         self.events: list[MitigationEvent] = []
         self.history: list[dict] = []
+        # Readings kept for detect_failure's debounce window.
+        self._history_cap = max(config.zero_key_debounce, 8)
         self._t_path_change: Optional[float] = None
         self._request_seq = 0
 
@@ -131,7 +133,8 @@ class Qpm:
     def poll(self, sched_t: float):
         reading = self.qkd_client.read_monitor()
         self.history.append(reading)
-        del self.history[:-max(self.config.zero_key_debounce, 8)]
+        if len(self.history) > self._history_cap:
+            del self.history[0]
         now = self.clock.now()
         if self.mode == AWAITING_REINIT:
             if reading["state"] in _GENERATING_OR_ABORTED:

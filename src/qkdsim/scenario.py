@@ -13,6 +13,10 @@ units over the elapsed interval under the circuit and attack power that
 held during it. Key-block boundaries therefore land at exact simulated
 times and random draws occur in timeline order no matter which event
 triggered the tick.
+
+Metrics samples are chained the way the monitor chains its polls: the
+sample at k * period schedules the one at (k + 1) * period, so the
+event heap holds at most one metrics event at a time.
 """
 
 from __future__ import annotations
@@ -155,6 +159,7 @@ class ScenarioRun:
                        self.controller_client, LocalQkdClient(self),
                        self.clock, self.scheduler)
         self.attack_powers = {link.link_id: ATTACK_OFF for link in topology.links}
+        self._powers_csv = self._format_powers()
         self.metrics_rows: list[str] = []
         self._last_sync = 0.0
 
@@ -182,21 +187,36 @@ class ScenarioRun:
 
     # -- scheduled handlers -----------------------------------------------------
 
+    def _format_powers(self) -> str:
+        return ",".join(
+            f"{self.attack_powers[link.link_id]:.2f}" for link in self.topology.links
+        )
+
     def _apply_attack(self, event: ScenarioEvent):
         self.sync_unit()
         self.attack_powers[event.link_id] = event.attack_power_dbm
+        self._powers_csv = self._format_powers()
 
-    def _sample_metrics(self, t: float):
+    def _sample_metrics(self, k: int):
+        """Write the metrics row at k * period and schedule the next one."""
         self.sync_unit()
+        t = k * self.qpm.config.poll_period_s
         path_id, _, _ = self.current_circuit()
         reading = self.unit.read_monitor(self.clock.now())
-        powers = ",".join(
-            f"{self.attack_powers[link.link_id]:.2f}" for link in self.topology.links
-        )
         self.metrics_rows.append(
             f"{t:.1f},{path_id or 'none'},{reading['skr_bps']:.6f},"
-            f"{reading['qber']:.6f},{powers},{self.qpm.mode}"
+            f"{reading['qber']:.6f},{self._powers_csv},{self.qpm.mode}"
         )
+        self._schedule_metrics(k + 1)
+
+    def _schedule_metrics(self, k: int):
+        # Rows run k = 0 .. duration // period, skipping any k * period
+        # that rounds past the duration.
+        period = self.qpm.config.poll_period_s
+        duration = self.scenario.duration_s
+        if k <= duration // period and k * period <= duration:
+            self.scheduler.at(k * period, lambda: self._sample_metrics(k),
+                              priority=PRIORITY_METRICS)
 
     # -- execution ---------------------------------------------------------------
 
@@ -205,13 +225,7 @@ class ScenarioRun:
             self.scheduler.at(event.t, lambda ev=event: self._apply_attack(ev),
                               priority=PRIORITY_ATTACK)
         self.scheduler.at(0.0, lambda: self.qpm.startup(0.0), priority=PRIORITY_QPM)
-        period = self.qpm.config.poll_period_s
-        n_samples = int(self.scenario.duration_s // period)
-        for k in range(n_samples + 1):
-            t = k * period
-            if t <= self.scenario.duration_s:
-                self.scheduler.at(t, lambda st=t: self._sample_metrics(st),
-                                  priority=PRIORITY_METRICS)
+        self._schedule_metrics(0)
         self.scheduler.run_until(self.scenario.duration_s)
 
 

@@ -224,6 +224,18 @@ class TestNorthbound:
         assert all(set(t) == {"xid", "switch", "status"} for t in body["transactions"])
         assert body["duration_ms"] > 0.0
 
+    def test_failed_body_says_why(self, fabric):
+        fabric["links"]["alice"].connected = False
+        northbound = Northbound(fabric["controller"])
+        status, body = northbound.post_reconfigure(
+            {"request_id": "r1", "tear_down": None, "set_up": "link1"})
+        assert status == 200
+        assert body["outcome"] == OUTCOME_FAILED
+        assert set(body) == {"request_id", "outcome", "transactions", "duration_ms",
+                             "error"}
+        assert "alice" in body["error"]
+        assert "disconnected" in body["error"]
+
     @pytest.mark.parametrize("body", [
         {"request_id": "r", "set_up": "ghost"},
         {"request_id": "r", "set_up": "link1", "tear_down": "ghost"},

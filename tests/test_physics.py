@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -274,6 +275,47 @@ class TestSample:
             s = sample(p, -40.0, rng)
             assert s.skr_bps == 0.0
             assert s.qber >= abort_qber(p.ec_efficiency)
+
+
+def hand_sample(p: ChannelParams, power: float, seed: int) -> tuple[float, float]:
+    """sample() spelled out: fresh means and two draws, QBER then SKR."""
+    rng = np.random.default_rng(seed)
+    q = min(max(qber(p, power) * (1.0 + 0.05 * rng.standard_normal()), 0.0), 0.5)
+    s = max(skr(p, power) * (1.0 + 0.03 * rng.standard_normal()), 0.0)
+    return q, (0.0 if q >= abort_qber(p.ec_efficiency) else s)
+
+
+calibrated_channels = st.one_of(
+    st.sampled_from([LINK1_ANCHORS, LINK2_ANCHORS,
+                     CalibrationAnchors(850.0, 0.023, -30.0, -20.0, 40.0)]),
+    st.builds(
+        lambda skr0, q0, knee, span, suppression: CalibrationAnchors(
+            skr0, q0, knee, knee + span, suppression),
+        st.floats(50.0, 5000.0), st.floats(0.005, 0.07), st.floats(-80.0, -10.0),
+        st.floats(2.0, 30.0), st.floats(0.0, 60.0)),
+).map(calibrate)
+
+
+class TestSampleMemo:
+    @settings(max_examples=80, deadline=None)
+    @given(calibrated_channels,
+           st.lists(st.one_of(st.just(ATTACK_OFF), st.floats(-90.0, 0.0)),
+                    min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    def test_sample_equals_the_means_computed_by_hand(self, p, powers, seed):
+        twin = dataclasses.replace(p)  # equal by value, another object
+        # Every power twice in a row, then again after the others.
+        for power in powers + powers[::-1]:
+            for channel in (p, twin):
+                got = sample(channel, power, np.random.default_rng(seed))
+                assert (got.qber, got.skr_bps) == hand_sample(p, power, seed)
+
+    def test_a_power_change_gives_the_new_means(self):
+        p = calibrate(LINK2_ANCHORS)
+        rng = np.random.default_rng(0)
+        for power in (ATTACK_OFF, -12.0, -12.0, -30.0, ATTACK_OFF):
+            s = sample(p, power, rng, skr_sigma=0.0, qber_sigma=0.0)
+            assert (s.qber, s.skr_bps) == (qber(p, power), skr(p, power))
 
 
 class TestParamValidation:

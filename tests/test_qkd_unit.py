@@ -6,12 +6,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim.clock import SimClock
 from qkdsim.physics import ATTACK_OFF, CalibrationAnchors, calibrate
 from qkdsim.qkd_unit import (
+    _EPS,
     STATE_ABORTED,
     STATE_GENERATING,
     STATE_IDLE,
@@ -160,6 +161,112 @@ class TestDeterminismAndPartitioning:
             [b.produced_at for b in whole], abs=1e-6)
         assert one.state == other.state
         assert one.read_monitor(total) == other.read_monitor(total)
+
+
+class LoopUnit(QkdUnitPair):
+    """Reference unit: tick runs the step loop alone, without the fast paths."""
+
+    def tick(self, dt, active_channel, attack_power_dbm):
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        if active_channel is None:
+            self._now += dt
+            self._to_idle()
+            return []
+        produced = []
+        remaining = dt
+        while remaining > _EPS:
+            if self.state == STATE_INITIALIZING:
+                step = min(remaining, self._init_remaining)
+                self._init_remaining -= step
+                self._now += step
+                remaining -= step
+                if self._init_remaining <= _EPS:
+                    self.state = STATE_GENERATING
+                    self._interval_elapsed = 0.0
+            elif self.state == STATE_GENERATING:
+                step = min(remaining, self.key_interval_s - self._interval_elapsed)
+                self._interval_elapsed += step
+                self._now += step
+                remaining -= step
+                if self._interval_elapsed >= self.key_interval_s - _EPS:
+                    self._interval_elapsed = 0.0
+                    block = self._distill(active_channel, attack_power_dbm)
+                    if block is not None:
+                        produced.append(block)
+            else:
+                self._now += remaining
+                remaining = 0.0
+        return produced
+
+
+def unit_state(unit: QkdUnitPair):
+    return (unit.state, unit._init_remaining, unit._interval_elapsed, unit._now,
+            unit._sequence, unit._last_skr, unit._last_qber, unit._last_key_bits,
+            unit.rng.bit_generator.state)
+
+
+def to_boundary(unit: QkdUnitPair) -> float:
+    """Time left until the unit's next init end or key boundary."""
+    if unit.state == STATE_INITIALIZING:
+        return unit._init_remaining
+    return unit.key_interval_s - unit._interval_elapsed
+
+
+near = st.sampled_from([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9])
+steps = st.one_of(
+    st.tuples(st.just("tick"), st.floats(1e-15, 1e-9)),
+    st.tuples(st.just("tick"), st.floats(1e-6, 200.0)),
+    st.tuples(st.just("near"), near),
+    st.tuples(st.just("power"), st.sampled_from([ATTACK_OFF, -40.0, -12.0, KILL_POWER])),
+    st.tuples(st.just("lose"), st.floats(0.5, 5.0)),
+    st.tuples(st.just("restart"), st.none()),
+)
+
+
+class TestTickMatchesTheLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(steps, max_size=40))
+    @example(1, [("near", -1e-9), ("near", 1e-9), ("near", 0.0), ("tick", 1e-9),
+                 ("near", -5e-10), ("near", 5e-10), ("power", KILL_POWER), ("near", 0.0)])
+    def test_every_tick_equals_the_reference_loop(self, seed, ops):
+        fast = make_unit(seed=seed, jitter=0.03)
+        slow = LoopUnit(np.random.default_rng(seed), init_jitter_frac=0.03)
+        for unit in (fast, slow):
+            unit.start_session(CHANNEL, now=0.0)
+        power = ATTACK_OFF
+        for kind, value in ops:
+            if kind == "power":
+                power = value
+                continue
+            if kind == "restart":
+                fast.start_session(CHANNEL, fast._now)
+                slow.start_session(CHANNEL, slow._now)
+            else:
+                channel = None if kind == "lose" else CHANNEL
+                dt = to_boundary(slow) + value if kind == "near" else value
+                if dt <= 0:
+                    continue
+                assert fast.tick(dt, channel, power) == slow.tick(dt, channel, power)
+            assert unit_state(fast) == unit_state(slow)
+
+    @pytest.mark.parametrize("init_time_s, key_interval_s, ticks, state, sequence", [
+        # 2.001e-9 - 1.001e-9 == _EPS exactly: init ends on this tick.
+        pytest.param(2.001e-9, 60.0, [1.001e-9], STATE_GENERATING, 0, id="init"),
+        # 0.0 + (1.0 - _EPS) == 1.0 - _EPS exactly: a block is distilled.
+        pytest.param(1.0, 1.0, [1.0, 1.0 - 1e-9], STATE_GENERATING, 1, id="interval"),
+    ])
+    def test_a_tick_ending_exactly_eps_early_reaches_the_boundary(
+            self, init_time_s, key_interval_s, ticks, state, sequence):
+        fast = make_unit(init_time_s=init_time_s, key_interval_s=key_interval_s)
+        slow = LoopUnit(np.random.default_rng(0), init_time_s=init_time_s,
+                        key_interval_s=key_interval_s, init_jitter_frac=0.0)
+        for unit in (fast, slow):
+            unit.start_session(CHANNEL, now=0.0)
+        for dt in ticks:
+            assert fast.tick(dt, CHANNEL, ATTACK_OFF) == slow.tick(dt, CHANNEL, ATTACK_OFF)
+            assert unit_state(fast) == unit_state(slow)
+        assert (fast.state, fast._sequence) == (state, sequence)
 
 
 class TestMonitorReadout:

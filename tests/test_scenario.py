@@ -22,6 +22,7 @@ from qkdsim.qpm import (
 from qkdsim.scenario import (
     EXIT_EXHAUSTED,
     EXIT_OK,
+    PRIORITY_METRICS,
     Scenario,
     ScenarioError,
     ScenarioEvent,
@@ -235,6 +236,38 @@ class TestScenarioRun:
             run.execute()
             rows.append(run.metrics_rows)
         assert rows[0] != rows[1]
+
+    @pytest.mark.parametrize("duration_s, period_s", [
+        (600.0, 60.0), (630.0, 60.0),
+        # 1.0 // 0.1 == 9.0 although 10 * 0.1 == 1.0: no row at 1.0.
+        (1.0, 0.1),
+    ])
+    def test_metrics_samples_are_chained(self, reference_topology, duration_s, period_s):
+        run = ScenarioRun(reference_topology, Scenario(duration_s, ()), seed=3,
+                          qpm_config=QpmConfig(poll_period_s=period_s))
+        scheduled: list[float] = []
+        pending = [0, 0]  # now, most ever
+        schedule = run.scheduler.at
+
+        def counting_at(t, fn, priority=5):
+            if priority != PRIORITY_METRICS:
+                return schedule(t, fn, priority)
+            scheduled.append(t)
+            pending[0] += 1
+            pending[1] = max(pending)
+
+            def sample():
+                pending[0] -= 1
+                fn()
+            return schedule(t, sample, priority)
+
+        run.scheduler.at = counting_at
+        run.execute()
+        expected = [k * period_s for k in range(int(duration_s // period_s) + 1)]
+        assert scheduled == expected
+        assert [row.split(",")[0] for row in run.metrics_rows] == \
+            [f"{t:.1f}" for t in expected]
+        assert pending == [0, 1]
 
     def test_exhaustion_with_custom_config(self, reference_topology):
         scenario = Scenario(900.0, (
