@@ -208,9 +208,17 @@ def calibrate(anchors: CalibrationAnchors) -> ChannelParams:
 
     span_db = anchors.death_power_dbm - anchors.knee_power_dbm
     sharpness = 10.0 * math.log10(n_death / n_knee) / span_db
-    coupling = n_knee / 10.0 ** (
-        sharpness * (anchors.knee_power_dbm - anchors.suppression_db) / 10.0
-    )
+    try:
+        coupling = n_knee / 10.0 ** (
+            sharpness * (anchors.knee_power_dbm - anchors.suppression_db) / 10.0
+        )
+    except (OverflowError, ZeroDivisionError):
+        coupling = math.nan
+    if not (0.0 < coupling < math.inf and 0.0 < sharpness < math.inf):
+        raise CalibrationError(
+            f"anchors give no usable noise response (coupling {coupling!r}, "
+            f"knee sharpness {sharpness!r})"
+        )
 
     params = ChannelParams(
         sifted_rate_cps=r_s,

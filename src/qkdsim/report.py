@@ -1,59 +1,191 @@
-"""Post-run reporting: steady-state statistics, episode timing, checks.
+"""Run summary: steady-state statistics, episode timing, checks.
 
-Operates purely on the files a run leaves behind (metrics.csv,
-timing.csv, the monitor event log, run_info.json), so it can be re-run
-long after the simulation. Steady-state windows span from each
-re-initialization (plus the detection grace period) to the next
-detection or the end of the run; acceptance thresholds live in a JSON
-file so the expected bands are reviewable data rather than code.
+One renderer, two sources. render_summary turns a run's metadata,
+metrics, episode timing and monitor events into the summary text.
+run_scenario calls it with what the run has just written, taken from
+memory: the metrics and timing rows go through the same parsers that
+read them back from disk, so the summary shows the values as written.
+summarize(out_dir) loads the same four inputs from the files a run
+leaves behind (metrics.csv, timing.csv, the monitor event log,
+run_info.json), so a run can be summarised again long after it
+finished; a file that cannot be parsed raises RunFileError naming the
+file and line. Steady-state windows span from each re-initialization
+(plus the detection grace period) to the next detection or the end of
+the run; acceptance thresholds live in a JSON file so the expected bands
+are reviewable data rather than code.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
-from statistics import fmean, pstdev
+from bisect import bisect_left
+from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
+from .topology import NUMBER, checked
 
-def load_metrics(path: str) -> list[dict]:
-    rows = []
+# A float square root needs 2 * 53 + 3 bits of the radicand to round
+# correctly through round-to-odd (the width statistics.pstdev uses).
+_SQRT_BITS = 109
+
+# run_info.json fields a summary reads, and their kinds (object: any).
+_INFO_FIELDS = {"topology": object, "scenario": object, "seed": object,
+                "duration_s": NUMBER, "qpm_log": str, "init_grace_s": NUMBER,
+                "episodes": object, "exhausted": object, "final_active_path": object}
+_TIMING_FLOATS = ("detect_s", "controller_s", "reinit_s", "total_s")
+
+
+class RunFileError(ValueError):
+    """A run artifact that cannot be parsed; the message names file and line."""
+
+
+@dataclass(frozen=True)
+class Metrics:
+    """The metrics.csv columns a summary reads, one entry per row.
+
+    t never decreases, and the numbers are finite.
+    """
+
+    t: list[float]
+    skr_bps: list[float]
+    qber: list[float]
+
+
+def _columns(header: str, wanted, source: str) -> tuple[int, dict[str, int]]:
+    """Field count of the header line, and the index of each wanted column."""
+    names = header.split(",")
+    for name in wanted:
+        if name not in names:
+            raise RunFileError(f"{source} line 1: missing column '{name}'")
+    return len(names), {name: names.index(name) for name in wanted}
+
+
+def _width_error(source: str, line: int, width: int, parts: list[str]) -> RunFileError:
+    return RunFileError(f"{source} line {line}: expected {width} fields, got {len(parts)}")
+
+
+def parse_metrics(header: str, rows: list[str], source: str) -> Metrics:
+    """Metrics from the header and row lines of metrics.csv, by column."""
+    width, index = _columns(header, ("t", "skr_bps", "qber"), source)
+    i_t, i_skr, i_qber = index.values()
+    t: list[float] = []
+    skr: list[float] = []
+    qber: list[float] = []
+    for line, row in enumerate(rows, start=2):
+        parts = row.split(",")
+        if len(parts) != width:
+            raise _width_error(source, line, width, parts)
+        try:
+            t.append(float(parts[i_t]))
+            skr.append(float(parts[i_skr]))
+            qber.append(float(parts[i_qber]))
+        except ValueError as exc:
+            raise RunFileError(f"{source} line {line}: {exc}") from None
+    for name, column in (("t", t), ("skr_bps", skr), ("qber", qber)):
+        if not all(map(math.isfinite, column)):
+            line = next(i for i, x in enumerate(column, start=2) if not math.isfinite(x))
+            raise RunFileError(f"{source} line {line}: {name} is not finite")
+    if t != sorted(t):
+        line = next(i for i in range(1, len(t)) if t[i] < t[i - 1]) + 2
+        raise RunFileError(f"{source} line {line}: t decreases")
+    return Metrics(t=t, skr_bps=skr, qber=qber)
+
+
+def parse_timing(header: str, rows: list[str], source: str) -> list[dict]:
+    """Episode dicts from the header and row lines of timing.csv."""
+    width, index = _columns(header, ("episode",) + _TIMING_FLOATS, source)
+    episodes = []
+    for line, text in enumerate(rows, start=2):
+        parts = text.split(",")
+        if len(parts) != width:
+            raise _width_error(source, line, width, parts)
+        try:
+            row = {"episode": int(parts[index["episode"]])}
+            row.update((name, float(parts[index[name]])) for name in _TIMING_FLOATS)
+        except ValueError as exc:
+            raise RunFileError(f"{source} line {line}: {exc}") from None
+        episodes.append(row)
+    return episodes
+
+
+def _read_csv(path: str, parse):
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            parts = line.strip().split(",")
-            row = dict(zip(header, parts))
-            rows.append({
-                "t": float(row["t"]),
-                "active_path": row["active_path"],
-                "skr_bps": float(row["skr_bps"]),
-                "qber": float(row["qber"]),
-                "qpm_state": row["qpm_state"],
-            })
-    return rows
+        lines = fh.read().splitlines()
+    if not lines:
+        raise RunFileError(f"{path}: empty, expected a header line")
+    return parse(lines[0], lines[1:], path)
+
+
+def load_metrics(path: str) -> Metrics:
+    return _read_csv(path, parse_metrics)
 
 
 def load_timing(path: str) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            parts = line.strip().split(",")
-            row = dict(zip(header, parts))
-            rows.append({
-                "episode": int(row["episode"]),
-                "detect_s": float(row["detect_s"]),
-                "controller_s": float(row["controller_s"]),
-                "reinit_s": float(row["reinit_s"]),
-                "total_s": float(row["total_s"]),
-            })
-    return rows
+    return _read_csv(path, parse_timing)
 
 
 def load_events(path: str) -> list[dict]:
+    events = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for line, text in enumerate(fh, start=1):
+            if not text.strip():
+                continue
+            where = f"{path} line {line}"
+            try:
+                event = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise RunFileError(f"{where}: {exc}") from None
+            checked(event, "kind", str, where, RunFileError)
+            checked(event, "t", NUMBER, where, RunFileError)
+            if "path" not in event:
+                raise RunFileError(f"{where}: missing required field 'path'")
+            events.append(event)
+    return events
+
+
+def load_info(out_dir: str) -> dict:
+    path = os.path.join(out_dir, "run_info.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            info = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise RunFileError(f"{path}: {exc}") from None
+    for key, kind in _INFO_FIELDS.items():
+        checked(info, key, kind, path, RunFileError)
+    if info.get("first_init_s") is not None:
+        checked(info, "first_init_s", NUMBER, path, RunFileError)
+    return info
+
+
+def pstdev(data: list[float]) -> float:
+    """statistics.pstdev of one or more floats, bit for bit, in integers.
+
+    Every float is n / d with d a power of two, so over the largest d
+    the population variance is (c * sum(n**2) - sum(n)**2) / (c * d)**2
+    exactly; its square root is then rounded once, to the nearest float.
+    """
+    ratios = list(map(float.as_integer_ratio, data))
+    scale = max(d for _, d in ratios)
+    nums = [n * (scale // d) for n, d in ratios]
+    count = len(nums)
+    total = sum(nums)
+    num = count * sum(map(mul, nums, nums)) - total * total
+    den = (count * scale) ** 2
+    # Round-to-odd square root on _SQRT_BITS bits, then one rounding
+    # in the int / int division.
+    q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        return (_isqrt_rto(num, den << 2 * q) << q) / 1
+    return _isqrt_rto(num << -2 * q, den) / (1 << -q)
+
+
+def _isqrt_rto(num: int, den: int) -> int:
+    root = math.isqrt(num // den)
+    return root | (root * root * den != num)
 
 
 def steady_windows(events: list[dict], grace_s: float, duration_s: float) -> list[dict]:
@@ -70,31 +202,42 @@ def steady_windows(events: list[dict], grace_s: float, duration_s: float) -> lis
     return windows
 
 
-def window_stats(window: dict, metrics: list[dict]) -> dict:
-    rows = [r for r in metrics if window["start"] <= r["t"] < window["end"]]
+def window_stats(window: dict, metrics: Metrics) -> dict:
+    """The window with the count, means and stds of the rows start <= t < end."""
+    lo = bisect_left(metrics.t, window["start"])
+    hi = max(lo, bisect_left(metrics.t, window["end"]))
     stats = dict(window)
-    stats["n"] = len(rows)
-    if rows:
-        skrs = [r["skr_bps"] for r in rows]
-        qbers = [r["qber"] for r in rows]
+    stats["n"] = hi - lo
+    if hi > lo:
+        skrs = metrics.skr_bps[lo:hi]
+        qbers = metrics.qber[lo:hi]
         stats.update(
-            skr_mean=fmean(skrs), skr_std=pstdev(skrs),
-            qber_mean=fmean(qbers), qber_std=pstdev(qbers),
+            skr_mean=math.fsum(skrs) / len(skrs), skr_std=pstdev(skrs),
+            qber_mean=math.fsum(qbers) / len(qbers), qber_std=pstdev(qbers),
         )
     return stats
 
 
 def summarize(out_dir: str, thresholds_path: Optional[str] = None,
               include_timestamp: bool = False) -> tuple[str, bool]:
-    """Render the run summary; the flag reports whether all checks passed."""
-    with open(os.path.join(out_dir, "run_info.json"), "r", encoding="utf-8") as fh:
-        info = json.load(fh)
-    metrics = load_metrics(os.path.join(out_dir, "metrics.csv"))
-    timing = load_timing(os.path.join(out_dir, "timing.csv"))
+    """Render the summary of a run directory; the flag reports whether all checks passed."""
+    info = load_info(out_dir)
     qpm_log = info["qpm_log"]
     if not os.path.isabs(qpm_log):
         qpm_log = os.path.join(out_dir, qpm_log)
-    events = load_events(qpm_log)
+    return render_summary(
+        info,
+        load_metrics(os.path.join(out_dir, "metrics.csv")),
+        load_timing(os.path.join(out_dir, "timing.csv")),
+        load_events(qpm_log),
+        thresholds_path, include_timestamp,
+    )
+
+
+def render_summary(info: dict, metrics: Metrics, timing: list[dict], events: list[dict],
+                   thresholds_path: Optional[str] = None,
+                   include_timestamp: bool = False) -> tuple[str, bool]:
+    """The summary text of one run; the flag reports whether all checks passed."""
     windows = [
         window_stats(w, metrics)
         for w in steady_windows(events, info["init_grace_s"], info["duration_s"])
@@ -214,9 +357,3 @@ def _checks(thresholds: dict, windows: list[dict], timing: list[dict],
                 )
 
     return lines, all_pass
-
-
-def render_summary(out_dir: str, thresholds_path: Optional[str] = None,
-                   include_timestamp: bool = False) -> str:
-    text, _ = summarize(out_dir, thresholds_path, include_timestamp)
-    return text

@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import report
 from .clock import Scheduler, SimClock
 from .controller import (
     InProcessSwitchLink,
@@ -289,16 +290,17 @@ def run_scenario(topology_file: str, scenario_file: str, seed: int, out_dir: str
     os.makedirs(out_dir, exist_ok=True)
     qpm_log = qpm_log_path or os.path.join(out_dir, "qpm_log.ndjson")
 
+    metrics_header = "t,active_path,skr_bps,qber," + ",".join(
+        f"attack_{link.link_id}_dbm" for link in topology.links) + ",qpm_state"
     with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="") as fh:
-        header_links = ",".join(
-            f"attack_{link.link_id}_dbm" for link in topology.links)
-        fh.write(f"t,active_path,skr_bps,qber,{header_links},qpm_state\n")
+        fh.write(metrics_header + "\n")
         for row in run.metrics_rows:
             fh.write(row + "\n")
 
+    events = [event.to_dict() for event in run.qpm.events]
     with open(qpm_log, "w", encoding="utf-8", newline="") as fh:
-        for event in run.qpm.events:
-            fh.write(json.dumps(event.to_dict(), separators=(",", ":")) + "\n")
+        for event in events:
+            fh.write(json.dumps(event, separators=(",", ":")) + "\n")
 
     with open(os.path.join(out_dir, "controller_log.ndjson"), "w",
               encoding="utf-8", newline="") as fh:
@@ -306,9 +308,11 @@ def run_scenario(topology_file: str, scenario_file: str, seed: int, out_dir: str
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
     first_init_s, episodes = extract_episodes(run.qpm.events)
+    timing_header = "episode,detect_s,controller_s,reinit_s,total_s"
+    timing = timing_rows(episodes, scenario)
     with open(os.path.join(out_dir, "timing.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("episode,detect_s,controller_s,reinit_s,total_s\n")
-        for row in timing_rows(episodes, scenario):
+        fh.write(timing_header + "\n")
+        for row in timing:
             fh.write(row + "\n")
 
     exhausted = any(ev.kind == EXHAUSTED for ev in run.qpm.events)
@@ -338,9 +342,14 @@ def run_scenario(topology_file: str, scenario_file: str, seed: int, out_dir: str
         json.dump(info, fh, indent=2)
         fh.write("\n")
 
-    from .report import render_summary
-    summary = render_summary(out_dir, thresholds_path=None,
-                             include_timestamp=not deterministic)
+    # The summary parses the rows as written, so it reads what summarize
+    # would read back from the files.
+    summary, _ = report.render_summary(
+        info,
+        report.parse_metrics(metrics_header, run.metrics_rows, "metrics.csv"),
+        report.parse_timing(timing_header, timing, "timing.csv"),
+        events,
+        thresholds_path=None, include_timestamp=not deterministic)
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8", newline="") as fh:
         fh.write(summary)
 

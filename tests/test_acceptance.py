@@ -56,13 +56,13 @@ def _tail_window_stats(out_dir: Path, tail_s: float = 10800.0):
     windows = steady_windows(events, info["init_grace_s"], info["duration_s"])
     final = windows[-1]
     start = max(final["start"], final["end"] - tail_s)
-    rows = [r for r in metrics if start <= r["t"] < final["end"]]
+    rows = [i for i, t in enumerate(metrics.t) if start <= t < final["end"]]
     assert rows, "steady window has no samples"
     return {
         "path": final["path"],
         "span_s": final["end"] - start,
-        "skr_mean": float(np.mean([r["skr_bps"] for r in rows])),
-        "qber_mean": float(np.mean([r["qber"] for r in rows])),
+        "skr_mean": float(np.mean([metrics.skr_bps[i] for i in rows])),
+        "qber_mean": float(np.mean([metrics.qber[i] for i in rows])),
         "n": len(rows),
     }
 
@@ -243,10 +243,13 @@ class TestControlPlaneGuarantees:
         exhausted = [e for e in events if e["kind"] == "EXHAUSTED"]
         info = json.loads((out / "run_info.json").read_text())
         metrics = load_metrics(str(out / "metrics.csv"))
+        states = [row.rsplit(",", 1)[1]
+                  for row in (out / "metrics.csv").read_text().splitlines()[1:]]
         t_exhausted = exhausted[0]["t"] if exhausted else None
-        after = [r for r in metrics if t_exhausted is not None and r["t"] > t_exhausted]
-        survives = (bool(after) and all(r["qpm_state"] == "ALARM" for r in after)
-                    and metrics[-1]["t"] == info["duration_s"])
+        after = [state for t, state in zip(metrics.t, states)
+                 if t_exhausted is not None and t > t_exhausted]
+        survives = (bool(after) and all(state == "ALARM" for state in after)
+                    and metrics.t[-1] == info["duration_s"])
         allowed_code = run_scenario(
             str(configs / "reference_topology.json"),
             str(configs / "attack-all-links.json"), seed=11,
@@ -257,7 +260,7 @@ class TestControlPlaneGuarantees:
         _report(10, ok,
                 f"all paths failed at t={t_exhausted:.0f}s: exit code {code} "
                 f"(expected {EXIT_EXHAUSTED}), ALARM persists for {len(after)} more "
-                f"samples to t={metrics[-1]['t']:.0f}s; --allow-exhaustion exits "
+                f"samples to t={metrics.t[-1]:.0f}s; --allow-exhaustion exits "
                 f"{allowed_code}")
 
     def test_ac11_byte_identical_reruns(self, run_link1, tmp_path, configs):

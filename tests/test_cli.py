@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qkdsim.cli import main
 from qkdsim.scenario import EXIT_USAGE
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_args(configs, out, scenario="attack-link1.json", extra=()):
@@ -123,3 +130,100 @@ class TestSummarizeCommand:
         code = main(["summarize", "--out", str(tmp_path / "void")])
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self, run_link1):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-m", "qkdsim", "summarize", "--out", str(run_link1["out"])],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (run_link1["out"] / "summary.txt").read_text(encoding="utf-8")
+
+
+def _edit(name, change):
+    def corrupt(run_dir: Path):
+        path = run_dir / name
+        path.write_text(change(path.read_text(encoding="utf-8")), encoding="utf-8")
+    return corrupt
+
+
+def _edit_info(change):
+    return _edit("run_info.json", lambda text: json.dumps(change(json.loads(text))))
+
+
+def _drop(key):
+    def change(info):
+        del info[key]
+        return info
+    return change
+
+
+def _truncate_mid_row(text):
+    cut = text.index("\n", len(text) // 2) + 1
+    return text[:cut + 12]  # "t,active_path" of the next row
+
+
+def _swap_rows(text):
+    lines = text.splitlines(keepends=True)
+    lines[5], lines[6] = lines[6], lines[5]
+    return "".join(lines)
+
+
+# (label, corruption, what the error line must name)
+MALFORMED_RUNS = [
+    ("truncated-metrics", _edit("metrics.csv", _truncate_mid_row), "metrics.csv line 108: expected 8 fields, got 2"),
+    ("info-without-init-grace", _edit_info(_drop("init_grace_s")), "init_grace_s"),
+    ("info-is-a-list", _edit_info(lambda info: [info]), "run_info.json must be an object"),
+    ("event-without-kind",
+     _edit("qpm_log.ndjson", lambda text: text.replace('"kind":"DETECTED",', "")),
+     "qpm_log.ndjson line 4:"),
+    ("two-field-timing-row", _edit("timing.csv", lambda text: text + "2,1.0\n"),
+     "timing.csv line 3:"),
+    ("metrics-t-decreases", _edit("metrics.csv", _swap_rows), "metrics.csv line 7: t decreases"),
+    ("metrics-qber-nan",
+     _edit("metrics.csv", lambda text: text.replace(",0.000000,-inf", ",nan,-inf", 1)),
+     "metrics.csv line 2: qber is not finite"),
+    ("metrics-without-qber-column",
+     _edit("metrics.csv", lambda text: text.replace(",qber,", ",q,", 1)),
+     "metrics.csv line 1: missing column 'qber'"),
+    ("empty-metrics", _edit("metrics.csv", lambda text: ""), "metrics.csv: empty"),
+    ("event-log-not-json", _edit("qpm_log.ndjson", lambda text: text + "{oops\n"),
+     "qpm_log.ndjson line 8:"),
+    ("info-grace-is-a-string", _edit_info(lambda info: {**info, "init_grace_s": "240"}),
+     "init_grace_s must be a number"),
+]
+
+
+@pytest.mark.parametrize("corrupt,expected", [m[1:] for m in MALFORMED_RUNS],
+                         ids=[m[0] for m in MALFORMED_RUNS])
+def test_malformed_run_directory_is_a_usage_error(run_link1, tmp_path, capsys,
+                                                   corrupt, expected):
+    run_dir = tmp_path / "run"
+    shutil.copytree(run_link1["out"], run_dir)
+    corrupt(run_dir)
+    code = main(["summarize", "--out", str(run_dir)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert expected in err
+
+
+@pytest.mark.parametrize("link,anchor,value", [
+    (1, "suppression_db", 1e9),
+    (1, "suppression_db", 1e308),
+    (1, "suppression_db", -1e9),
+    (0, "baseline_qber", 1e-320),
+])
+def test_extreme_calibration_anchor_is_a_usage_error(tmp_path, configs, capsys,
+                                                     link, anchor, value):
+    topology = json.loads((configs / "reference_topology.json").read_text(encoding="utf-8"))
+    topology["links"][link]["channel"]["calibrate"][anchor] = value
+    path = tmp_path / "topology.json"
+    path.write_text(json.dumps(topology), encoding="utf-8")
+    code = main(["run", "--topology", str(path),
+                 "--scenario", str(configs / "attack-link1.json"),
+                 "--seed", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1

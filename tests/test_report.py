@@ -6,16 +6,21 @@ import json
 import statistics
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qkdsim.qpm import QpmConfig
 from qkdsim.report import (
+    Metrics,
     load_events,
     load_metrics,
     load_timing,
-    render_summary,
+    pstdev,
     steady_windows,
     summarize,
     window_stats,
 )
+from qkdsim.scenario import run_scenario
 
 
 def ev(t, kind, path="link1"):
@@ -45,34 +50,83 @@ class TestSteadyWindows:
         assert steady_windows([ev(0.0, "RECONFIG_DONE")], 240.0, 600.0) == []
 
 
+def metrics_of(t, skr, qber) -> Metrics:
+    return Metrics(t=list(t), skr_bps=list(skr), qber=list(qber))
+
+
 class TestWindowStats:
     def test_means_and_stds_match_statistics(self):
-        metrics = [
-            {"t": float(t), "skr_bps": 900.0 + t, "qber": 0.02 + t / 1e5}
-            for t in range(0, 600, 60)
-        ]
+        t = [float(s) for s in range(0, 600, 60)]
+        metrics = metrics_of(t, [900.0 + x for x in t], [0.02 + x / 1e5 for x in t])
         window = {"path": "p", "start": 120.0, "end": 360.0}
         stats = window_stats(window, metrics)
-        in_rows = [r for r in metrics if 120.0 <= r["t"] < 360.0]
+        rows = [i for i, x in enumerate(t) if 120.0 <= x < 360.0]
+        skrs = [metrics.skr_bps[i] for i in rows]
+        qbers = [metrics.qber[i] for i in rows]
         assert stats["n"] == 4
-        assert stats["skr_mean"] == statistics.fmean(r["skr_bps"] for r in in_rows)
-        assert stats["skr_std"] == statistics.pstdev([r["skr_bps"] for r in in_rows])
-        assert stats["qber_mean"] == statistics.fmean(r["qber"] for r in in_rows)
+        assert stats["skr_mean"] == statistics.fmean(skrs)
+        assert stats["skr_std"] == statistics.pstdev(skrs)
+        assert stats["qber_mean"] == statistics.fmean(qbers)
+        assert stats["qber_std"] == statistics.pstdev(qbers)
 
     def test_empty_window(self):
-        stats = window_stats({"path": "p", "start": 0.0, "end": 1.0}, [])
+        stats = window_stats({"path": "p", "start": 0.0, "end": 1.0}, metrics_of([], [], []))
         assert stats["n"] == 0
         assert "skr_mean" not in stats
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.integers(0, 3), max_size=40),
+           start=st.integers(-2, 50), length=st.integers(-3, 50))
+    def test_window_holds_the_rows_the_filter_selects(self, steps, start, length):
+        # Sorted times with repeats, and windows that begin or end on a
+        # sample, between samples, outside the run, or end before they start.
+        t, now = [], 0.0
+        for step in steps:
+            now += step / 2
+            t.append(now)
+        metrics = metrics_of(t, [900.0 + 7 * i for i in range(len(t))],
+                             [0.02 + i / 1e4 for i in range(len(t))])
+        window = {"path": "p", "start": start / 2, "end": (start + length) / 2}
+        stats = window_stats(window, metrics)
+        rows = [i for i, x in enumerate(t) if window["start"] <= x < window["end"]]
+        assert stats["n"] == len(rows)
+        if rows:
+            skrs = [metrics.skr_bps[i] for i in rows]
+            qbers = [metrics.qber[i] for i in rows]
+            assert (stats["skr_mean"], stats["skr_std"], stats["qber_mean"], stats["qber_std"]) \
+                == (statistics.fmean(skrs), statistics.pstdev(skrs),
+                    statistics.fmean(qbers), statistics.pstdev(qbers))
+
+
+finite = st.floats(min_value=1e-4, max_value=1e4)
+signed = st.one_of(finite, finite.map(lambda x: -x))
+as_written = st.floats(min_value=0.0, max_value=1e4).map(lambda x: float(f"{x:.6f}"))
+
+
+class TestPstdev:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(
+        st.lists(signed, min_size=1, max_size=60),
+        st.lists(as_written, min_size=1, max_size=60),
+        st.tuples(signed, st.integers(1, 60)).map(lambda p: [p[0]] * p[1]),
+    ))
+    @example(data=[0.0])
+    @example(data=[1e-4, 1e4])
+    @example(data=[0.1, 0.2, 0.3])
+    def test_bit_equal_to_statistics(self, data):
+        assert pstdev(data) == statistics.pstdev(data)
 
 
 class TestLoadersAndSummary:
     def test_loaders_round_trip_real_artifacts(self, run_link1):
         out = run_link1["out"]
         metrics = load_metrics(str(out / "metrics.csv"))
-        assert metrics[0]["t"] == 0.0
-        assert metrics[-1]["t"] == 12600.0
-        assert all(set(r) == {"t", "active_path", "skr_bps", "qber", "qpm_state"}
-                   for r in metrics)
+        rows = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert metrics.t[0] == 0.0
+        assert metrics.t[-1] == 12600.0
+        assert [len(c) for c in (metrics.t, metrics.skr_bps, metrics.qber)] == [len(rows)] * 3
+        last = rows[-1].split(",")
+        assert (metrics.skr_bps[-1], metrics.qber[-1]) == (float(last[2]), float(last[3]))
         timing = load_timing(str(out / "timing.csv"))
         assert len(timing) == 1 and timing[0]["episode"] == 1
         events = load_events(str(out / "qpm_log.ndjson"))
@@ -85,7 +139,6 @@ class TestLoadersAndSummary:
         assert "acceptance checks" in text
         assert "FAIL" not in text
         assert text.count("PASS") == 4  # skr, qber, ratio, parity
-        assert render_summary(str(run_link1["out"])) == summarize(str(run_link1["out"]))[0]
 
     def test_failing_thresholds_flip_the_verdict(self, run_link1, tmp_path):
         strict = tmp_path / "strict.json"
@@ -112,3 +165,25 @@ class TestLoadersAndSummary:
         assert "acceptance checks" not in text
         assert "steady-state windows" in text
         assert "mitigation episodes" in text
+
+
+class TestSummaryFromMemory:
+    @pytest.mark.parametrize("run_fixture", ["run_link1", "run_two_episodes",
+                                             "run_all_links", "run_steady_link2"])
+    def test_written_summary_equals_the_summary_of_the_files(self, request, run_fixture):
+        out = request.getfixturevalue(run_fixture)["out"]
+        assert (out / "summary.txt").read_text(encoding="utf-8") == summarize(str(out))[0]
+
+    def test_tenth_second_polls(self, tmp_path, configs):
+        # metrics.csv writes t with one decimal, so at a 0.1 s period the
+        # written t differs from k * period; the summary must use the former.
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"duration_s": 1200, "events": [
+            {"t": 600, "link": "link1", "attack_power_dbm": -40}]}), encoding="utf-8")
+        out = tmp_path / "out"
+        run_scenario(str(configs / "reference_topology.json"), str(scenario), seed=3,
+                     out_dir=str(out), deterministic=True,
+                     qpm_config=QpmConfig(poll_period_s=0.1))
+        text = (out / "summary.txt").read_text(encoding="utf-8")
+        assert text == summarize(str(out))[0]
+        assert "window 2: path=link2" in text

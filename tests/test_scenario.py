@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qkdsim.physics import ATTACK_OFF
+from qkdsim.physics import ATTACK_OFF, CalibrationError
 from qkdsim.qpm import (
     DETECTED,
     EXHAUSTED,
@@ -33,7 +34,7 @@ from qkdsim.scenario import (
     sweep_attack_power,
     timing_rows,
 )
-from qkdsim.topology import resolve_active_path
+from qkdsim.topology import TopologyError, load_topology, resolve_active_path
 
 
 def write_json(path, obj) -> str:
@@ -481,3 +482,79 @@ def test_reference_artifacts_match_golden_hashes(request, run_fixture):
     hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
               for name in GOLDEN[run_fixture]}
     assert hashes == GOLDEN[run_fixture]
+
+
+# sha256 prefixes of summary.txt of the same runs without its "topology:"
+# line, the one line that embeds input paths.
+GOLDEN_SUMMARY = {
+    "run_link1": "0903644a14f97f1f",
+    "run_two_episodes": "748c7885a108d19f",
+    "run_all_links": "8a9c259e23b75e1d",
+    "run_steady_link2": "bc65a76939f4bfbf",
+}
+
+
+@pytest.mark.parametrize("run_fixture", sorted(GOLDEN_SUMMARY))
+def test_reference_summaries_match_golden_hashes(request, run_fixture):
+    out = request.getfixturevalue(run_fixture)["out"]
+    lines = (out / "summary.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith("topology: "))
+    assert hashlib.sha256(kept.encode()).hexdigest()[:16] == GOLDEN_SUMMARY[run_fixture]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+MUTATED = {"topology": CONFIGS / "reference_topology.json",
+           "scenario": CONFIGS / "attack-link1-then-link2.json"}
+# Stand-ins for a value: every JSON type, and numbers at the extremes.
+REPLACEMENTS = [None, True, 0, -1, 2.5, 1e-320, -1e308, 1e308, "", "link1", "off", [], {}]
+
+
+def _locations(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _locations(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """The two documents with 1-3 values deleted or replaced.
+
+    A replacement has another JSON type, or is a number at the extremes.
+    """
+    docs = {name: json.loads(path.read_text(encoding="utf-8"))
+            for name, path in MUTATED.items()}
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(docs)))
+        location = draw(st.sampled_from(list(_locations(docs[name]))))
+        if not location:
+            docs[name] = draw(st.sampled_from(REPLACEMENTS))
+            continue
+        parent = docs[name]
+        for key in location[:-1]:
+            parent = parent[key]
+        key = location[-1]
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            old = parent[key]
+            parent[key] = draw(st.sampled_from(
+                [r for r in REPLACEMENTS if type(r) is not type(old) or r != old]))
+    return docs
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(docs=mutated_documents())
+def test_mutated_inputs_build_a_run_or_raise_a_config_error(tmp_path, docs):
+    # The run is built, never executed: a valid duration_s of 1e308 never ends.
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        ScenarioRun(load_topology(str(paths["topology"])),
+                    load_scenario(str(paths["scenario"])), seed=1)
+    except (TopologyError, ScenarioError, CalibrationError):
+        pass
