@@ -55,20 +55,29 @@ class Scheduler:
     A handler may advance the clock itself (e.g. modelled message
     latencies); later events never run before their scheduled time but
     may run late if a handler overran it, which keeps time monotone.
+    A cancelled event stays in the heap marked removed, and is dropped unrun.
     """
 
     def __init__(self, clock: SimClock):
         self.clock = clock
-        self._heap: list[tuple[float, int, int, Callable[[], None]]] = []
+        self._heap: list[list] = []  # [t, priority, seq, fn or None]
         self._seq = 0
 
-    def at(self, t: float, fn: Callable[[], None], priority: int = 5) -> None:
-        heapq.heappush(self._heap, (t, priority, self._seq, fn))
+    def at(self, t: float, fn: Callable[[], None], priority: int = 5) -> list:
+        """Schedule fn at t; the returned entry is what cancel takes."""
+        entry = [t, priority, self._seq, fn]
+        heapq.heappush(self._heap, entry)
         self._seq += 1
+        return entry
+
+    def cancel(self, entry: list) -> None:
+        entry[-1] = None
 
     def run_until(self, t_end: float) -> None:
         while self._heap and self._heap[0][0] <= t_end:
             t, _prio, _seq, fn = heapq.heappop(self._heap)
+            if fn is None:
+                continue
             self.clock.advance_to(t)
             fn()
         self.clock.advance_to(t_end)

@@ -15,6 +15,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 ATTACK_OFF = float("-inf")
 
 
@@ -237,6 +239,11 @@ def calibrate(anchors: CalibrationAnchors) -> ChannelParams:
     return params
 
 
+# Relative jitter of a sample around the model means.
+SKR_SIGMA = 0.03
+QBER_SIGMA = 0.05
+
+
 @functools.lru_cache(maxsize=1024)
 def _means(params: ChannelParams, attack_power_dbm: float) -> tuple[float, float]:
     return qber(params, attack_power_dbm), skr(params, attack_power_dbm)
@@ -246,8 +253,8 @@ def sample(
     params: ChannelParams,
     attack_power_dbm: float,
     rng,
-    skr_sigma: float = 0.03,
-    qber_sigma: float = 0.05,
+    skr_sigma: float = SKR_SIGMA,
+    qber_sigma: float = QBER_SIGMA,
 ) -> QuantumSample:
     """Draw one jittered monitoring sample around the model means.
 
@@ -265,3 +272,18 @@ def sample(
     if q >= abort_qber(params.ec_efficiency):
         s = 0.0
     return QuantumSample(skr_bps=s, qber=q)
+
+
+def sample_array(params: ChannelParams, attack_power_dbm: float,
+                 normals) -> tuple[np.ndarray, np.ndarray]:
+    """sample's (qber, skr_bps) with default sigmas, as arrays, bit for bit.
+
+    normals holds each sample's two draws in sample's order, QBER's first;
+    the clamps keep Python's min/max results, signed zeros included.
+    """
+    q_mean, s_mean = _means(params, attack_power_dbm)
+    q = q_mean * (1.0 + QBER_SIGMA * normals[0::2])
+    s = s_mean * (1.0 + SKR_SIGMA * normals[1::2])
+    q = np.where(q > 0.5, 0.5, np.where(q < 0.0, 0.0, q))
+    s = np.where((s < 0.0) | (q >= abort_qber(params.ec_efficiency)), 0.0, s)
+    return q, s

@@ -12,7 +12,11 @@ and rate read as zero whenever keys are not being generated.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import physics
 from .physics import ChannelParams
@@ -30,6 +34,27 @@ class KeyBlock:
     sequence_no: int
     size_bits: int
     produced_at: float
+
+
+class TickPlan(NamedTuple):
+    """Ticks planned by QkdUnitPair.plan_ticks: block_ticks[i] is the tick
+    distilling block i, entry b of qber, skr_bps and key_bits (whole floats)
+    the read-out after b blocks; the first `ticks` distil no aborting block."""
+
+    dts: list[float]
+    block_ticks: list[int]
+    qber: np.ndarray
+    skr_bps: np.ndarray
+    key_bits: np.ndarray
+    ticks: int
+    elapsed: float
+    now: float
+    rng_state: dict
+
+    def reading(self, b: int, now: float) -> dict:
+        return {"timestamp": round(now, 6), "skr_bps": float(self.skr_bps[b]),
+                "qber": float(self.qber[b]), "last_key_size_bits": int(self.key_bits[b]),
+                "state": STATE_GENERATING}
 
 
 class QkdUnitPair:
@@ -127,6 +152,60 @@ class QkdUnitPair:
                 self._now += remaining
                 remaining = 0.0
         return produced
+
+    def plan_ticks(self, dts, active_channel, attack_power_dbm: float) -> TickPlan:
+        """Plan tick(dt, ...) for each of dts from Generating, drawing all samples
+        in one call (the same values as one at a time); commit_ticks applies it."""
+        block_ticks, elapsed, now = self._key_steps(dts)
+        ticks, rng_state = len(dts), self.rng.bit_generator.state
+        q, s = physics.sample_array(active_channel, attack_power_dbm,
+                                    self.rng.standard_normal(2 * len(block_ticks)))
+        aborts = q >= physics.abort_qber(active_channel.ec_efficiency)
+        if aborts.any():
+            ticks = block_ticks[int(aborts.argmax())]
+        return TickPlan(dts, block_ticks, np.concatenate(([self._last_qber], q)),
+                        np.concatenate(([self._last_skr], s)),
+                        np.concatenate(([self._last_key_bits], np.rint(s * self.key_interval_s))),
+                        ticks, elapsed, now, rng_state)
+
+    def commit_ticks(self, plan: TickPlan, ticks: int):
+        """Apply the first ticks of plan (at most plan.ticks), random stream included."""
+        used = bisect_left(plan.block_ticks, ticks)
+        if used < len(plan.block_ticks):
+            self.rng.bit_generator.state = plan.rng_state
+            self.rng.standard_normal(2 * used)
+        if ticks == len(plan.dts):
+            self._interval_elapsed, self._now = plan.elapsed, plan.now
+        else:
+            _, self._interval_elapsed, self._now = self._key_steps(plan.dts[:ticks])
+        if used:
+            self._last_qber = float(plan.qber[used])
+            self._last_skr = float(plan.skr_bps[used])
+            self._last_key_bits = int(plan.key_bits[used])
+            self._sequence += int(np.count_nonzero(plan.key_bits[1:used + 1]))
+
+    def _key_steps(self, dts) -> tuple[list[int], float, float]:
+        """tick's interval arithmetic over dts from Generating: the tick
+        distilling each block, and the elapsed interval and clock after."""
+        interval = self.key_interval_s
+        edge = interval - _EPS
+        elapsed, now = self._interval_elapsed, self._now
+        block_ticks: list[int] = []
+        for i, dt in enumerate(dts):
+            if dt > _EPS and elapsed + dt < edge:
+                elapsed += dt
+                now += dt
+                continue
+            remaining = dt
+            while remaining > _EPS:
+                step = min(remaining, interval - elapsed)
+                elapsed += step
+                now += step
+                remaining -= step
+                if elapsed >= edge:
+                    elapsed = 0.0
+                    block_ticks.append(i)
+        return block_ticks, elapsed, now
 
     def read_monitor(self, now: float) -> dict:
         """Side-effect-free monitoring read-out in the wire schema."""

@@ -16,7 +16,9 @@ fresh session's empty readings are not mistaken for an attack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
+
+import numpy as np
 
 AVAILABLE = "AVAILABLE"
 ACTIVE = "ACTIVE"
@@ -122,6 +124,9 @@ class Qpm:
         self._history_cap = max(config.zero_key_debounce, 8)
         self._t_path_change: Optional[float] = None
         self._request_seq = 0
+        # The one pending poll: its time and scheduler entry.
+        self.next_poll_t: Optional[float] = None
+        self._next_poll: Optional[list] = None
 
     # -- loop entry points ---------------------------------------------------
 
@@ -148,6 +153,28 @@ class Qpm:
                 self._on_detect(reading)
         # ALARM mode keeps polling, takes no action.
         self._schedule_next(sched_t)
+
+    def skip_polls(self, times: list[float], qber, key_bits,
+                   reading: Callable[[int], dict]) -> int:
+        """Take over MONITORING polls at times (the pending one first) up to the
+        first at which detect_failure fires, and return how many were taken.
+        Poll j reads qber[j] and key_bits[j], and reading(j) builds its reading;
+        detect_failure judges the polls past grace with a high qber or no key."""
+        config, cap = self.config, self._history_cap
+        since = np.array(times) - self._t_path_change
+        taken = len(times)
+        for j in np.flatnonzero((since > config.init_grace_s) & (
+                (qber > config.qber_threshold) | (key_bits == 0))).tolist():
+            history = self.history + [reading(i) for i in range(max(0, j + 1 - cap), j + 1)]
+            if detect_failure(history[-1], history[-cap:], config, times[j] - self._t_path_change):
+                taken = j
+                break
+        if taken:
+            self.history.extend(reading(j) for j in range(max(0, taken - cap), taken))
+            del self.history[:-cap]
+            self.scheduler.cancel(self._next_poll)
+            self._schedule_next(times[taken - 1])
+        return taken
 
     # -- internals -------------------------------------------------------------
 
@@ -197,7 +224,9 @@ class Qpm:
         period = (self.config.reinit_poll_period_s if self.mode == AWAITING_REINIT
                   else self.config.poll_period_s)
         next_t = sched_t + period
-        self.scheduler.at(next_t, lambda: self.poll(next_t), priority=self.PRIORITY)
+        self.next_poll_t = next_t
+        self._next_poll = self.scheduler.at(next_t, lambda: self.poll(next_t),
+                                            priority=self.PRIORITY)
 
     def _emit(self, kind: str, path: str, detail: str, xids=None):
         event = MitigationEvent(t=self.clock.now(), kind=kind, path=path,

@@ -40,7 +40,7 @@ _TIMING_FLOATS = ("detect_s", "controller_s", "reinit_s", "total_s")
 
 
 class RunFileError(ValueError):
-    """A run artifact that cannot be parsed; the message names file and line."""
+    """A run artifact or thresholds file that cannot be parsed; the message names it."""
 
 
 @dataclass(frozen=True)
@@ -157,20 +157,37 @@ def load_info(out_dir: str) -> dict:
     for key, kind in _INFO_FIELDS.items():
         checked(info, key, kind, path, RunFileError)
     if info.get("first_init_s") is not None:
-        checked(info, "first_init_s", NUMBER, path, RunFileError)
+        if checked(info, "first_init_s", NUMBER, path, RunFileError) <= 0:
+            raise RunFileError(f"{path}: first_init_s must be positive, "
+                               f"got {info['first_init_s']!r}")
     return info
+
+
+def load_thresholds(path: str) -> dict:
+    """A thresholds file: bands are [low, high] pairs of numbers, limits are numbers."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            thresholds = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise RunFileError(f"{path}: {exc}") from None
+    for key in ("steady_state_skr_bps", "steady_state_qber"):
+        band = checked(thresholds, key, list, path, RunFileError, default=[0, 0])
+        if len(band) != 2 or not all(isinstance(x, NUMBER) for x in band):
+            raise RunFileError(f"{path}: {key} must be a [low, high] pair of numbers, "
+                               f"got {band!r}")
+    for key in ("controller_reinit_ratio_max", "reinit_parity_frac_max"):
+        checked(thresholds, key, NUMBER, path, RunFileError, default=0)
+    return thresholds
 
 
 def pstdev(data: list[float]) -> float:
     """statistics.pstdev of one or more floats, bit for bit, in integers.
 
-    Every float is n / d with d a power of two, so over the largest d
-    the population variance is (c * sum(n**2) - sum(n)**2) / (c * d)**2
+    Every float is n / d with d a power of two, so over a common power of
+    two d the population variance is (c * sum(n**2) - sum(n)**2) / (c * d)**2
     exactly; its square root is then rounded once, to the nearest float.
     """
-    ratios = list(map(float.as_integer_ratio, data))
-    scale = max(d for _, d in ratios)
-    nums = [n * (scale // d) for n, d in ratios]
+    nums, scale = _integers(data)
     count = len(nums)
     total = sum(nums)
     num = count * sum(map(mul, nums, nums)) - total * total
@@ -181,6 +198,20 @@ def pstdev(data: list[float]) -> float:
     if q >= 0:
         return (_isqrt_rto(num, den << 2 * q) << q) / 1
     return _isqrt_rto(num << -2 * q, den) / (1 << -q)
+
+
+def _integers(data: list[float]) -> tuple[list[int], int]:
+    """The floats as integers n over one power of two d, and d: 2**(53 - e)
+    for e the exponent of the smallest nonzero magnitude, unless that
+    overflows a float; then the largest denominator of the exact ratios."""
+    tiny = min(map(abs, data)) or min(filter(None, map(abs, data)), default=1.0)
+    shift = max(0, 53 - math.frexp(tiny)[1])
+    try:
+        return list(map(int, map((2.0 ** shift).__mul__, data))), 1 << shift
+    except OverflowError:
+        ratios = list(map(float.as_integer_ratio, data))
+        scale = max(d for _, d in ratios)
+        return [n * (scale // d) for n, d in ratios], scale
 
 
 def _isqrt_rto(num: int, den: int) -> int:
@@ -289,8 +320,7 @@ def render_summary(info: dict, metrics: Metrics, timing: list[dict], events: lis
 
     all_pass = True
     if thresholds_path is not None:
-        with open(thresholds_path, "r", encoding="utf-8") as fh:
-            thresholds = json.load(fh)
+        thresholds = load_thresholds(thresholds_path)
         lines.append("")
         lines.append("acceptance checks")
         check_lines, all_pass = _checks(thresholds, windows, timing, first_init)

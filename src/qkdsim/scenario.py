@@ -17,13 +17,25 @@ triggered the tick.
 Metrics samples are chained the way the monitor chains its polls: the
 sample at k * period schedules the one at (k + 1) * period, so the
 event heap holds at most one metrics event at a time.
+
+Most of a run is quiet: the monitor is MONITORING an active path and the
+units generate key over a lit circuit. After each attack change and
+metrics sample, a quiet run advances over the polls and samples before
+the next attack change in one batch, with all of the unit's samples drawn
+in one call. It stops before the first tick that aborts the session and
+the first poll at which detect_failure fires, so those and all other
+states run on the event loop, and the artifacts and random stream come
+out as the event loop alone leaves them. It relies on attack changes,
+polls and samples being the only scheduled events.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,8 +50,8 @@ from .controller import (
     SdnController,
 )
 from .physics import ATTACK_OFF, qber, skr
-from .qkd_unit import QkdUnitPair
-from .qpm import DETECTED, EXHAUSTED, RECONFIG_DONE, REINIT_DONE, Qpm, QpmConfig
+from .qkd_unit import STATE_GENERATING, QkdUnitPair
+from .qpm import DETECTED, EXHAUSTED, MONITORING, RECONFIG_DONE, REINIT_DONE, Qpm, QpmConfig
 from .switch import OpticalSwitch
 from .topology import NUMBER, Topology, checked, load_topology, resolve_active_path
 
@@ -50,6 +62,14 @@ PRIORITY_METRICS = 3
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
+
+# The unit is ticked only over more than this much simulated time.
+_SYNC_EPS = 1e-12
+# Poll periods one batch spans at most, which bounds the memory it takes.
+_BATCH_PERIODS = 1024
+
+# A metrics.csv row: t, active_path, skr_bps, qber, the attack powers, qpm_state.
+_metrics_row = "{:.1f},{},{:.6f},{:.6f},{},{}".format
 
 
 class ScenarioError(ValueError):
@@ -162,6 +182,11 @@ class ScenarioRun:
         self.attack_powers = {link.link_id: ATTACK_OFF for link in topology.links}
         self._powers_csv = self._format_powers()
         self.metrics_rows: list[str] = []
+        # The pending metrics sample: (k, scheduler entry), None past the end.
+        self._next_metrics: Optional[tuple[int, list]] = None
+        # Attack changes run in time order; the batch stops before the next.
+        self._attack_times = sorted(event.t for event in scenario.events)
+        self._attacks_applied = 0
         self._last_sync = 0.0
 
     # -- time-consistent unit state -------------------------------------------
@@ -181,7 +206,7 @@ class ScenarioRun:
     def sync_unit(self):
         now = self.clock.now()
         dt = now - self._last_sync
-        if dt > 1e-12:
+        if dt > _SYNC_EPS:
             _, channel, power = self.current_circuit()
             self.unit.tick(dt, channel, power)
             self._last_sync = now
@@ -197,6 +222,8 @@ class ScenarioRun:
         self.sync_unit()
         self.attack_powers[event.link_id] = event.attack_power_dbm
         self._powers_csv = self._format_powers()
+        self._attacks_applied += 1
+        self._advance_quiet()
 
     def _sample_metrics(self, k: int):
         """Write the metrics row at k * period and schedule the next one."""
@@ -204,20 +231,88 @@ class ScenarioRun:
         t = k * self.qpm.config.poll_period_s
         path_id, _, _ = self.current_circuit()
         reading = self.unit.read_monitor(self.clock.now())
-        self.metrics_rows.append(
-            f"{t:.1f},{path_id or 'none'},{reading['skr_bps']:.6f},"
-            f"{reading['qber']:.6f},{self._powers_csv},{self.qpm.mode}"
-        )
+        self.metrics_rows.append(_metrics_row(
+            t, path_id or "none", reading["skr_bps"], reading["qber"], self._powers_csv,
+            self.qpm.mode))
         self._schedule_metrics(k + 1)
+        self._advance_quiet()
 
     def _schedule_metrics(self, k: int):
         # Rows run k = 0 .. duration // period, skipping any k * period
         # that rounds past the duration.
         period = self.qpm.config.poll_period_s
         duration = self.scenario.duration_s
+        self._next_metrics = None
         if k <= duration // period and k * period <= duration:
-            self.scheduler.at(k * period, lambda: self._sample_metrics(k),
-                              priority=PRIORITY_METRICS)
+            self._next_metrics = (k, self.scheduler.at(
+                k * period, lambda: self._sample_metrics(k), priority=PRIORITY_METRICS))
+
+    # -- quiet stretches ---------------------------------------------------------
+
+    def _advance_quiet(self):
+        """If the run is quiet, run the polls and samples before the next attack
+        change in one batch (see the module docstring)."""
+        qpm = self.qpm
+        if (qpm.mode != MONITORING or qpm.active_path is None or self._circuit[1] is None
+                or self.unit.state != STATE_GENERATING or self.clock.now() > qpm.next_poll_t):
+            return
+        period = qpm.config.poll_period_s
+        duration = self.scenario.duration_s
+        end = min(duration, qpm.next_poll_t + _BATCH_PERIODS * period)
+        if self._attacks_applied < len(self._attack_times):
+            # An attack change runs first at its time: stop strictly before.
+            end = min(end, math.nextafter(self._attack_times[self._attacks_applied], -math.inf))
+        # Polls (t, 0, 0) and samples (t, 1, k), sorted as they run: a poll
+        # before a sample at the same time.
+        events = []
+        t = qpm.next_poll_t
+        while t <= end:
+            events.append((t, 0, 0))
+            t = t + period
+        if self._next_metrics is not None:
+            k = self._next_metrics[0]
+            while k <= duration // period and k * period <= end:
+                events.append((k * period, 1, k))
+                k += 1
+        if not events:
+            return
+        events.sort()
+
+        last = self._last_sync
+        dts, tick_t, ticks_at = [], [], []  # ticks_at: ticks up to each event
+        for t, _, _ in events:
+            if t - last > _SYNC_EPS:
+                dts.append(t - last)
+                tick_t.append(t)
+                last = t
+            ticks_at.append(len(dts))
+        path_id, channel, power = self.current_circuit()
+        plan = self.unit.plan_ticks(dts, channel, power)
+        cut = bisect_right(ticks_at, plan.ticks)
+        blocks = np.searchsorted(plan.block_ticks, ticks_at[:cut]).tolist()
+        polls = [i for i in range(cut) if not events[i][1]]
+        poll_t = [events[i][0] for i in polls]
+        poll_b = [blocks[i] for i in polls]
+
+        taken = qpm.skip_polls(poll_t, plan.qber[poll_b], plan.key_bits[poll_b],
+                               lambda j: plan.reading(poll_b[j], poll_t[j]))
+        if taken < len(polls):  # the monitor detects at that poll
+            cut = polls[taken]
+        n_ticks = ticks_at[cut - 1] if cut else 0
+        self.unit.commit_ticks(plan, n_ticks)
+        if n_ticks:
+            self._last_sync = tick_t[n_ticks - 1]
+
+        skrs, qbers = plan.skr_bps.tolist(), plan.qber.tolist()
+        powers, mode = self._powers_csv, qpm.mode
+        rows = [_metrics_row(k * period, path_id, skrs[b], qbers[b], powers, mode)
+                for (_, kind, k), b in zip(events[:cut], blocks) if kind]
+        if rows:
+            self.metrics_rows.extend(rows)
+            self.scheduler.cancel(self._next_metrics[1])
+            self._schedule_metrics(self._next_metrics[0] + len(rows))
+        if cut:
+            self.clock.advance_to(events[cut - 1][0])
 
     # -- execution ---------------------------------------------------------------
 

@@ -227,3 +227,55 @@ def test_extreme_calibration_anchor_is_a_usage_error(tmp_path, configs, capsys,
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# (label, thresholds file content or None for the bundled one, run_info.json
+# change, what the error line must name)
+MALFORMED_THRESHOLDS = [
+    ("band-is-a-number", {"steady_state_skr_bps": 5}, None,
+     "steady_state_skr_bps must be a list"),
+    ("band-of-strings", {"steady_state_qber": ["a", "b"]}, None,
+     "steady_state_qber must be a [low, high] pair of numbers"),
+    ("band-of-three", {"steady_state_qber": [0.01, 0.02, 0.03]}, None,
+     "steady_state_qber must be a [low, high] pair of numbers"),
+    ("limit-is-a-string", {"controller_reinit_ratio_max": "0.01"}, None,
+     "controller_reinit_ratio_max must be a number"),
+    ("thresholds-is-a-list", [0.01], None, "must be an object"),
+    ("first-init-zero", None, {"first_init_s": 0}, "first_init_s must be positive"),
+]
+
+
+@pytest.mark.parametrize("thresholds,info,expected", [m[1:] for m in MALFORMED_THRESHOLDS],
+                         ids=[m[0] for m in MALFORMED_THRESHOLDS])
+def test_malformed_thresholds_check_is_a_usage_error(run_link1, configs, tmp_path, capsys,
+                                                     thresholds, info, expected):
+    run_dir = tmp_path / "run"
+    shutil.copytree(run_link1["out"], run_dir)
+    path = configs / "thresholds.json"
+    if thresholds is not None:
+        path = tmp_path / "thresholds.json"
+        path.write_text(json.dumps(thresholds), encoding="utf-8")
+    if info is not None:
+        _edit_info(lambda old: {**old, **info})(run_dir)
+    code = main(["summarize", "--out", str(run_dir), "--thresholds", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert expected in err
+
+
+def test_runs_are_byte_identical_across_processes(tmp_path, configs):
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hashseed-{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-m", "qkdsim", *run_args(
+                configs, out, scenario="attack-link1-then-link2.json", extra=["--deterministic"])],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append({name: (out / name).read_bytes() for name in (
+            "metrics.csv", "qpm_log.ndjson", "controller_log.ndjson", "timing.csv",
+            "summary.txt")})
+    assert outputs[0] == outputs[1]

@@ -89,3 +89,23 @@ class TestScheduler:
         assert ran == [0.0, 1.0, 2.0, 3.0]
         sched.run_until(10.0)
         assert ran == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_a_cancelled_event_never_runs(self):
+        clock = SimClock()
+        sched = Scheduler(clock)
+        ran = []
+
+        def replan():
+            ran.append(("replan", clock.now()))
+            sched.cancel(doomed)
+            sched.at(4.0, lambda: ran.append(("moved", clock.now())))
+
+        sched.at(1.0, replan)
+        doomed = sched.at(3.0, lambda: ran.append(("doomed", clock.now())))
+        sched.at(3.0, lambda: ran.append(("kept", clock.now())), priority=9)
+        sched.run_until(3.5)
+        assert ran == [("replan", 1.0), ("kept", 3.0)]
+        sched.cancel(doomed)  # cancelling twice, or after it left the heap, is harmless
+        sched.run_until(10.0)
+        assert ran == [("replan", 1.0), ("kept", 3.0), ("moved", 4.0)]
+        assert clock.now() == 10.0

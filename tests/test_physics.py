@@ -23,6 +23,7 @@ from qkdsim.physics import (
     noise_rate,
     qber,
     sample,
+    sample_array,
     skr,
 )
 
@@ -316,6 +317,34 @@ class TestSampleMemo:
         for power in (ATTACK_OFF, -12.0, -12.0, -30.0, ATTACK_OFF):
             s = sample(p, power, rng, skr_sigma=0.0, qber_sigma=0.0)
             assert (s.qber, s.skr_bps) == (qber(p, power), skr(p, power))
+
+
+class TestSampleArray:
+    @settings(max_examples=80, deadline=None)
+    @given(calibrated_channels, st.one_of(st.just(ATTACK_OFF), st.floats(-90.0, 0.0)),
+           st.integers(0, 2**32 - 1), st.integers(0, 50))
+    def test_bit_equal_to_sample(self, p, power, seed, n):
+        rng = np.random.default_rng(seed)
+        one_by_one = [sample(p, power, rng) for _ in range(n)]
+        q, s = sample_array(p, power, np.random.default_rng(seed).standard_normal(2 * n))
+        assert list(zip(q.tolist(), s.tolist())) == [(x.qber, x.skr_bps) for x in one_by_one]
+
+    @pytest.mark.parametrize("normals", [
+        [-5.0, -40.0],  # a dead channel's zero mean times a negative factor: -0.0
+        [-25.0, 0.0],   # QBER below zero
+        [30.0, -40.0],  # QBER past 0.5, aborting
+    ])
+    def test_clamps_match_python_min_and_max(self, normals):
+        p = calibrate(LINK2_ANCHORS)
+        power = -9.0  # the death power: mean SKR exactly 0
+        q_mean, s_mean = qber(p, power), skr(p, power)
+        q = min(max(q_mean * (1.0 + 0.05 * normals[0]), 0.0), 0.5)
+        s = max(s_mean * (1.0 + 0.03 * normals[1]), 0.0)
+        if q >= abort_qber(p.ec_efficiency):
+            s = 0.0
+        got_q, got_s = sample_array(p, power, np.array(normals))
+        for got, want in ((got_q[0], q), (got_s[0], s)):
+            assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
 class TestParamValidation:

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim.clock import SimClock
@@ -267,6 +267,52 @@ class TestTickMatchesTheLoop:
             assert fast.tick(dt, CHANNEL, ATTACK_OFF) == slow.tick(dt, CHANNEL, ATTACK_OFF)
             assert unit_state(fast) == unit_state(slow)
         assert (fast.state, fast._sequence) == (state, sequence)
+
+
+tick_lengths = st.one_of(
+    st.sampled_from([1e-9, 5e-10, 2e-9, 1e-6, 30.0, 60.0, 60.0 - 1e-9, 60.0 + 1e-9, 120.0,
+                     150.0, 600.0]),
+    st.floats(1e-11, 700.0))
+
+
+class TestPlannedTicks:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 100.0),
+           st.lists(tick_lengths, max_size=40),
+           st.sampled_from([ATTACK_OFF, -17.0, -10.0, -9.5, -9.0, KILL_POWER]),
+           st.floats(0.0, 1.0))
+    @example(3, 5.0, [60.0] * 12, -9.5, 1.0)  # blocks abort part way
+    def test_a_committed_prefix_equals_ticking(self, seed, past_init, dts, power, frac):
+        planned, ticked = make_unit(seed=seed, jitter=0.03), make_unit(seed=seed, jitter=0.03)
+        looped = LoopUnit(np.random.default_rng(seed), init_jitter_frac=0.03)
+        for unit in (planned, ticked, looped):
+            unit.start_session(CHANNEL, now=0.0)
+            unit.tick(unit._init_remaining + past_init, CHANNEL, ATTACK_OFF)
+            assume(unit.state == STATE_GENERATING)
+        plan = planned.plan_ticks(dts, CHANNEL, power)
+        ticks = int(frac * plan.ticks)
+        planned.commit_ticks(plan, ticks)
+        for i, dt in enumerate(dts[:ticks]):
+            reading = ticked.read_monitor(ticked._now)
+            blocks = sum(1 for b in plan.block_ticks if b < i)
+            assert plan.reading(blocks, ticked._now) == reading
+            assert ticked.tick(dt, CHANNEL, power) == looped.tick(dt, CHANNEL, power)
+        assert unit_state(planned) == unit_state(ticked) == unit_state(looped)
+        # plan.ticks counts the ticks before the first that aborts.
+        for dt in dts[ticks:plan.ticks]:
+            ticked.tick(dt, CHANNEL, power)
+            assert ticked.state == STATE_GENERATING
+        if plan.ticks < len(dts):
+            ticked.tick(dts[plan.ticks], CHANNEL, power)
+            assert ticked.state == STATE_ABORTED
+
+    def test_an_uncommitted_plan_changes_nothing(self):
+        unit = make_unit(seed=4)
+        unit.start_session(CHANNEL, now=0.0)
+        unit.tick(150.0, CHANNEL, ATTACK_OFF)
+        before = unit_state(unit)
+        unit.commit_ticks(unit.plan_ticks([60.0] * 10, CHANNEL, ATTACK_OFF), 0)
+        assert unit_state(unit) == before
 
 
 class TestMonitorReadout:

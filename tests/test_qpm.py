@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from qkdsim.clock import Scheduler, SimClock
@@ -283,6 +284,40 @@ class TestMitigationLoop:
         sent, done = qpm.events[0], qpm.events[1]
         assert list(sent.to_dict()) == ["t", "kind", "path", "detail"]
         assert list(done.to_dict()) == ["t", "kind", "path", "xids", "detail"]
+
+
+class TestBatchedPolls:
+    @pytest.mark.parametrize("script, detects_at", [
+        pytest.param([reading()] * 12, None, id="quiet"),
+        pytest.param([reading()] * 3 + [reading(qber=0.2)] + [reading()] * 8, 3, id="qber"),
+        pytest.param([reading()] * 2 + [reading(key_bits=0)] * 10, 3, id="zero-key"),
+        # Past the threshold inside the grace window: not a detection.
+        pytest.param([reading(qber=0.2)] + [reading()] * 11, None, id="in-grace"),
+    ])
+    def test_batched_polls_match_polling(self, script, detects_at):
+        start = {0.0: reading(state="Initializing", key_bits=0, qber=0.0), 100.0: reading()}
+        twins = [build_qpm(start) for _ in range(2)]
+        for qpm, scheduler, _, _ in twins:
+            scheduler.at(0.0, lambda qpm=qpm: qpm.startup(0.0), priority=Qpm.PRIORITY)
+            scheduler.run_until(200.0)
+            assert qpm.mode == MONITORING
+        (batched, _, _, _), (polled, scheduler, _, qkd) = twins
+        times = [batched.next_poll_t]
+        while len(times) < len(script):
+            times.append(times[-1] + CFG.poll_period_s)
+        qkd.script.update(zip(times, script))
+        taken = batched.skip_polls(
+            times, np.array([r["qber"] for r in script]),
+            np.array([r["last_key_size_bits"] for r in script]),
+            lambda j: dict(script[j], timestamp=times[j]))
+        assert taken == (len(times) if detects_at is None else detects_at)
+        # The polled twin, up to the poll the batch left to the event loop.
+        scheduler.run_until(times[taken] - 1.0 if taken < len(times) else times[-1])
+        assert polled.events == batched.events
+        assert batched.history == polled.history
+        assert batched.next_poll_t == polled.next_poll_t
+        scheduler.run_until(times[-1])
+        assert [e.t for e in polled.events if e.kind == DETECTED][:1] == times[taken:taken + 1]
 
 
 class TestConfigValidation:

@@ -109,10 +109,15 @@ class TestPstdev:
         st.lists(signed, min_size=1, max_size=60),
         st.lists(as_written, min_size=1, max_size=60),
         st.tuples(signed, st.integers(1, 60)).map(lambda p: [p[0]] * p[1]),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
     ))
     @example(data=[0.0])
     @example(data=[1e-4, 1e4])
     @example(data=[0.1, 0.2, 0.3])
+    @example(data=[0.0, -0.0, 0.0])
+    @example(data=[5e-324, 1e-310, 2.2250738585072014e-308])  # subnormals
+    @example(data=[1e-300, 1.0, 1e300])  # the power-of-two scale overflows
+    @example(data=[1e-300, -3.5e-12, 7.0, -1e300, 1.7e308])
     def test_bit_equal_to_statistics(self, data):
         assert pstdev(data) == statistics.pstdev(data)
 

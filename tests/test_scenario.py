@@ -244,31 +244,41 @@ class TestScenarioRun:
         (1.0, 0.1),
     ])
     def test_metrics_samples_are_chained(self, reference_topology, duration_s, period_s):
+        """Rows a batch writes are never scheduled; cancelled samples never run."""
         run = ScenarioRun(reference_topology, Scenario(duration_s, ()), seed=3,
                           qpm_config=QpmConfig(poll_period_s=period_s))
         scheduled: list[float] = []
-        pending = [0, 0]  # now, most ever
-        schedule = run.scheduler.at
+        live: set[int] = set()  # ids of scheduled metrics entries not yet run or cancelled
+        most = 0
+        schedule, cancel = run.scheduler.at, run.scheduler.cancel
 
         def counting_at(t, fn, priority=5):
+            nonlocal most
             if priority != PRIORITY_METRICS:
                 return schedule(t, fn, priority)
             scheduled.append(t)
-            pending[0] += 1
-            pending[1] = max(pending)
 
             def sample():
-                pending[0] -= 1
+                live.remove(id(entry))
                 fn()
-            return schedule(t, sample, priority)
+            entry = schedule(t, sample, priority)
+            live.add(id(entry))
+            most = max(most, len(live))
+            return entry
+
+        def counting_cancel(entry):
+            live.discard(id(entry))
+            cancel(entry)
 
         run.scheduler.at = counting_at
+        run.scheduler.cancel = counting_cancel
         run.execute()
         expected = [k * period_s for k in range(int(duration_s // period_s) + 1)]
-        assert scheduled == expected
+        assert scheduled == sorted(set(scheduled))
+        assert set(scheduled) <= set(expected)
         assert [row.split(",")[0] for row in run.metrics_rows] == \
             [f"{t:.1f}" for t in expected]
-        assert pending == [0, 1]
+        assert not live and most == 1
 
     def test_exhaustion_with_custom_config(self, reference_topology):
         scenario = Scenario(900.0, (
@@ -318,6 +328,62 @@ class TestScenarioRun:
                 link.connected = True
             states = {sid: sw.query_entries() for sid, sw in run.switches.items()}
             assert run.current_circuit()[0] == resolve_active_path(reference_topology, states)
+
+
+# Each link's death power in the reference topology: offsets from it
+# reach below the knee (-8 or -10 dB), the abort point and past it.
+DEATH_DBM = {"link1": -58.0, "link2": -9.0, "link3": -22.0}
+
+
+def run_state(topology, seed, period, grace, debounce, threshold, duration, attacks,
+              batches=True):
+    """Everything a run leaves behind that a batch could change."""
+    events = {}
+    for frac, link, offset in attacks:
+        t = float(int(frac * duration))
+        power = ATTACK_OFF if offset is None else DEATH_DBM[link] + offset
+        events[(t, link)] = ScenarioEvent(t, link, power)
+    config = QpmConfig(poll_period_s=period, init_grace_s=grace,
+                       zero_key_debounce=debounce, qber_threshold=threshold)
+    scenario = Scenario(duration, tuple(sorted(events.values(), key=lambda e: e.t)))
+    run = ScenarioRun(topology, scenario, seed, qpm_config=config)
+    if not batches:
+        run._advance_quiet = lambda: None
+    run.execute()
+    unit = run.unit
+    return (run.metrics_rows, [e.to_dict() for e in run.qpm.events],
+            run.controller_records, run.qpm.history, run.rng.bit_generator.state,
+            (unit.state, unit._init_remaining, unit._interval_elapsed, unit._now,
+             unit._sequence, unit._last_skr, unit._last_qber, unit._last_key_bits),
+            run._last_sync)
+
+
+periods = st.one_of(st.sampled_from([0.1, 1.0, 59.999999999, 60.0, 60.000000001, 600.0]),
+                    st.floats(0.1, 600.0))
+attacks = st.lists(st.tuples(
+    st.floats(0.0, 1.0), st.sampled_from(sorted(DEATH_DBM)),
+    st.one_of(st.none(), st.sampled_from([-10.0, -8.0, -2.0, -1.0, -0.3, 0.0, 2.0]),
+              st.floats(-12.0, 2.0))), max_size=5)
+
+
+class TestQuietBatches:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), period=periods, grace=st.floats(0.0, 1000.0),
+           debounce=st.integers(1, 9), threshold=st.sampled_from([0.08, 0.03]),
+           duration=st.floats(100.0, 20000.0), attacks=attacks)
+    # A batch cut by a detection, by an abort, and a 0.1 s poll period.
+    @example(seed=794, period=120.0, grace=60.0, debounce=3, threshold=0.08,
+             duration=7200.0, attacks=[(0.1, "link1", 0.0)])
+    @example(seed=366, period=30.0, grace=60.0, debounce=3, threshold=0.08,
+             duration=7200.0, attacks=[(0.5, "link1", 0.0)])
+    @example(seed=67, period=0.1, grace=0.0, debounce=3, threshold=0.08,
+             duration=200.0, attacks=[(0.5, "link1", -8.0)])
+    def test_batches_leave_the_run_as_the_event_loop_does(
+            self, reference_topology, seed, period, grace, debounce, threshold, duration,
+            attacks):
+        duration = min(duration, 2000.0 * period)
+        args = (reference_topology, seed, period, grace, debounce, threshold, duration, attacks)
+        assert run_state(*args) == run_state(*args, batches=False)
 
 
 @pytest.fixture(scope="module")
