@@ -311,7 +311,8 @@ class Northbound:
         request_id = body.get("request_id")
         if not isinstance(request_id, str) or not request_id:
             return "request_id must be a non-empty string"
-        known = set(self.controller.topology.path_ids())
+        # A list, not a set: a JSON array or object is unhashable.
+        known = self.controller.topology.path_ids()
         set_up = body.get("set_up")
         if set_up not in known:
             return f"set_up references unknown path {set_up!r}"

@@ -244,29 +244,15 @@ SKR_SIGMA = 0.03
 QBER_SIGMA = 0.05
 
 
-@functools.lru_cache(maxsize=1024)
-def _means(params: ChannelParams, attack_power_dbm: float) -> tuple[float, float]:
-    return qber(params, attack_power_dbm), skr(params, attack_power_dbm)
-
-
-def sample(
-    params: ChannelParams,
-    attack_power_dbm: float,
-    rng,
-    skr_sigma: float = SKR_SIGMA,
-    qber_sigma: float = QBER_SIGMA,
-) -> QuantumSample:
+def sample(params: ChannelParams, attack_power_dbm: float, rng) -> QuantumSample:
     """Draw one jittered monitoring sample around the model means.
 
     Relative Gaussian jitter, clamped to valid ranges; rng is a
     numpy Generator owned by the caller. A sample whose QBER lands at or
-    above the abort point reports zero key rate. The means are memoised
-    per (channel, power): they change only when the attack does, while
-    a run samples once per key interval.
+    above the abort point reports zero key rate.
     """
-    q_mean, s_mean = _means(params, attack_power_dbm)
-    q = q_mean * (1.0 + qber_sigma * rng.standard_normal()) if qber_sigma else q_mean
-    s = s_mean * (1.0 + skr_sigma * rng.standard_normal()) if skr_sigma else s_mean
+    q = qber(params, attack_power_dbm) * (1.0 + QBER_SIGMA * rng.standard_normal())
+    s = skr(params, attack_power_dbm) * (1.0 + SKR_SIGMA * rng.standard_normal())
     q = min(max(q, 0.0), 0.5)
     s = max(s, 0.0)
     if q >= abort_qber(params.ec_efficiency):
@@ -276,14 +262,13 @@ def sample(
 
 def sample_array(params: ChannelParams, attack_power_dbm: float,
                  normals) -> tuple[np.ndarray, np.ndarray]:
-    """sample's (qber, skr_bps) with default sigmas, as arrays, bit for bit.
+    """sample's (qber, skr_bps) as arrays, bit for bit.
 
     normals holds each sample's two draws in sample's order, QBER's first;
     the clamps keep Python's min/max results, signed zeros included.
     """
-    q_mean, s_mean = _means(params, attack_power_dbm)
-    q = q_mean * (1.0 + QBER_SIGMA * normals[0::2])
-    s = s_mean * (1.0 + SKR_SIGMA * normals[1::2])
+    q = qber(params, attack_power_dbm) * (1.0 + QBER_SIGMA * normals[0::2])
+    s = skr(params, attack_power_dbm) * (1.0 + SKR_SIGMA * normals[1::2])
     q = np.where(q > 0.5, 0.5, np.where(q < 0.0, 0.0, q))
     s = np.where((s < 0.0) | (q >= abort_qber(params.ec_efficiency)), 0.0, s)
     return q, s

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,27 +33,6 @@ class KeyBlock:
     sequence_no: int
     size_bits: int
     produced_at: float
-
-
-class TickPlan(NamedTuple):
-    """Ticks planned by QkdUnitPair.plan_ticks: block_ticks[i] is the tick
-    distilling block i, entry b of qber, skr_bps and key_bits (whole floats)
-    the read-out after b blocks; the first `ticks` distil no aborting block."""
-
-    dts: list[float]
-    block_ticks: list[int]
-    qber: np.ndarray
-    skr_bps: np.ndarray
-    key_bits: np.ndarray
-    ticks: int
-    elapsed: float
-    now: float
-    rng_state: dict
-
-    def reading(self, b: int, now: float) -> dict:
-        return {"timestamp": round(now, 6), "skr_bps": float(self.skr_bps[b]),
-                "qber": float(self.qber[b]), "last_key_size_bits": int(self.key_bits[b]),
-                "state": STATE_GENERATING}
 
 
 class QkdUnitPair:
@@ -153,36 +131,36 @@ class QkdUnitPair:
                 remaining = 0.0
         return produced
 
-    def plan_ticks(self, dts, active_channel, attack_power_dbm: float) -> TickPlan:
-        """Plan tick(dt, ...) for each of dts from Generating, drawing all samples
-        in one call (the same values as one at a time); commit_ticks applies it."""
+    def tick_while_clean(self, dts, active_channel, attack_power_dbm: float,
+                         qber_max: float):
+        """tick(dt, ...) for each of dts from Generating with a clean read-out, up
+        to the tick distilling the first block that is not clean: qber above
+        qber_max or no key bits (an aborting block has none). All samples are
+        drawn in one call, the same values as one at a time.
+
+        Returns the ticks taken, the tick distilling each block of dts, and the
+        read-outs (qber, skr_bps, key_bits) after 0, 1, ... of the blocks kept.
+        """
         block_ticks, elapsed, now = self._key_steps(dts)
-        ticks, rng_state = len(dts), self.rng.bit_generator.state
+        rng_state = self.rng.bit_generator.state
         q, s = physics.sample_array(active_channel, attack_power_dbm,
                                     self.rng.standard_normal(2 * len(block_ticks)))
-        aborts = q >= physics.abort_qber(active_channel.ec_efficiency)
-        if aborts.any():
-            ticks = block_ticks[int(aborts.argmax())]
-        return TickPlan(dts, block_ticks, np.concatenate(([self._last_qber], q)),
-                        np.concatenate(([self._last_skr], s)),
-                        np.concatenate(([self._last_key_bits], np.rint(s * self.key_interval_s))),
-                        ticks, elapsed, now, rng_state)
-
-    def commit_ticks(self, plan: TickPlan, ticks: int):
-        """Apply the first ticks of plan (at most plan.ticks), random stream included."""
-        used = bisect_left(plan.block_ticks, ticks)
-        if used < len(plan.block_ticks):
-            self.rng.bit_generator.state = plan.rng_state
-            self.rng.standard_normal(2 * used)
-        if ticks == len(plan.dts):
-            self._interval_elapsed, self._now = plan.elapsed, plan.now
-        else:
-            _, self._interval_elapsed, self._now = self._key_steps(plan.dts[:ticks])
-        if used:
-            self._last_qber = float(plan.qber[used])
-            self._last_skr = float(plan.skr_bps[used])
-            self._last_key_bits = int(plan.key_bits[used])
-            self._sequence += int(np.count_nonzero(plan.key_bits[1:used + 1]))
+        bits = np.rint(s * self.key_interval_s).astype(np.int64)
+        unclean = np.flatnonzero((q > qber_max) | (bits == 0))
+        ticks, kept = len(dts), len(block_ticks)
+        if len(unclean):
+            ticks = block_ticks[unclean[0]]
+            # One tick may distil several blocks: keep those before it.
+            kept = bisect_left(block_ticks, ticks)
+            self.rng.bit_generator.state = rng_state
+            self.rng.standard_normal(2 * kept)
+            _, elapsed, now = self._key_steps(dts[:ticks])
+        self._interval_elapsed, self._now = elapsed, now
+        readouts = [(self._last_qber, self._last_skr, self._last_key_bits)]
+        readouts += zip(q[:kept].tolist(), s[:kept].tolist(), bits[:kept].tolist())
+        self._last_qber, self._last_skr, self._last_key_bits = readouts[-1]
+        self._sequence += kept  # every kept block has key bits
+        return ticks, block_ticks, readouts
 
     def _key_steps(self, dts) -> tuple[list[int], float, float]:
         """tick's interval arithmetic over dts from Generating: the tick

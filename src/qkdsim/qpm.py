@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
-import numpy as np
-
 AVAILABLE = "AVAILABLE"
 ACTIVE = "ACTIVE"
 FAILED = "FAILED"
@@ -79,7 +77,8 @@ def detect_failure(reading: Mapping, history, config: QpmConfig,
     """Failure predicate over the latest reading and the recent window.
 
     history is the recent readings, oldest first, with the current
-    reading as its last element.
+    reading as its last element. Only a current reading with qber above
+    the threshold or no key bits can fire it.
     """
     if since_path_change <= config.init_grace_s:
         return False
@@ -154,27 +153,15 @@ class Qpm:
         # ALARM mode keeps polling, takes no action.
         self._schedule_next(sched_t)
 
-    def skip_polls(self, times: list[float], qber, key_bits,
-                   reading: Callable[[int], dict]) -> int:
-        """Take over MONITORING polls at times (the pending one first) up to the
-        first at which detect_failure fires, and return how many were taken.
-        Poll j reads qber[j] and key_bits[j], and reading(j) builds its reading;
-        detect_failure judges the polls past grace with a high qber or no key."""
-        config, cap = self.config, self._history_cap
-        since = np.array(times) - self._t_path_change
-        taken = len(times)
-        for j in np.flatnonzero((since > config.init_grace_s) & (
-                (qber > config.qber_threshold) | (key_bits == 0))).tolist():
-            history = self.history + [reading(i) for i in range(max(0, j + 1 - cap), j + 1)]
-            if detect_failure(history[-1], history[-cap:], config, times[j] - self._t_path_change):
-                taken = j
-                break
-        if taken:
-            self.history.extend(reading(j) for j in range(max(0, taken - cap), taken))
-            del self.history[:-cap]
-            self.scheduler.cancel(self._next_poll)
-            self._schedule_next(times[taken - 1])
-        return taken
+    def skip_polls(self, times: list[float], reading: Callable[[int], dict]):
+        """Take over MONITORING polls at times (the pending one first), none of
+        which may detect; poll j reads reading(j). The monitor then stands as if
+        it had polled: same history and next poll."""
+        cap = self._history_cap
+        self.history.extend(reading(j) for j in range(max(0, len(times) - cap), len(times)))
+        del self.history[:-cap]
+        self.scheduler.cancel(self._next_poll)
+        self._schedule_next(times[-1])
 
     # -- internals -------------------------------------------------------------
 

@@ -108,11 +108,14 @@ class _NorthboundHandler(http.server.BaseHTTPRequestHandler):
         if self.path != "/reconfigure":
             self._respond(404, {"error": "unknown path"})
             return
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b"{}"
+        length = self.headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()):
+            self._respond(400, {"error": "Content-Length must be a non-negative integer"})
+            return
+        raw = self.rfile.read(int(length)) if int(length) else b"{}"
         try:
             body = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or not UTF-8
             self._respond(400, {"error": "body is not valid JSON"})
             return
         status, resp = self.server.northbound.post_reconfigure(body)  # type: ignore[attr-defined]

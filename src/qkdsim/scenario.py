@@ -19,14 +19,17 @@ sample at k * period schedules the one at (k + 1) * period, so the
 event heap holds at most one metrics event at a time.
 
 Most of a run is quiet: the monitor is MONITORING an active path and the
-units generate key over a lit circuit. After each attack change and
-metrics sample, a quiet run advances over the polls and samples before
-the next attack change in one batch, with all of the unit's samples drawn
-in one call. It stops before the first tick that aborts the session and
-the first poll at which detect_failure fires, so those and all other
-states run on the event loop, and the artifacts and random stream come
-out as the event loop alone leaves them. It relies on attack changes,
-polls and samples being the only scheduled events.
+units generate key over a lit circuit. A reading is clean when its qber
+is at most the monitor's threshold and it has key bits; detect_failure
+can fire only on a reading that is not clean, whatever the history,
+grace window or debounce. So after each attack change and metrics
+sample, a quiet run whose current read-out is clean advances over the
+polls and samples before the next attack change in one batch, with all
+of the unit's samples drawn in one call, and stops before the tick that
+distils the first block that is not clean. Everything else runs on the
+event loop, and the artifacts and random stream come out as the event
+loop alone leaves them. The batch relies on attack changes, polls and
+samples being the only scheduled events.
 """
 
 from __future__ import annotations
@@ -254,7 +257,11 @@ class ScenarioRun:
         change in one batch (see the module docstring)."""
         qpm = self.qpm
         if (qpm.mode != MONITORING or qpm.active_path is None or self._circuit[1] is None
-                or self.unit.state != STATE_GENERATING or self.clock.now() > qpm.next_poll_t):
+                or self.clock.now() > qpm.next_poll_t):
+            return
+        threshold = qpm.config.qber_threshold
+        current = self.unit.read_monitor(0.0)  # key bits only while Generating
+        if current["qber"] > threshold or not current["last_key_size_bits"]:
             return
         period = qpm.config.poll_period_s
         duration = self.scenario.duration_s
@@ -287,32 +294,31 @@ class ScenarioRun:
                 last = t
             ticks_at.append(len(dts))
         path_id, channel, power = self.current_circuit()
-        plan = self.unit.plan_ticks(dts, channel, power)
-        cut = bisect_right(ticks_at, plan.ticks)
-        blocks = np.searchsorted(plan.block_ticks, ticks_at[:cut]).tolist()
+        ticks, block_ticks, readouts = self.unit.tick_while_clean(dts, channel, power,
+                                                                  threshold)
+        cut = bisect_right(ticks_at, ticks)
+        if not cut:
+            return
+        if ticks:
+            self._last_sync = tick_t[ticks - 1]
+        self.clock.advance_to(events[cut - 1][0])
+        blocks = np.searchsorted(block_ticks, ticks_at[:cut]).tolist()
+
         polls = [i for i in range(cut) if not events[i][1]]
-        poll_t = [events[i][0] for i in polls]
-        poll_b = [blocks[i] for i in polls]
+        if polls:
+            def reading(j):
+                q, s, bits = readouts[blocks[polls[j]]]
+                return {"timestamp": round(events[polls[j]][0], 6), "skr_bps": s, "qber": q,
+                        "last_key_size_bits": bits, "state": STATE_GENERATING}
+            qpm.skip_polls([events[i][0] for i in polls], reading)
 
-        taken = qpm.skip_polls(poll_t, plan.qber[poll_b], plan.key_bits[poll_b],
-                               lambda j: plan.reading(poll_b[j], poll_t[j]))
-        if taken < len(polls):  # the monitor detects at that poll
-            cut = polls[taken]
-        n_ticks = ticks_at[cut - 1] if cut else 0
-        self.unit.commit_ticks(plan, n_ticks)
-        if n_ticks:
-            self._last_sync = tick_t[n_ticks - 1]
-
-        skrs, qbers = plan.skr_bps.tolist(), plan.qber.tolist()
         powers, mode = self._powers_csv, qpm.mode
-        rows = [_metrics_row(k * period, path_id, skrs[b], qbers[b], powers, mode)
+        rows = [_metrics_row(k * period, path_id, readouts[b][1], readouts[b][0], powers, mode)
                 for (_, kind, k), b in zip(events[:cut], blocks) if kind]
         if rows:
             self.metrics_rows.extend(rows)
             self.scheduler.cancel(self._next_metrics[1])
             self._schedule_metrics(self._next_metrics[0] + len(rows))
-        if cut:
-            self.clock.advance_to(events[cut - 1][0])
 
     # -- execution ---------------------------------------------------------------
 

@@ -85,11 +85,8 @@ class OpticalSwitch:
             self.on_commit(self)
         return {"type": "BARRIER_REPLY", "xid": xid, "committed_xids": committed_xids}
 
-    def query_table(self) -> dict[int, int]:
-        """Snapshot of the committed table; staged mods are invisible."""
-        return dict(self._table)
-
     def query_entries(self) -> set[tuple[int, int]]:
+        """The committed (in_port, out_port) entries; staged mods are invisible."""
         return set(self._table.items())
 
     @property

@@ -242,12 +242,17 @@ class TestNorthbound:
         {"request_id": "", "set_up": "link1"},
         {"set_up": "link1"},
         {"request_id": "r"},
+        # JSON arrays and objects where a path id belongs: unhashable.
+        {"request_id": "a", "set_up": []},
+        {"request_id": "a", "set_up": {"id": "link1"}},
+        {"request_id": "a", "set_up": "link1", "tear_down": []},
+        {"request_id": "a", "set_up": "link1", "tear_down": {}},
     ])
     def test_invalid_requests_get_400_and_touch_nothing(self, fabric, body):
         northbound = Northbound(fabric["controller"])
         status, resp = northbound.post_reconfigure(body)
         assert status == 400
-        assert "error" in resp
+        assert list(resp) == ["error"]
         assert fabric["journal"] == []
 
     def test_queue_overflow_gets_409(self, fabric):

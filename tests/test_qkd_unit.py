@@ -275,43 +275,52 @@ tick_lengths = st.one_of(
     st.floats(1e-11, 700.0))
 
 
-class TestPlannedTicks:
+class TestTickWhileClean:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 100.0),
            st.lists(tick_lengths, max_size=40),
            st.sampled_from([ATTACK_OFF, -17.0, -10.0, -9.5, -9.0, KILL_POWER]),
-           st.floats(0.0, 1.0))
-    @example(3, 5.0, [60.0] * 12, -9.5, 1.0)  # blocks abort part way
-    def test_a_committed_prefix_equals_ticking(self, seed, past_init, dts, power, frac):
-        planned, ticked = make_unit(seed=seed, jitter=0.03), make_unit(seed=seed, jitter=0.03)
+           st.sampled_from([0.021, 0.025, 0.08, 0.5]))
+    @example(3, 5.0, [60.0] * 12, -9.5, 0.08)  # blocks abort part way
+    # Ticks longer than the key interval: the tick distilling the first
+    # block that is not clean distils clean blocks before it.
+    @example(1, 5.0, [313.0] * 6, ATTACK_OFF, 0.021)
+    def test_the_kept_prefix_equals_ticking(self, seed, past_init, dts, power, qber_max):
+        batched, ticked = make_unit(seed=seed, jitter=0.03), make_unit(seed=seed, jitter=0.03)
         looped = LoopUnit(np.random.default_rng(seed), init_jitter_frac=0.03)
-        for unit in (planned, ticked, looped):
+        for unit in (batched, ticked, looped):
             unit.start_session(CHANNEL, now=0.0)
             unit.tick(unit._init_remaining + past_init, CHANNEL, ATTACK_OFF)
             assume(unit.state == STATE_GENERATING)
-        plan = planned.plan_ticks(dts, CHANNEL, power)
-        ticks = int(frac * plan.ticks)
-        planned.commit_ticks(plan, ticks)
+        distilled = []
+
+        def distill(channel, power, distill=ticked._distill):
+            block = distill(channel, power)
+            distilled.append((ticked._last_qber, ticked._last_skr, ticked._last_key_bits))
+            return block
+
+        ticked._distill = distill
+        ticks, block_ticks, readouts = batched.tick_while_clean(dts, CHANNEL, power, qber_max)
         for i, dt in enumerate(dts[:ticks]):
             reading = ticked.read_monitor(ticked._now)
-            blocks = sum(1 for b in plan.block_ticks if b < i)
-            assert plan.reading(blocks, ticked._now) == reading
+            blocks = sum(1 for b in block_ticks if b < i)
+            assert readouts[blocks] == (
+                reading["qber"], reading["skr_bps"], reading["last_key_size_bits"])
             assert ticked.tick(dt, CHANNEL, power) == looped.tick(dt, CHANNEL, power)
-        assert unit_state(planned) == unit_state(ticked) == unit_state(looped)
-        # plan.ticks counts the ticks before the first that aborts.
-        for dt in dts[ticks:plan.ticks]:
-            ticked.tick(dt, CHANNEL, power)
-            assert ticked.state == STATE_GENERATING
-        if plan.ticks < len(dts):
-            ticked.tick(dts[plan.ticks], CHANNEL, power)
-            assert ticked.state == STATE_ABORTED
+        assert unit_state(batched) == unit_state(ticked) == unit_state(looped)
+        # Every kept block is clean, and the next tick distils one that is not.
+        assert readouts[1:] == distilled
+        assert all(q <= qber_max and bits > 0 for q, _, bits in distilled)
+        if ticks < len(dts):
+            ticked.tick(dts[ticks], CHANNEL, power)
+            assert any(q > qber_max or bits == 0 for q, _, bits in distilled[len(readouts) - 1:])
 
-    def test_an_uncommitted_plan_changes_nothing(self):
+    def test_an_unclean_first_block_changes_nothing(self):
         unit = make_unit(seed=4)
         unit.start_session(CHANNEL, now=0.0)
         unit.tick(150.0, CHANNEL, ATTACK_OFF)
         before = unit_state(unit)
-        unit.commit_ticks(unit.plan_ticks([60.0] * 10, CHANNEL, ATTACK_OFF), 0)
+        assert unit.tick_while_clean([60.0] * 10, CHANNEL, KILL_POWER, 0.08)[0] == 0
         assert unit_state(unit) == before
 
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdsim.clock import Scheduler, SimClock
 from qkdsim.qpm import (
@@ -286,15 +287,32 @@ class TestMitigationLoop:
         assert list(done.to_dict()) == ["t", "kind", "path", "xids", "detail"]
 
 
+readings = st.builds(reading, qber=st.floats(0.0, 0.5), key_bits=st.integers(0, 10**6),
+                     state=st.sampled_from(["Idle", "Initializing", "Generating", "Aborted"]))
+
+
+class TestCleanReadings:
+    @settings(max_examples=300, deadline=None)
+    @given(history=st.lists(readings, max_size=12), current=readings,
+           key_bits=st.integers(1, 10**6), since=st.floats(-1e6, 1e6),
+           grace=st.floats(0.0, 1e4), debounce=st.integers(1, 9),
+           threshold=st.floats(1e-6, 0.5, exclude_max=True))
+    def test_a_clean_reading_never_detects(self, history, current, key_bits, since, grace,
+                                           debounce, threshold):
+        """qber at most the threshold and some key bits: no history, time since
+        the path change, grace, debounce or threshold makes it a detection."""
+        config = QpmConfig(qber_threshold=threshold, zero_key_debounce=debounce,
+                           init_grace_s=grace)
+        clean = dict(current, qber=min(current["qber"], threshold), last_key_size_bits=key_bits)
+        assert not detect_failure(clean, history + [clean], config, since)
+
+
 class TestBatchedPolls:
-    @pytest.mark.parametrize("script, detects_at", [
-        pytest.param([reading()] * 12, None, id="quiet"),
-        pytest.param([reading()] * 3 + [reading(qber=0.2)] + [reading()] * 8, 3, id="qber"),
-        pytest.param([reading()] * 2 + [reading(key_bits=0)] * 10, 3, id="zero-key"),
-        # Past the threshold inside the grace window: not a detection.
-        pytest.param([reading(qber=0.2)] + [reading()] * 11, None, id="in-grace"),
+    @pytest.mark.parametrize("script", [
+        pytest.param([reading()] * 12, id="quiet"),
+        pytest.param([reading(qber=CFG.qber_threshold, key_bits=1)] * 12, id="at-the-edge"),
     ])
-    def test_batched_polls_match_polling(self, script, detects_at):
+    def test_batched_polls_match_polling(self, script):
         start = {0.0: reading(state="Initializing", key_bits=0, qber=0.0), 100.0: reading()}
         twins = [build_qpm(start) for _ in range(2)]
         for qpm, scheduler, _, _ in twins:
@@ -306,18 +324,11 @@ class TestBatchedPolls:
         while len(times) < len(script):
             times.append(times[-1] + CFG.poll_period_s)
         qkd.script.update(zip(times, script))
-        taken = batched.skip_polls(
-            times, np.array([r["qber"] for r in script]),
-            np.array([r["last_key_size_bits"] for r in script]),
-            lambda j: dict(script[j], timestamp=times[j]))
-        assert taken == (len(times) if detects_at is None else detects_at)
-        # The polled twin, up to the poll the batch left to the event loop.
-        scheduler.run_until(times[taken] - 1.0 if taken < len(times) else times[-1])
+        batched.skip_polls(times, lambda j: dict(script[j], timestamp=times[j]))
+        scheduler.run_until(times[-1])
         assert polled.events == batched.events
         assert batched.history == polled.history
         assert batched.next_poll_t == polled.next_poll_t
-        scheduler.run_until(times[-1])
-        assert [e.t for e in polled.events if e.kind == DETECTED][:1] == times[taken:taken + 1]
 
 
 class TestConfigValidation:

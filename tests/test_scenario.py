@@ -371,7 +371,7 @@ class TestQuietBatches:
     @given(seed=st.integers(0, 2**32 - 1), period=periods, grace=st.floats(0.0, 1000.0),
            debounce=st.integers(1, 9), threshold=st.sampled_from([0.08, 0.03]),
            duration=st.floats(100.0, 20000.0), attacks=attacks)
-    # A batch cut by a detection, by an abort, and a 0.1 s poll period.
+    # A batch cut by a high qber, by an abort, and a 0.1 s poll period.
     @example(seed=794, period=120.0, grace=60.0, debounce=3, threshold=0.08,
              duration=7200.0, attacks=[(0.1, "link1", 0.0)])
     @example(seed=366, period=30.0, grace=60.0, debounce=3, threshold=0.08,
@@ -384,6 +384,15 @@ class TestQuietBatches:
         duration = min(duration, 2000.0 * period)
         args = (reference_topology, seed, period, grace, debounce, threshold, duration, attacks)
         assert run_state(*args) == run_state(*args, batches=False)
+
+    def test_a_quiet_day_is_batched(self, reference_topology):
+        """Without batches an attack-free day polls about 1,560 times on the
+        event loop; with them, only around the first init."""
+        run = ScenarioRun(reference_topology, Scenario(86400.0, ()), seed=1)
+        polls, poll = [], run.qpm.poll
+        run.qpm.poll = lambda t: (polls.append(t), poll(t))
+        run.execute()
+        assert len(polls) <= 150
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 def load_script(name: str):
@@ -27,3 +31,16 @@ def test_run_reference_scenarios_writes_every_run_and_sweep(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [name for name, *_ in script.SCENARIOS] + [name for name, *_ in script.SWEEPS])
     assert "all scenarios completed and passed their checks" in capsys.readouterr().out
+
+
+def test_realtime_demo_reroutes_over_sockets():
+    """The demo serves every agent on 127.0.0.1 ephemeral ports."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, str(SCRIPTS / "realtime_demo.py")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line for line in lines if line.startswith("fabric resolves to:")] == [
+        "fabric resolves to: link1", "fabric resolves to: link3"]
+    assert lines[-1] == "demo complete"

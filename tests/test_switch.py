@@ -32,7 +32,7 @@ class TestStaging:
     def test_staged_mod_has_no_optical_effect(self, sw):
         ack = sw.handle_flow_mod(1, CMD_ADD, 0, 1)
         assert ack == {"type": "FLOW_MOD_ACK", "xid": 1, "status": STATUS_STAGED}
-        assert sw.query_table() == {}
+        assert dict(sw.query_entries()) == {}
         assert sw.pending_count == 1
 
     def test_barrier_makes_all_staged_mods_visible(self, sw):
@@ -40,7 +40,7 @@ class TestStaging:
         sw.handle_flow_mod(2, CMD_ADD, 2, 3)
         reply = sw.handle_barrier(3)
         assert reply == {"type": "BARRIER_REPLY", "xid": 3, "committed_xids": [1, 2]}
-        assert sw.query_table() == {0: 1, 2: 3}
+        assert dict(sw.query_entries()) == {0: 1, 2: 3}
         assert sw.pending_count == 0
 
     def test_empty_barrier(self, sw):
@@ -78,13 +78,13 @@ class TestStaging:
         assert sw.handle_flow_mod(3, CMD_DELETE, 0, 1)["status"] == STATUS_STAGED
         assert sw.handle_flow_mod(4, CMD_ADD, 0, 2)["status"] == STATUS_STAGED
         sw.handle_barrier(5)
-        assert sw.query_table() == {0: 2}
+        assert dict(sw.query_entries()) == {0: 2}
 
     def test_delete_of_pending_add_in_same_batch(self, sw):
         sw.handle_flow_mod(1, CMD_ADD, 0, 1)
         assert sw.handle_flow_mod(2, CMD_DELETE, 0, 1)["status"] == STATUS_STAGED
         sw.handle_barrier(3)
-        assert sw.query_table() == {}
+        assert dict(sw.query_entries()) == {}
 
     @pytest.mark.parametrize("in_port,out_port", [(-1, 2), (2, -1), (8, 2), (2, 8)])
     def test_out_of_range_ports(self, sw, in_port, out_port):
@@ -96,7 +96,7 @@ class TestStaging:
         sw.handle_flow_mod(1, CMD_ADD, 0, 1)
         sw.handle_flow_mod(2, CMD_ADD, 1, 3)  # PORT_IN_USE
         sw.handle_barrier(3)
-        assert sw.query_table() == {0: 1}
+        assert dict(sw.query_entries()) == {0: 1}
 
     def test_every_mod_gets_exactly_one_ack_with_its_xid(self, sw):
         for xid, (cmd, i, o) in enumerate(
@@ -111,12 +111,12 @@ class TestBarrierAtomicity:
     def test_commit_is_invisible_until_the_swap(self, sw):
         """Staged mods stay invisible; on_commit fires once per barrier, after the swap."""
         observed = []
-        sw.on_commit = lambda s: observed.append((s.query_table(), s.pending_count))
+        sw.on_commit = lambda s: observed.append((dict(s.query_entries()), s.pending_count))
         sw.handle_flow_mod(1, CMD_ADD, 0, 1)
         sw.handle_barrier(2)
         sw.handle_flow_mod(3, CMD_DELETE, 0, 1)
         sw.handle_flow_mod(4, CMD_ADD, 0, 2)
-        assert sw.query_table() == {0: 1}
+        assert dict(sw.query_entries()) == {0: 1}
         assert observed == [({0: 1}, 0)]
         sw.handle_barrier(5)
         sw.handle_barrier(6)  # empty
@@ -127,7 +127,7 @@ class TestBarrierAtomicity:
         sw.handle_flow_mod(2, CMD_DELETE, 0, 1)
         sw.handle_flow_mod(3, CMD_ADD, 0, 3)
         sw.handle_barrier(4)
-        assert sw.query_table() == {0: 3}
+        assert dict(sw.query_entries()) == {0: 3}
 
 
 class TestProtocolErrors:
@@ -198,17 +198,17 @@ class TestExclusivityProperty:
             if kind == "BARRIER":
                 reply = sw.handle_barrier(xid)  # raises RuntimeError if staging let a conflict through
                 assert reply["committed_xids"] == model.barrier()
-                assert sw.query_table() == model.table
+                assert dict(sw.query_entries()) == model.table
             else:
                 ack = sw.handle_flow_mod(xid, cmd, in_port, out_port)
                 assert ack["xid"] == xid
                 assert ack["status"] == model.flow_mod(xid, cmd, in_port, out_port)
         assert sw.handle_barrier(xid + 1)["committed_xids"] == model.barrier()
-        assert sw.query_table() == model.table
-        table = sw.query_table()
-        ports = list(table.keys()) + list(table.values())
+        assert dict(sw.query_entries()) == model.table
+        entries = sw.query_entries()
+        ports = [port for entry in entries for port in entry]
         assert len(ports) == len(set(ports))
-        for in_port, out_port in table.items():
+        for in_port, out_port in entries:
             assert 0 <= in_port < 6 and 0 <= out_port < 6 and in_port != out_port
 
 
@@ -261,4 +261,4 @@ class TestSwitchAgent:
             assert not thread.is_alive()
         assert sorted(acks) == [STATUS_PORT_IN_USE, STATUS_STAGED]
         agent.process_line('{"type":"BARRIER_REQUEST","xid":3}')
-        assert len(sw.query_table()) == 1
+        assert len(sw.query_entries()) == 1

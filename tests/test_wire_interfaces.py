@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 
@@ -95,7 +96,7 @@ class TestSwitchSocket:
             assert ack == {"type": "FLOW_MOD_ACK", "xid": 3, "status": "STAGED"}
             reply = link.send({"type": "BARRIER_REQUEST", "xid": 4})
             assert reply["committed_xids"] == [3]
-            assert switch.query_table() == {0: 1}
+            assert dict(switch.query_entries()) == {0: 1}
         finally:
             link.close()
 
@@ -167,6 +168,30 @@ class TestHttpNorthbound:
         status, body = client.post_reconfigure({"request_id": "r", "set_up": "ghost"})
         assert status == 400
         assert "unknown path" in body["error"]
+
+    @pytest.mark.parametrize("body, length", [
+        pytest.param(b'{"request_id": "a", "set_up": []}', None, id="set_up-array"),
+        pytest.param(b'{"request_id": "a", "set_up": {"id": "link1"}}', None, id="set_up-object"),
+        pytest.param(b'{"request_id": "a", "set_up": "link1", "tear_down": []}', None,
+                     id="tear_down-array"),
+        pytest.param(b'{"request_id": "a", "set_up": "link1"}', "abc", id="length-not-a-number"),
+        pytest.param(b'{"request_id": "a", "set_up": "link1"}', "-1", id="length-negative"),
+        pytest.param(b'{"request_id": "\x80"}', None, id="body-not-utf8"),
+    ])
+    def test_malformed_requests_get_one_400(self, http_northbound, body, length):
+        client, switches, _ = http_northbound
+        host, port = client.base_url.rsplit("/", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
+        try:
+            conn.putrequest("POST", "/reconfigure")
+            conn.putheader("Content-Length", length or str(len(body)))
+            conn.endheaders(body)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert list(json.loads(response.read())) == ["error"]
+        finally:
+            conn.close()
+        assert all(not s.query_entries() for s in switches.values())
 
     def test_get_paths(self, http_northbound):
         client, _, _ = http_northbound
