@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Callable
+from typing import Callable, Optional
 
 
 class SimClock:
@@ -73,11 +73,14 @@ class Scheduler:
     def cancel(self, entry: list) -> None:
         entry[-1] = None
 
-    def run_until(self, t_end: float) -> None:
+    def run_until(self, t_end: float, after: Optional[Callable[[], None]] = None) -> None:
+        """Run the events up to t_end, calling after() once each has run."""
         while self._heap and self._heap[0][0] <= t_end:
             t, _prio, _seq, fn = heapq.heappop(self._heap)
             if fn is None:
                 continue
             self.clock.advance_to(t)
             fn()
+            if after is not None:
+                after()
         self.clock.advance_to(t_end)

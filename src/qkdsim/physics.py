@@ -82,12 +82,16 @@ def binary_entropy(x: float) -> float:
 def noise_rate(params: ChannelParams, attack_power_dbm: float) -> float:
     """Noise counts/s at the receiver for a given injected power (dBm).
 
-    ATTACK_OFF (-inf) means no attacker; only dark counts remain.
+    ATTACK_OFF (-inf) means no attacker; only dark counts remain. A power
+    whose noise rate overflows a float has an infinite one.
     """
     if attack_power_dbm == ATTACK_OFF:
         return params.dark_rate_cps
     exponent = params.knee_sharpness * (attack_power_dbm - params.suppression_db) / 10.0
-    return params.dark_rate_cps + params.noise_coupling_cps_per_mw * 10.0 ** exponent
+    try:
+        return params.dark_rate_cps + params.noise_coupling_cps_per_mw * 10.0 ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def qber(params: ChannelParams, attack_power_dbm: float) -> float:

@@ -162,6 +162,28 @@ class QkdUnitPair:
         self._sequence += kept  # every kept block has key bits
         return ticks, block_ticks, readouts
 
+    def tick_while_fixed(self, dts) -> int:
+        """tick(dt, <a lit circuit>, ...) for each of dts while the read-out stays
+        as it is: all of them from Aborted, and from Initializing up to the tick
+        that ends the init. Such ticks draw nothing. Returns the ticks taken."""
+        initializing = self.state == STATE_INITIALIZING
+        init_remaining, now = self._init_remaining, self._now
+        ticks = 0
+        for dt in dts:
+            if dt > _EPS:  # a shorter tick changes nothing, not even the clock
+                if initializing:
+                    if init_remaining - dt <= _EPS:
+                        break
+                    init_remaining -= dt
+                now += dt
+            ticks += 1
+        self._init_remaining, self._now = init_remaining, now
+        return ticks
+
+    def init_left(self) -> float:
+        """Simulated time left in the init, to within _EPS, while Initializing."""
+        return self._init_remaining
+
     def _key_steps(self, dts) -> tuple[list[int], float, float]:
         """tick's interval arithmetic over dts from Generating: the tick
         distilling each block, and the elapsed interval and clock after."""

@@ -154,9 +154,9 @@ class Qpm:
         self._schedule_next(sched_t)
 
     def skip_polls(self, times: list[float], reading: Callable[[int], dict]):
-        """Take over MONITORING polls at times (the pending one first), none of
-        which may detect; poll j reads reading(j). The monitor then stands as if
-        it had polled: same history and next poll."""
+        """Take over polls at times (the pending one first), none of which may
+        act: no detection, no re-init seen done; poll j reads reading(j). The
+        monitor then stands as if it had polled: same history and next poll."""
         cap = self._history_cap
         self.history.extend(reading(j) for j in range(max(0, len(times) - cap), len(times)))
         del self.history[:-cap]

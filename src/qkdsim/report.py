@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-from .topology import NUMBER, checked
+from .topology import NUMBER, checked, is_number
 
 # A float square root needs 2 * 53 + 3 bits of the radicand to round
 # correctly through round-to-odd (the width statistics.pstdev uses).
@@ -172,7 +172,7 @@ def load_thresholds(path: str) -> dict:
             raise RunFileError(f"{path}: {exc}") from None
     for key in ("steady_state_skr_bps", "steady_state_qber"):
         band = checked(thresholds, key, list, path, RunFileError, default=[0, 0])
-        if len(band) != 2 or not all(isinstance(x, NUMBER) for x in band):
+        if len(band) != 2 or not all(map(is_number, band)):
             raise RunFileError(f"{path}: {key} must be a [low, high] pair of numbers, "
                                f"got {band!r}")
     for key in ("controller_reinit_ratio_max", "reinit_parity_frac_max"):

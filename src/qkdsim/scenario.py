@@ -18,18 +18,27 @@ Metrics samples are chained the way the monitor chains its polls: the
 sample at k * period schedules the one at (k + 1) * period, so the
 event heap holds at most one metrics event at a time.
 
-Most of a run is quiet: the monitor is MONITORING an active path and the
-units generate key over a lit circuit. A reading is clean when its qber
-is at most the monitor's threshold and it has key bits; detect_failure
-can fire only on a reading that is not clean, whatever the history,
-grace window or debounce. So after each attack change and metrics
-sample, a quiet run whose current read-out is clean advances over the
-polls and samples before the next attack change in one batch, with all
-of the unit's samples drawn in one call, and stops before the tick that
-distils the first block that is not clean. Everything else runs on the
-event loop, and the artifacts and random stream come out as the event
-loop alone leaves them. The batch relies on attack changes, polls and
-samples being the only scheduled events.
+Most polls cannot act, and the runner advances over them in batches.
+After every event the loop runs, it tries one batch over the polls and
+samples before the next attack change, in one of three stretches:
+
+- quiet: the monitor is MONITORING and the units generate key over a lit
+  circuit. A reading is clean when its qber is at most the monitor's
+  threshold and it has key bits; detect_failure can fire only on a
+  reading that is not clean, whatever the history, grace window or
+  debounce. From a clean read-out the batch draws all of the unit's
+  samples in one call and stops before the tick that distils the first
+  block that is not clean.
+- the re-init wait: the monitor is AWAITING_REINIT and the units are
+  Initializing on a lit circuit. The read-out stays as it is, and the
+  batch stops before the tick that ends the init, so the poll that sees
+  it done runs on the event loop.
+- the alarm tail: the monitor is in ALARM, which never acts, and the
+  units are Aborted on a lit circuit.
+
+Everything else runs on the event loop, and the artifacts and random
+stream come out as the event loop alone leaves them. The batch relies on
+attack changes, polls and samples being the only scheduled events.
 """
 
 from __future__ import annotations
@@ -53,10 +62,12 @@ from .controller import (
     SdnController,
 )
 from .physics import ATTACK_OFF, qber, skr
-from .qkd_unit import STATE_GENERATING, QkdUnitPair
-from .qpm import DETECTED, EXHAUSTED, MONITORING, RECONFIG_DONE, REINIT_DONE, Qpm, QpmConfig
+from .qkd_unit import STATE_ABORTED, STATE_INITIALIZING, QkdUnitPair
+from .qpm import (ALARM, AWAITING_REINIT, DETECTED, EXHAUSTED, MONITORING, RECONFIG_DONE,
+                  REINIT_DONE, Qpm, QpmConfig)
 from .switch import OpticalSwitch
-from .topology import NUMBER, Topology, checked, load_topology, resolve_active_path
+from .topology import (NUMBER, Topology, checked, is_number, load_topology,
+                       resolve_active_path)
 
 PRIORITY_ATTACK = 0
 PRIORITY_QPM = Qpm.PRIORITY
@@ -70,6 +81,9 @@ EXIT_EXHAUSTED = 3
 _SYNC_EPS = 1e-12
 # Poll periods one batch spans at most, which bounds the memory it takes.
 _BATCH_PERIODS = 1024
+# (monitor mode, unit state) pairs in which no poll can act and ticks on a
+# lit circuit leave the unit's read-out as it is.
+_WAITS = {(AWAITING_REINIT, STATE_INITIALIZING), (ALARM, STATE_ABORTED)}
 
 # A metrics.csv row: t, active_path, skr_bps, qber, the attack powers, qpm_state.
 _metrics_row = "{:.1f},{},{:.6f},{:.6f},{},{}".format
@@ -114,7 +128,7 @@ def load_scenario(file_path: str) -> Scenario:
             raise ScenarioError(f"event time must be a non-negative number, got {t!r}")
         if power == "off":
             power_dbm = ATTACK_OFF
-        elif isinstance(power, (int, float)):
+        elif is_number(power):
             power_dbm = float(power)
         else:
             raise ScenarioError(
@@ -226,7 +240,6 @@ class ScenarioRun:
         self.attack_powers[event.link_id] = event.attack_power_dbm
         self._powers_csv = self._format_powers()
         self._attacks_applied += 1
-        self._advance_quiet()
 
     def _sample_metrics(self, k: int):
         """Write the metrics row at k * period and schedule the next one."""
@@ -238,7 +251,6 @@ class ScenarioRun:
             t, path_id or "none", reading["skr_bps"], reading["qber"], self._powers_csv,
             self.qpm.mode))
         self._schedule_metrics(k + 1)
-        self._advance_quiet()
 
     def _schedule_metrics(self, k: int):
         # Rows run k = 0 .. duration // period, skipping any k * period
@@ -253,19 +265,29 @@ class ScenarioRun:
     # -- quiet stretches ---------------------------------------------------------
 
     def _advance_quiet(self):
-        """If the run is quiet, run the polls and samples before the next attack
-        change in one batch (see the module docstring)."""
-        qpm = self.qpm
-        if (qpm.mode != MONITORING or qpm.active_path is None or self._circuit[1] is None
-                or self.clock.now() > qpm.next_poll_t):
+        """If the run is in a stretch where no poll can act, run the polls and
+        samples before the next attack change in one batch, up to the tick that
+        ends the stretch (see the module docstring)."""
+        qpm, unit = self.qpm, self.unit
+        if self._circuit[1] is None:
             return
+        current = unit.read_monitor(0.0)  # key bits only while Generating
         threshold = qpm.config.qber_threshold
-        current = self.unit.read_monitor(0.0)  # key bits only while Generating
-        if current["qber"] > threshold or not current["last_key_size_bits"]:
+        if qpm.mode == MONITORING:
+            if current["qber"] > threshold or not current["last_key_size_bits"]:
+                return
+        elif (qpm.mode, current["state"]) not in _WAITS:
             return
         period = qpm.config.poll_period_s
-        duration = self.scenario.duration_s
-        end = min(duration, qpm.next_poll_t + _BATCH_PERIODS * period)
+        poll_period = qpm.config.reinit_poll_period_s if qpm.mode == AWAITING_REINIT else period
+        now, duration = self.clock.now(), self.scenario.duration_s
+        if now > qpm.next_poll_t or (self._next_metrics is not None
+                                     and now > self._next_metrics[0] * period):
+            return  # an event runs late: leave it to the event loop
+        end = min(duration, qpm.next_poll_t + _BATCH_PERIODS * min(period, poll_period))
+        if current["state"] == STATE_INITIALIZING:
+            # Stop around the end of the init: the tick that ends it runs on the loop.
+            end = min(end, self._last_sync + unit.init_left())
         if self._attacks_applied < len(self._attack_times):
             # An attack change runs first at its time: stop strictly before.
             end = min(end, math.nextafter(self._attack_times[self._attacks_applied], -math.inf))
@@ -275,7 +297,7 @@ class ScenarioRun:
         t = qpm.next_poll_t
         while t <= end:
             events.append((t, 0, 0))
-            t = t + period
+            t = t + poll_period
         if self._next_metrics is not None:
             k = self._next_metrics[0]
             while k <= duration // period and k * period <= end:
@@ -294,8 +316,11 @@ class ScenarioRun:
                 last = t
             ticks_at.append(len(dts))
         path_id, channel, power = self.current_circuit()
-        ticks, block_ticks, readouts = self.unit.tick_while_clean(dts, channel, power,
-                                                                  threshold)
+        if qpm.mode == MONITORING:
+            ticks, block_ticks, readouts = unit.tick_while_clean(dts, channel, power, threshold)
+        else:
+            ticks, block_ticks = unit.tick_while_fixed(dts), []
+            readouts = [(current["qber"], current["skr_bps"], current["last_key_size_bits"])]
         cut = bisect_right(ticks_at, ticks)
         if not cut:
             return
@@ -309,7 +334,7 @@ class ScenarioRun:
             def reading(j):
                 q, s, bits = readouts[blocks[polls[j]]]
                 return {"timestamp": round(events[polls[j]][0], 6), "skr_bps": s, "qber": q,
-                        "last_key_size_bits": bits, "state": STATE_GENERATING}
+                        "last_key_size_bits": bits, "state": current["state"]}
             qpm.skip_polls([events[i][0] for i in polls], reading)
 
         powers, mode = self._powers_csv, qpm.mode
@@ -328,7 +353,7 @@ class ScenarioRun:
                               priority=PRIORITY_ATTACK)
         self.scheduler.at(0.0, lambda: self.qpm.startup(0.0), priority=PRIORITY_QPM)
         self._schedule_metrics(0)
-        self.scheduler.run_until(self.scenario.duration_s)
+        self.scheduler.run_until(self.scenario.duration_s, after=self._advance_quiet)
 
 
 def extract_episodes(events) -> tuple[Optional[float], list[dict]]:
@@ -468,6 +493,8 @@ def sweep_attack_power(topology_file: str, link_id: str,
         link = topology.link(link_id)
     except KeyError:
         raise ScenarioError(f"unknown link '{link_id}'") from None
+    if not all(map(math.isfinite, (start_dbm, end_dbm, step_db))):
+        raise ScenarioError("start_dbm, end_dbm and step_db must be finite")
     if step_db <= 0:
         raise ScenarioError("step_db must be positive")
     if end_dbm < start_dbm:

@@ -13,6 +13,7 @@ either orientation, and is the only entry on either of its ports.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 from itertools import combinations
@@ -25,6 +26,7 @@ LINK_KINDS = ("coupler", "mcf", "multihop")
 Port = tuple[str, int]
 
 NUMBER = (int, float)
+_FLOAT_MAX = sys.float_info.max
 _KIND_NAMES = {int: "an integer", NUMBER: "a number", str: "a string",
                list: "a list", Mapping: "an object"}
 
@@ -102,9 +104,15 @@ def checked(data, key: str, kind, where: str, error: type = TopologyError,
             raise error(f"{where}: missing required field '{key}'")
         return default
     value = data[key]
-    if not isinstance(value, kind):
+    if not (is_number(value, kind) if kind in (int, NUMBER) else isinstance(value, kind)):
         raise error(f"{where}: {key} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
+
+
+def is_number(value, kind=NUMBER) -> bool:
+    """value is of kind (int or NUMBER), not a bool, and finite as a float."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
 
 def _numbers(cls, data, where: str) -> dict:

@@ -65,6 +65,38 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", [
+        '{"duration_s": NaN}',
+        '{"duration_s": true}',
+        '{"duration_s": 600, "events": [{"t": Infinity, "link": "link1", '
+        '"attack_power_dbm": -40}]}',
+        '{"duration_s": 600, "events": [{"t": 10, "link": "link1", '
+        '"attack_power_dbm": true}]}',
+        '{"duration_s": 600, "events": [{"t": 10, "link": "link1", '
+        '"attack_power_dbm": NaN}]}',
+    ])
+    def test_non_finite_or_bool_numbers_are_a_usage_error(self, tmp_path, configs, capsys,
+                                                          scenario):
+        (tmp_path / "s.json").write_text(scenario, encoding="utf-8")
+        code = main(["run", "--topology", str(configs / "reference_topology.json"),
+                     "--scenario", str(tmp_path / "s.json"), "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_a_huge_attack_power_is_detected(self, tmp_path, configs):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"duration_s": 900, "events": [
+            {"t": 300, "link": "link1", "attack_power_dbm": 5000}]}), encoding="utf-8")
+        code = main(["run", "--topology", str(configs / "reference_topology.json"),
+                     "--scenario", str(scenario), "--seed", "1",
+                     "--out", str(tmp_path / "out"), "--deterministic"])
+        assert code == 0
+        info = json.loads((tmp_path / "out" / "run_info.json").read_text())
+        assert (info["episodes"], info["final_active_path"]) == (1, "link2")
+
     def test_topology_directory_is_a_usage_error(self, tmp_path, configs, capsys):
         code = main(["run", "--topology", str(tmp_path),
                      "--scenario", str(configs / "attack-link1.json"),
@@ -94,6 +126,23 @@ class TestSweepCommand:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 26
         assert lines[1].startswith("-80.00,")
+
+    @pytest.mark.parametrize("grid", [["--from", "-80", "--to", "-70", "--step", "nan"],
+                                      ["--from", "-80", "--to", "inf", "--step", "1"],
+                                      ["--from=-inf", "--to", "-70", "--step", "1"]])
+    def test_a_non_finite_grid_is_a_usage_error(self, tmp_path, configs, capsys, grid):
+        code = main(["sweep", "--topology", str(configs / "reference_topology.json"),
+                     "--link", "link1", *grid, "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_huge_powers_read_as_a_dead_channel(self, tmp_path, configs):
+        code = main(["sweep", "--topology", str(configs / "reference_topology.json"),
+                     "--link", "link1", "--from", "4000", "--to", "5000",
+                     "--step", "1000", "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[1:] == ["4000.00,0.000000,0.500000", "5000.00,0.000000,0.500000"]
 
     def test_unknown_link_is_a_usage_error(self, tmp_path, configs, capsys):
         code = main(["sweep", "--topology", str(configs / "reference_topology.json"),

@@ -90,6 +90,16 @@ class TestScheduler:
         sched.run_until(10.0)
         assert ran == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
+    def test_after_runs_once_after_each_event_that_runs(self):
+        clock = SimClock()
+        sched = Scheduler(clock)
+        ran = []
+        sched.at(1.0, lambda: ran.append("a"))
+        sched.cancel(sched.at(2.0, lambda: ran.append("cancelled")))
+        sched.at(3.0, lambda: ran.append("b"))
+        sched.run_until(10.0, after=lambda: ran.append(("after", clock.now())))
+        assert ran == ["a", ("after", 1.0), "b", ("after", 3.0)]
+
     def test_a_cancelled_event_never_runs(self):
         clock = SimClock()
         sched = Scheduler(clock)

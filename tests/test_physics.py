@@ -147,6 +147,12 @@ class TestNoiseAndQber:
         p = make_params()
         assert qber(p, 500.0) == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("power", [3500.0, 5000.0, 1e300])
+    def test_an_overflowing_noise_rate_is_infinite(self, power):
+        p = make_params()
+        assert noise_rate(p, power) == math.inf
+        assert (qber(p, power), skr(p, power)) == (0.5, 0.0)
+
     @given(valid_params, attack_powers)
     def test_qber_range(self, p, power):
         q = qber(p, power)

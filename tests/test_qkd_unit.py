@@ -324,6 +324,57 @@ class TestTickWhileClean:
         assert unit_state(unit) == before
 
 
+fixed_ticks = st.one_of(
+    st.sampled_from([5e-13, 1e-9, 1.5e-9, 1.0, 1.0000000001, 7.3, 60.0, 130.0]),
+    st.floats(1e-12, 200.0))
+
+
+class TestTickWhileFixed:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.lists(fixed_ticks, max_size=60),
+           st.sampled_from([None, -2e-9, -1e-9, -5e-10, 0.0, 5e-10, 2e-9]))
+    # Ticks of at most _EPS change nothing; the last one ends 5e-10 s early.
+    @example(1, False, [5e-13, 1e-9, 60.0, 1e-9, 30.0], -5e-10)
+    def test_the_ticks_taken_equal_ticking(self, seed, aborted, dts, near_end):
+        """From Initializing or Aborted, each tick taken leaves the unit as tick
+        and the reference loop do, draws nothing and keeps the read-out; the
+        first tick not taken is one that ends the init."""
+        units = (make_unit(seed=seed, jitter=0.03), make_unit(seed=seed, jitter=0.03),
+                 LoopUnit(np.random.default_rng(seed), init_jitter_frac=0.03))
+        for unit in units:
+            unit.start_session(CHANNEL, now=0.0)
+            if aborted:
+                unit.tick(unit._init_remaining + 60.0, CHANNEL, KILL_POWER)
+                assume(unit.state == STATE_ABORTED)
+        batched, ticked, looped = units
+        if near_end is not None:
+            # Add a tick that ends near_end away from the end of the init.
+            probe = make_unit(seed=seed, jitter=0.03)
+            probe.start_session(CHANNEL, now=0.0)
+            for dt in dts:
+                probe.tick(dt, CHANNEL, ATTACK_OFF)
+            if probe.state == STATE_INITIALIZING and probe._init_remaining + near_end > 0:
+                dts = dts + [probe._init_remaining + near_end]
+        readout = ticked.read_monitor(0.0)
+        ticks = batched.tick_while_fixed(dts)
+        for dt in dts[:ticks]:
+            assert ticked.tick(dt, CHANNEL, KILL_POWER) == looped.tick(dt, CHANNEL, KILL_POWER)
+            assert unit_state(ticked) == unit_state(looped)
+            assert ticked.read_monitor(0.0) == readout
+        assert unit_state(batched) == unit_state(ticked)
+        if ticks < len(dts):
+            ticked.tick(dts[ticks], CHANNEL, ATTACK_OFF)
+            assert ticked.state == STATE_GENERATING
+
+    def test_init_left_is_the_time_to_generating(self):
+        unit = make_unit()
+        unit.start_session(CHANNEL, now=0.0)
+        assert unit.tick_while_fixed([30.0, 30.0]) == 2
+        assert unit.init_left() == 60.0
+        assert unit.tick_while_fixed([59.0, 1.0, 1.0]) == 1
+        assert unit.state == STATE_INITIALIZING
+
+
 class TestMonitorReadout:
     def test_reading_is_side_effect_free(self):
         unit = make_unit()

@@ -80,6 +80,20 @@ class TestLoadScenario:
          "duplicate"),
         ([{"duration_s": 60}], "scenario must be an object"),
         ({"duration_s": 60, "events": [[1, "l", -4]]}, "event 0 must be an object"),
+        ({"duration_s": float("nan")}, "duration_s must be a number"),
+        ({"duration_s": float("inf")}, "duration_s must be a number"),
+        ({"duration_s": True}, "duration_s must be a number"),
+        ({"duration_s": 10**400}, "duration_s must be a number"),
+        ({"duration_s": 60, "events": [{"t": float("inf"), "link": "l",
+                                        "attack_power_dbm": -4}]}, "t must be a number"),
+        ({"duration_s": 60, "events": [{"t": False, "link": "l", "attack_power_dbm": -4}]},
+         "t must be a number"),
+        ({"duration_s": 60, "events": [{"t": 1, "link": "l", "attack_power_dbm": True}]},
+         "number or"),
+        ({"duration_s": 60, "events": [{"t": 1, "link": "l",
+                                        "attack_power_dbm": float("nan")}]}, "number or"),
+        ({"duration_s": 60, "events": [{"t": 1, "link": "l",
+                                        "attack_power_dbm": float("-inf")}]}, "number or"),
     ])
     def test_malformed_documents(self, tmp_path, doc, match):
         with pytest.raises(ScenarioError, match=match):
@@ -168,6 +182,9 @@ class TestSweep:
         ({"link_id": "ghost"}, "unknown link"),
         ({"step_db": 0.0}, "step_db"),
         ({"end_dbm": -60.0}, "end_dbm"),
+        ({"step_db": float("nan")}, "finite"),
+        ({"end_dbm": float("inf")}, "finite"),
+        ({"start_dbm": float("-inf")}, "finite"),
     ])
     def test_bad_arguments(self, tmp_path, configs, kwargs, match):
         args = dict(link_id="link1", start_dbm=-50.0, end_dbm=-40.0, step_db=1.0)
@@ -336,7 +353,7 @@ DEATH_DBM = {"link1": -58.0, "link2": -9.0, "link3": -22.0}
 
 
 def run_state(topology, seed, period, grace, debounce, threshold, duration, attacks,
-              batches=True):
+              reinit=1.0, batches=True):
     """Everything a run leaves behind that a batch could change."""
     events = {}
     for frac, link, offset in attacks:
@@ -344,9 +361,14 @@ def run_state(topology, seed, period, grace, debounce, threshold, duration, atta
         power = ATTACK_OFF if offset is None else DEATH_DBM[link] + offset
         events[(t, link)] = ScenarioEvent(t, link, power)
     config = QpmConfig(poll_period_s=period, init_grace_s=grace,
-                       zero_key_debounce=debounce, qber_threshold=threshold)
+                       zero_key_debounce=debounce, qber_threshold=threshold,
+                       reinit_poll_period_s=reinit)
     scenario = Scenario(duration, tuple(sorted(events.values(), key=lambda e: e.t)))
-    run = ScenarioRun(topology, scenario, seed, qpm_config=config)
+    return finished_state(ScenarioRun(topology, scenario, seed, qpm_config=config), batches)
+
+
+def finished_state(run, batches=True):
+    """Execute run, with or without batches, and return what it leaves behind."""
     if not batches:
         run._advance_quiet = lambda: None
     run.execute()
@@ -360,6 +382,9 @@ def run_state(topology, seed, period, grace, debounce, threshold, duration, atta
 
 periods = st.one_of(st.sampled_from([0.1, 1.0, 59.999999999, 60.0, 60.000000001, 600.0]),
                     st.floats(0.1, 600.0))
+# Re-init poll periods: 130 s is longer than an init.
+reinit_periods = st.one_of(st.sampled_from([0.1, 1.0, 1.0000000001, 7.3, 130.0]),
+                           st.floats(0.05, 200.0))
 attacks = st.lists(st.tuples(
     st.floats(0.0, 1.0), st.sampled_from(sorted(DEATH_DBM)),
     st.one_of(st.none(), st.sampled_from([-10.0, -8.0, -2.0, -1.0, -0.3, 0.0, 2.0]),
@@ -370,29 +395,60 @@ class TestQuietBatches:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), period=periods, grace=st.floats(0.0, 1000.0),
            debounce=st.integers(1, 9), threshold=st.sampled_from([0.08, 0.03]),
-           duration=st.floats(100.0, 20000.0), attacks=attacks)
+           duration=st.floats(100.0, 20000.0), attacks=attacks, reinit=reinit_periods)
     # A batch cut by a high qber, by an abort, and a 0.1 s poll period.
     @example(seed=794, period=120.0, grace=60.0, debounce=3, threshold=0.08,
-             duration=7200.0, attacks=[(0.1, "link1", 0.0)])
+             duration=7200.0, attacks=[(0.1, "link1", 0.0)], reinit=1.0)
     @example(seed=366, period=30.0, grace=60.0, debounce=3, threshold=0.08,
-             duration=7200.0, attacks=[(0.5, "link1", 0.0)])
+             duration=7200.0, attacks=[(0.5, "link1", 0.0)], reinit=1.0)
     @example(seed=67, period=0.1, grace=0.0, debounce=3, threshold=0.08,
-             duration=200.0, attacks=[(0.5, "link1", -8.0)])
+             duration=200.0, attacks=[(0.5, "link1", -8.0)], reinit=1.0)
+    # Attack changes during the first init (t=72) and during the re-init on
+    # link2 (t=360).
+    @example(seed=1, period=60.0, grace=240.0, debounce=2, threshold=0.08,
+             duration=7200.0, attacks=[(0.01, "link1", 0.0), (0.05, "link2", -8.0)],
+             reinit=1.0)
+    # The 60th re-init poll lands 5e-10 s before the end of the first init,
+    # so the tick that ends it is shorter than the init left.
+    @example(seed=5, period=60.0, grace=240.0, debounce=2, threshold=0.08,
+             duration=600.0, attacks=[], reinit=2.0369336841744454)
+    # Every link is attacked past its death power: an exhaustion tail of
+    # ALARM polls over an aborted unit.
+    @example(seed=3, period=60.0, grace=60.0, debounce=2, threshold=0.08,
+             duration=7200.0, attacks=[(0.0, "link1", 2.0), (0.0, "link2", 2.0),
+                                       (0.0, "link3", 2.0)], reinit=1.0)
     def test_batches_leave_the_run_as_the_event_loop_does(
             self, reference_topology, seed, period, grace, debounce, threshold, duration,
-            attacks):
+            attacks, reinit):
         duration = min(duration, 2000.0 * period)
-        args = (reference_topology, seed, period, grace, debounce, threshold, duration, attacks)
+        args = (reference_topology, seed, period, grace, debounce, threshold, duration, attacks,
+                reinit)
         assert run_state(*args) == run_state(*args, batches=False)
+
+    @pytest.mark.parametrize("topology, scenario, seed", [
+        ("reference_topology.json", "attack-link1.json", 42),
+        ("reference_topology.json", "attack-link1-then-link2.json", 7),
+        ("reference_topology.json", "attack-all-links.json", 11),
+        ("reference_topology_link2_first.json", "steadystate-link2.json", 42),
+    ])
+    def test_the_bundled_scenarios_run_as_on_the_event_loop(self, configs, topology,
+                                                            scenario, seed):
+        def state(batches):
+            run = ScenarioRun(load_topology(str(configs / topology)),
+                              load_scenario(str(configs / scenario)), seed)
+            return finished_state(run, batches)
+
+        assert state(True) == state(False)
 
     def test_a_quiet_day_is_batched(self, reference_topology):
         """Without batches an attack-free day polls about 1,560 times on the
-        event loop; with them, only around the first init."""
+        event loop; with them, only the re-init poll that sees the first init
+        end and the poll that reads the first block."""
         run = ScenarioRun(reference_topology, Scenario(86400.0, ()), seed=1)
         polls, poll = [], run.qpm.poll
         run.qpm.poll = lambda t: (polls.append(t), poll(t))
         run.execute()
-        assert len(polls) <= 150
+        assert len(polls) <= 5
 
 
 @pytest.fixture(scope="module")
@@ -581,7 +637,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MUTATED = {"topology": CONFIGS / "reference_topology.json",
            "scenario": CONFIGS / "attack-link1-then-link2.json"}
 # Stand-ins for a value: every JSON type, and numbers at the extremes.
-REPLACEMENTS = [None, True, 0, -1, 2.5, 1e-320, -1e308, 1e308, "", "link1", "off", [], {}]
+REPLACEMENTS = [None, True, 0, -1, 2.5, 1e-320, -1e308, 1e308, float("nan"), float("inf"), "",
+                "link1", "off", [], {}]
 
 
 def _locations(node, prefix=()):

@@ -220,6 +220,16 @@ class TestValidation:
                          id="calibration-anchor-is-a-string"),
             pytest.param(lambda d: d["links"][2].__setitem__("hop_count", "3"),
                          id="hop-count-is-a-string"),
+            pytest.param(lambda d: d["links"][2].__setitem__("hop_count", True),
+                         id="hop-count-is-a-bool"),
+            pytest.param(lambda d: d["switches"][0].__setitem__("ports", 4.0),
+                         id="port-count-is-a-float"),
+            pytest.param(lambda d: d["links"][0]["channel"]["calibrate"].__setitem__(
+                "knee_power_dbm", float("nan")),
+                         id="calibration-anchor-is-nan"),
+            pytest.param(lambda d: d["links"][0]["channel"]["calibrate"].__setitem__(
+                "suppression_db", float("inf")),
+                         id="calibration-anchor-is-infinite"),
             pytest.param(lambda d: d.update(bob_port=["alice", 5], paths=[
                 {"id": p, "link": p,
                  "cross_connects": [{"switch": "alice", "in_port": 0, "out_port": 5}]}
