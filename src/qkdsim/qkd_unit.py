@@ -7,11 +7,17 @@ error rate at or above the correctable limit aborts the session; losing
 the optical circuit drops it to Idle (control-plane action, not attack).
 The monitor read-out is the poll target for failure detection: key size
 and rate read as zero whenever keys are not being generated.
+
+tick advances one interval; tick_while advances many at once on a lit
+circuit, drawing all their samples in one call, for as long as the
+state stays as it is and no block's read-out meets the caller's stop
+rule.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -87,24 +93,6 @@ class QkdUnitPair:
             self._now += dt
             self._to_idle()
             return []
-        # Fast paths: a tick that ends more than _EPS before the end of
-        # the init period or key interval is one iteration of the loop
-        # below, with the same float arithmetic (such a dt is never above
-        # the time left, so the loop's min() would pick dt too). No-op
-        # ticks of dt <= _EPS and ticks reaching a boundary take the loop.
-        if dt > _EPS:
-            if self.state == STATE_GENERATING:
-                elapsed = self._interval_elapsed + dt
-                if elapsed < self.key_interval_s - _EPS:
-                    self._interval_elapsed = elapsed
-                    self._now += dt
-                    return []
-            elif self.state == STATE_INITIALIZING:
-                init_remaining = self._init_remaining - dt
-                if init_remaining > _EPS:
-                    self._init_remaining = init_remaining
-                    self._now += dt
-                    return []
         produced: list[KeyBlock] = []
         remaining = dt
         while remaining > _EPS:
@@ -131,81 +119,77 @@ class QkdUnitPair:
                 remaining = 0.0
         return produced
 
-    def tick_while_clean(self, dts, active_channel, attack_power_dbm: float,
-                         qber_max: float):
-        """tick(dt, ...) for each of dts from Generating with a clean read-out, up
-        to the tick distilling the first block that is not clean: qber above
-        qber_max or no key bits (an aborting block has none). All samples are
-        drawn in one call, the same values as one at a time.
+    def tick_while(self, dts, active_channel, attack_power_dbm: float, acts):
+        """tick(dt, active_channel, attack_power_dbm) on a lit circuit for each
+        of dts while the state stays as it is and no block distilled has a
+        read-out (qber, key_bits, state) that acts flags: up to the tick that
+        ends the init, or that distils an aborting block or one acts flags.
+        acts works elementwise on numpy arrays. All samples are drawn in one
+        call, the same values as one at a time.
 
         Returns the ticks taken, the tick distilling each block of dts, and the
         read-outs (qber, skr_bps, key_bits) after 0, 1, ... of the blocks kept.
         """
-        block_ticks, elapsed, now = self._key_steps(dts)
-        rng_state = self.rng.bit_generator.state
-        q, s = physics.sample_array(active_channel, attack_power_dbm,
-                                    self.rng.standard_normal(2 * len(block_ticks)))
-        bits = np.rint(s * self.key_interval_s).astype(np.int64)
-        unclean = np.flatnonzero((q > qber_max) | (bits == 0))
-        ticks, kept = len(dts), len(block_ticks)
-        if len(unclean):
-            ticks = block_ticks[unclean[0]]
-            # One tick may distil several blocks: keep those before it.
-            kept = bisect_left(block_ticks, ticks)
-            self.rng.bit_generator.state = rng_state
-            self.rng.standard_normal(2 * kept)
-            _, elapsed, now = self._key_steps(dts[:ticks])
-        self._interval_elapsed, self._now = elapsed, now
-        readouts = [(self._last_qber, self._last_skr, self._last_key_bits)]
-        readouts += zip(q[:kept].tolist(), s[:kept].tolist(), bits[:kept].tolist())
-        self._last_qber, self._last_skr, self._last_key_bits = readouts[-1]
-        self._sequence += kept  # every kept block has key bits
+        reading = self.read_monitor(self._now)
+        readouts = [(reading["qber"], reading["skr_bps"], reading["last_key_size_bits"])]
+        ticks, block_ticks, init_left, elapsed, now = self._steps(dts)
+        if block_ticks:
+            rng_state = self.rng.bit_generator.state
+            q, s = physics.sample_array(active_channel, attack_power_dbm,
+                                        self.rng.standard_normal(2 * len(block_ticks)))
+            bits = np.rint(s * self.key_interval_s).astype(np.int64)
+            stops = np.flatnonzero(acts(q, bits, self.state) | (
+                q >= physics.abort_qber(active_channel.ec_efficiency)))
+            kept = len(block_ticks)
+            if len(stops):
+                ticks = block_ticks[stops[0]]
+                # One tick may distil several blocks: keep those before it.
+                kept = bisect_left(block_ticks, ticks)
+                self.rng.bit_generator.state = rng_state
+                self.rng.standard_normal(2 * kept)
+                _, _, init_left, elapsed, now = self._steps(dts[:ticks])
+            readouts += zip(q[:kept].tolist(), s[:kept].tolist(), bits[:kept].tolist())
+            self._last_qber, self._last_skr, self._last_key_bits = readouts[-1]
+            self._sequence += int(np.count_nonzero(bits[:kept]))
+        self._init_remaining, self._interval_elapsed, self._now = init_left, elapsed, now
         return ticks, block_ticks, readouts
 
-    def tick_while_fixed(self, dts) -> int:
-        """tick(dt, <a lit circuit>, ...) for each of dts while the read-out stays
-        as it is: all of them from Aborted, and from Initializing up to the tick
-        that ends the init. Such ticks draw nothing. Returns the ticks taken."""
-        initializing = self.state == STATE_INITIALIZING
-        init_remaining, now = self._init_remaining, self._now
-        ticks = 0
-        for dt in dts:
-            if dt > _EPS:  # a shorter tick changes nothing, not even the clock
-                if initializing:
-                    if init_remaining - dt <= _EPS:
-                        break
-                    init_remaining -= dt
-                now += dt
-            ticks += 1
-        self._init_remaining, self._now = init_remaining, now
-        return ticks
-
     def init_left(self) -> float:
-        """Simulated time left in the init, to within _EPS, while Initializing."""
-        return self._init_remaining
+        """Simulated time left in the init, to within _EPS; inf outside it."""
+        return self._init_remaining if self.state == STATE_INITIALIZING else math.inf
 
-    def _key_steps(self, dts) -> tuple[list[int], float, float]:
-        """tick's interval arithmetic over dts from Generating: the tick
-        distilling each block, and the elapsed interval and clock after."""
+    def _steps(self, dts):
+        """tick's arithmetic over dts on a lit circuit, up to the tick that ends
+        the init: the ticks taken, the tick distilling each block, and the init
+        left, elapsed interval and clock after them."""
+        initializing = self.state == STATE_INITIALIZING
+        generating = self.state == STATE_GENERATING
         interval = self.key_interval_s
         edge = interval - _EPS
-        elapsed, now = self._interval_elapsed, self._now
+        init_left, elapsed, now = self._init_remaining, self._interval_elapsed, self._now
         block_ticks: list[int] = []
         for i, dt in enumerate(dts):
-            if dt > _EPS and elapsed + dt < edge:
-                elapsed += dt
-                now += dt
+            if dt <= _EPS:  # changes nothing, not even the clock
                 continue
-            remaining = dt
-            while remaining > _EPS:
-                step = min(remaining, interval - elapsed)
-                elapsed += step
-                now += step
-                remaining -= step
-                if elapsed >= edge:
-                    elapsed = 0.0
-                    block_ticks.append(i)
-        return block_ticks, elapsed, now
+            if initializing:
+                if init_left - dt <= _EPS:
+                    return i, block_ticks, init_left, elapsed, now
+                init_left -= dt
+            elif generating:
+                if elapsed + dt >= edge:  # the tick distils one block or more
+                    remaining = dt
+                    while remaining > _EPS:
+                        step = min(remaining, interval - elapsed)
+                        elapsed += step
+                        now += step
+                        remaining -= step
+                        if elapsed >= edge:
+                            elapsed = 0.0
+                            block_ticks.append(i)
+                    continue
+                elapsed += dt
+            now += dt
+        return len(dts), block_ticks, init_left, elapsed, now
 
     def read_monitor(self, now: float) -> dict:
         """Side-effect-free monitoring read-out in the wire schema."""

@@ -11,6 +11,10 @@ polling without acting.
 
 Detection is suppressed for a grace window after every path change so a
 fresh session's empty readings are not mistaken for an attack.
+
+Qpm.could_act is the one rule for which readings a poll can act on in
+each mode. A poll on any other reading only records it, so a runner may
+take such polls over in a batch (Qpm.skip_polls).
 """
 
 from __future__ import annotations
@@ -139,24 +143,39 @@ class Qpm:
         self.history.append(reading)
         if len(self.history) > self._history_cap:
             del self.history[0]
-        now = self.clock.now()
-        if self.mode == AWAITING_REINIT:
-            if reading["state"] in _GENERATING_OR_ABORTED:
+        if self.could_act(reading["qber"], reading["last_key_size_bits"], reading["state"]):
+            if self.mode == AWAITING_REINIT:
                 self._emit(REINIT_DONE, path=self.active_path or "",
                            detail=f"state={reading['state']}")
                 self.mode = MONITORING
-        elif self.mode == MONITORING:
-            since = now - self._t_path_change if self._t_path_change is not None else 0.0
-            if self.active_path is not None and detect_failure(
-                    reading, self.history, self.config, since):
+            elif self.active_path is not None and detect_failure(
+                    reading, self.history, self.config,
+                    self.clock.now() - self._t_path_change):
                 self._on_detect(reading)
-        # ALARM mode keeps polling, takes no action.
         self._schedule_next(sched_t)
 
+    def could_act(self, qber, key_bits, state):
+        """Whether a poll reading qber, key_bits and state could make the
+        monitor act in its current mode; elementwise over numpy arrays.
+
+        MONITORING: qber above the threshold or no key bits (detect_failure
+        fires on no other reading, whatever the history, grace or debounce).
+        AWAITING_REINIT: the units are Generating or Aborted. ALARM: never.
+        """
+        if self.mode == MONITORING:
+            return (qber > self.config.qber_threshold) | (key_bits == 0)
+        return self.mode == AWAITING_REINIT and state in _GENERATING_OR_ABORTED
+
+    def poll_period(self) -> float:
+        """Time from one poll to the next in the current mode."""
+        if self.mode == AWAITING_REINIT:
+            return self.config.reinit_poll_period_s
+        return self.config.poll_period_s
+
     def skip_polls(self, times: list[float], reading: Callable[[int], dict]):
-        """Take over polls at times (the pending one first), none of which may
-        act: no detection, no re-init seen done; poll j reads reading(j). The
-        monitor then stands as if it had polled: same history and next poll."""
+        """Take over polls at times (the pending one first), none of whose
+        readings could_act accepts; poll j reads reading(j). The monitor then
+        stands as if it had polled: same history and next poll."""
         cap = self._history_cap
         self.history.extend(reading(j) for j in range(max(0, len(times) - cap), len(times)))
         del self.history[:-cap]
@@ -208,9 +227,7 @@ class Qpm:
             self.statuses[target] = FAILED
 
     def _schedule_next(self, sched_t: float):
-        period = (self.config.reinit_poll_period_s if self.mode == AWAITING_REINIT
-                  else self.config.poll_period_s)
-        next_t = sched_t + period
+        next_t = sched_t + self.poll_period()
         self.next_poll_t = next_t
         self._next_poll = self.scheduler.at(next_t, lambda: self.poll(next_t),
                                             priority=self.PRIORITY)

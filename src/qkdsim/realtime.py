@@ -53,14 +53,38 @@ def serve_agent(agent, host: str = "127.0.0.1", port: int = 0) -> LineServer:
     return server
 
 
-class SocketSwitchLink:
-    """Controller-side southbound transport over a real socket."""
+class _LineClient:
+    """One TCP connection exchanging newline-delimited JSON lines."""
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._rfile = self._sock.makefile("r", encoding="utf-8")
         self._wfile = self._sock.makefile("w", encoding="utf-8")
-        self.hello = json.loads(self._rfile.readline())
+
+    def _read(self) -> dict:
+        line = self._rfile.readline()
+        if not line:
+            raise ConnectionError("peer closed the connection")
+        return json.loads(line)
+
+    def _exchange(self, msg: dict) -> dict:
+        self._wfile.write(json.dumps(msg, separators=(",", ":")) + "\n")
+        self._wfile.flush()
+        return self._read()
+
+    def close(self):
+        try:
+            self._sock.close()
+        except OSError:
+            pass
+
+
+class SocketSwitchLink(_LineClient):
+    """Controller-side southbound transport over a real socket."""
+
+    def __init__(self, host: str, port: int, timeout: float = 5.0):
+        super().__init__(host, port, timeout)
+        self.hello = self._read()
         self.switch_id = self.hello.get("switch", "?")
         self.connected = True
 
@@ -68,39 +92,21 @@ class SocketSwitchLink:
         if not self.connected:
             raise SwitchDisconnected(self.switch_id)
         try:
-            self._wfile.write(json.dumps(msg, separators=(",", ":")) + "\n")
-            self._wfile.flush()
-            line = self._rfile.readline()
-            if not line:
-                raise ConnectionError("switch closed the connection")
-            return json.loads(line)
-        except (OSError, ConnectionError, json.JSONDecodeError) as exc:
+            return self._exchange(msg)
+        except (OSError, json.JSONDecodeError) as exc:  # OSError covers ConnectionError
             self.connected = False
             raise SwitchDisconnected(self.switch_id) from exc
 
     def close(self):
         self.connected = False
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        super().close()
 
 
-class MonitorSocketClient:
+class MonitorSocketClient(_LineClient):
     """QPM-side monitor reader over a real socket."""
 
-    def __init__(self, host: str, port: int, timeout: float = 5.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._rfile = self._sock.makefile("r", encoding="utf-8")
-        self._wfile = self._sock.makefile("w", encoding="utf-8")
-
     def read_monitor(self) -> dict:
-        self._wfile.write(json.dumps({"op": "read_monitor"}, separators=(",", ":")) + "\n")
-        self._wfile.flush()
-        return json.loads(self._rfile.readline())
-
-    def close(self):
-        self._sock.close()
+        return self._exchange({"op": "read_monitor"})
 
 
 class _NorthboundHandler(http.server.BaseHTTPRequestHandler):

@@ -20,24 +20,14 @@ event heap holds at most one metrics event at a time.
 
 Most polls cannot act, and the runner advances over them in batches.
 After every event the loop runs, it tries one batch over the polls and
-samples before the next attack change, in one of three stretches:
-
-- quiet: the monitor is MONITORING and the units generate key over a lit
-  circuit. A reading is clean when its qber is at most the monitor's
-  threshold and it has key bits; detect_failure can fire only on a
-  reading that is not clean, whatever the history, grace window or
-  debounce. From a clean read-out the batch draws all of the unit's
-  samples in one call and stops before the tick that distils the first
-  block that is not clean.
-- the re-init wait: the monitor is AWAITING_REINIT and the units are
-  Initializing on a lit circuit. The read-out stays as it is, and the
-  batch stops before the tick that ends the init, so the poll that sees
-  it done runs on the event loop.
-- the alarm tail: the monitor is in ALARM, which never acts, and the
-  units are Aborted on a lit circuit.
-
-Everything else runs on the event loop, and the artifacts and random
-stream come out as the event loop alone leaves them. The batch relies on
+samples before the next attack change. One rule decides it,
+Qpm.could_act: the batch starts only from a unit read-out that the
+monitor could not act on, and QkdUnitPair.tick_while stops it before
+the tick that would change the unit's state (end the init, abort) or
+distil a block whose read-out the monitor could act on. So every poll
+the batch takes over reads a reading could_act rejects, and the poll
+that could act runs on the event loop. The artifacts and random stream
+come out as the event loop alone leaves them. The batch relies on
 attack changes, polls and samples being the only scheduled events.
 """
 
@@ -62,9 +52,8 @@ from .controller import (
     SdnController,
 )
 from .physics import ATTACK_OFF, qber, skr
-from .qkd_unit import STATE_ABORTED, STATE_INITIALIZING, QkdUnitPair
-from .qpm import (ALARM, AWAITING_REINIT, DETECTED, EXHAUSTED, MONITORING, RECONFIG_DONE,
-                  REINIT_DONE, Qpm, QpmConfig)
+from .qkd_unit import QkdUnitPair
+from .qpm import DETECTED, EXHAUSTED, RECONFIG_DONE, REINIT_DONE, Qpm, QpmConfig
 from .switch import OpticalSwitch
 from .topology import (NUMBER, Topology, checked, is_number, load_topology,
                        resolve_active_path)
@@ -81,9 +70,6 @@ EXIT_EXHAUSTED = 3
 _SYNC_EPS = 1e-12
 # Poll periods one batch spans at most, which bounds the memory it takes.
 _BATCH_PERIODS = 1024
-# (monitor mode, unit state) pairs in which no poll can act and ticks on a
-# lit circuit leave the unit's read-out as it is.
-_WAITS = {(AWAITING_REINIT, STATE_INITIALIZING), (ALARM, STATE_ABORTED)}
 
 # A metrics.csv row: t, active_path, skr_bps, qber, the attack powers, qpm_state.
 _metrics_row = "{:.1f},{},{:.6f},{:.6f},{},{}".format
@@ -265,29 +251,24 @@ class ScenarioRun:
     # -- quiet stretches ---------------------------------------------------------
 
     def _advance_quiet(self):
-        """If the run is in a stretch where no poll can act, run the polls and
-        samples before the next attack change in one batch, up to the tick that
-        ends the stretch (see the module docstring)."""
+        """If the monitor could not act on the unit's read-out, run the polls
+        and samples before the next attack change in one batch, up to the tick
+        that would change the unit's state or give a read-out the monitor could
+        act on (see the module docstring)."""
         qpm, unit = self.qpm, self.unit
         if self._circuit[1] is None:
             return
-        current = unit.read_monitor(0.0)  # key bits only while Generating
-        threshold = qpm.config.qber_threshold
-        if qpm.mode == MONITORING:
-            if current["qber"] > threshold or not current["last_key_size_bits"]:
-                return
-        elif (qpm.mode, current["state"]) not in _WAITS:
+        current = unit.read_monitor(0.0)
+        if qpm.could_act(current["qber"], current["last_key_size_bits"], current["state"]):
             return
         period = qpm.config.poll_period_s
-        poll_period = qpm.config.reinit_poll_period_s if qpm.mode == AWAITING_REINIT else period
+        poll_period = qpm.poll_period()
         now, duration = self.clock.now(), self.scenario.duration_s
         if now > qpm.next_poll_t or (self._next_metrics is not None
                                      and now > self._next_metrics[0] * period):
             return  # an event runs late: leave it to the event loop
-        end = min(duration, qpm.next_poll_t + _BATCH_PERIODS * min(period, poll_period))
-        if current["state"] == STATE_INITIALIZING:
-            # Stop around the end of the init: the tick that ends it runs on the loop.
-            end = min(end, self._last_sync + unit.init_left())
+        end = min(duration, qpm.next_poll_t + _BATCH_PERIODS * min(period, poll_period),
+                  self._last_sync + unit.init_left())  # ticks past it are never taken
         if self._attacks_applied < len(self._attack_times):
             # An attack change runs first at its time: stop strictly before.
             end = min(end, math.nextafter(self._attack_times[self._attacks_applied], -math.inf))
@@ -316,11 +297,7 @@ class ScenarioRun:
                 last = t
             ticks_at.append(len(dts))
         path_id, channel, power = self.current_circuit()
-        if qpm.mode == MONITORING:
-            ticks, block_ticks, readouts = unit.tick_while_clean(dts, channel, power, threshold)
-        else:
-            ticks, block_ticks = unit.tick_while_fixed(dts), []
-            readouts = [(current["qber"], current["skr_bps"], current["last_key_size_bits"])]
+        ticks, block_ticks, readouts = unit.tick_while(dts, channel, power, qpm.could_act)
         cut = bisect_right(ticks_at, ticks)
         if not cut:
             return
@@ -403,6 +380,16 @@ def timing_rows(episodes: list[dict], scenario: Scenario) -> list[str]:
     return rows
 
 
+def _write_lines(path: str, lines):
+    """Write each of lines and a newline to path, in one call."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
+def _ndjson(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":"))
+
+
 def run_scenario(topology_file: str, scenario_file: str, seed: int, out_dir: str,
                  deterministic: bool = False, allow_exhaustion: bool = False,
                  qpm_log_path: Optional[str] = None,
@@ -418,28 +405,16 @@ def run_scenario(topology_file: str, scenario_file: str, seed: int, out_dir: str
 
     metrics_header = "t,active_path,skr_bps,qber," + ",".join(
         f"attack_{link.link_id}_dbm" for link in topology.links) + ",qpm_state"
-    with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(metrics_header + "\n")
-        for row in run.metrics_rows:
-            fh.write(row + "\n")
-
+    _write_lines(os.path.join(out_dir, "metrics.csv"), [metrics_header, *run.metrics_rows])
     events = [event.to_dict() for event in run.qpm.events]
-    with open(qpm_log, "w", encoding="utf-8", newline="") as fh:
-        for event in events:
-            fh.write(json.dumps(event, separators=(",", ":")) + "\n")
-
-    with open(os.path.join(out_dir, "controller_log.ndjson"), "w",
-              encoding="utf-8", newline="") as fh:
-        for record in run.controller_records:
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+    _write_lines(qpm_log, map(_ndjson, events))
+    _write_lines(os.path.join(out_dir, "controller_log.ndjson"),
+                 map(_ndjson, run.controller_records))
 
     first_init_s, episodes = extract_episodes(run.qpm.events)
     timing_header = "episode,detect_s,controller_s,reinit_s,total_s"
     timing = timing_rows(episodes, scenario)
-    with open(os.path.join(out_dir, "timing.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(timing_header + "\n")
-        for row in timing:
-            fh.write(row + "\n")
+    _write_lines(os.path.join(out_dir, "timing.csv"), [timing_header, *timing])
 
     exhausted = any(ev.kind == EXHAUSTED for ev in run.qpm.events)
     # Reference the log relative to out_dir when it lives inside, so the
@@ -464,9 +439,7 @@ def run_scenario(topology_file: str, scenario_file: str, seed: int, out_dir: str
     }
     if not deterministic:
         info["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    with open(os.path.join(out_dir, "run_info.json"), "w", encoding="utf-8", newline="") as fh:
-        json.dump(info, fh, indent=2)
-        fh.write("\n")
+    _write_lines(os.path.join(out_dir, "run_info.json"), [json.dumps(info, indent=2)])
 
     # The summary parses the rows as written, so it reads what summarize
     # would read back from the files.

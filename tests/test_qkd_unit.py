@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -164,7 +165,8 @@ class TestDeterminismAndPartitioning:
 
 
 class LoopUnit(QkdUnitPair):
-    """Reference unit: tick runs the step loop alone, without the fast paths."""
+    """Reference unit: tick written out step by step, independent of the
+    unit's own code."""
 
     def tick(self, dt, active_channel, attack_power_dbm):
         if dt <= 0:
@@ -275,17 +277,31 @@ tick_lengths = st.one_of(
     st.floats(1e-11, 700.0))
 
 
+def clean(qber_max):
+    """The monitoring stop rule: qber above qber_max or no key bits."""
+    return lambda q, bits, state: (q > qber_max) | (bits == 0)
+
+
+def never(q, bits, state):
+    return False
+
+
 class TestTickWhileClean:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 100.0),
            st.lists(tick_lengths, max_size=40),
            st.sampled_from([ATTACK_OFF, -17.0, -10.0, -9.5, -9.0, KILL_POWER]),
-           st.sampled_from([0.021, 0.025, 0.08, 0.5]))
+           st.sampled_from([0.021, 0.025, 0.08, 0.5, None]))
     @example(3, 5.0, [60.0] * 12, -9.5, 0.08)  # blocks abort part way
     # Ticks longer than the key interval: the tick distilling the first
     # block that is not clean distils clean blocks before it.
     @example(1, 5.0, [313.0] * 6, ATTACK_OFF, 0.021)
+    # No stop rule: at the death power blocks without key bits are kept
+    # (no sequence number) until one aborts.
+    @example(3, 5.0, [60.0] * 12, -9.0, None)
     def test_the_kept_prefix_equals_ticking(self, seed, past_init, dts, power, qber_max):
+        """qber_max None stands for a rule that never stops the batch: only an
+        aborting block does."""
         batched, ticked = make_unit(seed=seed, jitter=0.03), make_unit(seed=seed, jitter=0.03)
         looped = LoopUnit(np.random.default_rng(seed), init_jitter_frac=0.03)
         for unit in (batched, ticked, looped):
@@ -296,11 +312,13 @@ class TestTickWhileClean:
 
         def distill(channel, power, distill=ticked._distill):
             block = distill(channel, power)
-            distilled.append((ticked._last_qber, ticked._last_skr, ticked._last_key_bits))
+            distilled.append((ticked._last_qber, ticked._last_skr, ticked._last_key_bits,
+                              ticked.state))
             return block
 
         ticked._distill = distill
-        ticks, block_ticks, readouts = batched.tick_while_clean(dts, CHANNEL, power, qber_max)
+        acts = never if qber_max is None else clean(qber_max)
+        ticks, block_ticks, readouts = batched.tick_while(dts, CHANNEL, power, acts)
         for i, dt in enumerate(dts[:ticks]):
             reading = ticked.read_monitor(ticked._now)
             blocks = sum(1 for b in block_ticks if b < i)
@@ -308,20 +326,25 @@ class TestTickWhileClean:
                 reading["qber"], reading["skr_bps"], reading["last_key_size_bits"])
             assert ticked.tick(dt, CHANNEL, power) == looped.tick(dt, CHANNEL, power)
         assert unit_state(batched) == unit_state(ticked) == unit_state(looped)
-        # Every kept block is clean, and the next tick distils one that is not.
-        assert readouts[1:] == distilled
-        assert all(q <= qber_max and bits > 0 for q, _, bits in distilled)
+        # Every kept block keeps the unit Generating and is not flagged, and
+        # the next tick distils one that aborts or is flagged.
+        assert readouts[1:] == [r[:3] for r in distilled]
+        assert all(not acts(q, bits, state) and state == STATE_GENERATING
+                   for q, _, bits, state in distilled)
         if ticks < len(dts):
             ticked.tick(dts[ticks], CHANNEL, power)
-            assert any(q > qber_max or bits == 0 for q, _, bits in distilled[len(readouts) - 1:])
+            assert any(acts(q, bits, state) or state == STATE_ABORTED
+                       for q, _, bits, state in distilled[len(readouts) - 1:])
 
     def test_an_unclean_first_block_changes_nothing(self):
+        """An aborting first block stops the batch under any rule."""
         unit = make_unit(seed=4)
         unit.start_session(CHANNEL, now=0.0)
         unit.tick(150.0, CHANNEL, ATTACK_OFF)
         before = unit_state(unit)
-        assert unit.tick_while_clean([60.0] * 10, CHANNEL, KILL_POWER, 0.08)[0] == 0
-        assert unit_state(unit) == before
+        for acts in (clean(0.08), never):
+            assert unit.tick_while([60.0] * 10, CHANNEL, KILL_POWER, acts)[0] == 0
+            assert unit_state(unit) == before
 
 
 fixed_ticks = st.one_of(
@@ -356,7 +379,9 @@ class TestTickWhileFixed:
             if probe.state == STATE_INITIALIZING and probe._init_remaining + near_end > 0:
                 dts = dts + [probe._init_remaining + near_end]
         readout = ticked.read_monitor(0.0)
-        ticks = batched.tick_while_fixed(dts)
+        ticks, block_ticks, readouts = batched.tick_while(dts, CHANNEL, KILL_POWER, never)
+        assert block_ticks == []
+        assert readouts == [(readout["qber"], readout["skr_bps"], readout["last_key_size_bits"])]
         for dt in dts[:ticks]:
             assert ticked.tick(dt, CHANNEL, KILL_POWER) == looped.tick(dt, CHANNEL, KILL_POWER)
             assert unit_state(ticked) == unit_state(looped)
@@ -368,11 +393,14 @@ class TestTickWhileFixed:
 
     def test_init_left_is_the_time_to_generating(self):
         unit = make_unit()
+        assert unit.init_left() == math.inf
         unit.start_session(CHANNEL, now=0.0)
-        assert unit.tick_while_fixed([30.0, 30.0]) == 2
+        assert unit.tick_while([30.0, 30.0], CHANNEL, ATTACK_OFF, never)[0] == 2
         assert unit.init_left() == 60.0
-        assert unit.tick_while_fixed([59.0, 1.0, 1.0]) == 1
+        assert unit.tick_while([59.0, 1.0, 1.0], CHANNEL, ATTACK_OFF, never)[0] == 1
         assert unit.state == STATE_INITIALIZING
+        unit.tick(1.0, CHANNEL, ATTACK_OFF)
+        assert (unit.state, unit.init_left()) == (STATE_GENERATING, math.inf)
 
 
 class TestMonitorReadout:

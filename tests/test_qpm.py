@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qkdsim.clock import Scheduler, SimClock
@@ -305,6 +305,40 @@ class TestCleanReadings:
                            init_grace_s=grace)
         clean = dict(current, qber=min(current["qber"], threshold), last_key_size_bits=key_bits)
         assert not detect_failure(clean, history + [clean], config, since)
+
+
+class TestPollsThatCannotAct:
+    @settings(max_examples=300, deadline=None)
+    @given(mode=st.sampled_from([MONITORING, AWAITING_REINIT, ALARM]),
+           history=st.lists(readings, max_size=8), current=readings,
+           grace=st.floats(0.0, 120.0), debounce=st.integers(1, 9),
+           threshold=st.floats(1e-6, 0.5, exclude_max=True))
+    def test_a_poll_that_cannot_act_only_adds_to_the_history(
+            self, mode, history, current, grace, debounce, threshold):
+        """In every mode, whatever the history, grace window, debounce and
+        threshold: a reading that could_act rejects emits no event, leaves
+        the mode, statuses, controller and session alone, and joins the
+        history."""
+        config = QpmConfig(qber_threshold=threshold, zero_key_debounce=debounce,
+                           init_grace_s=grace)
+        ids = ("link1", "link2", "link3")
+        first = reading(state="Generating" if mode == MONITORING else "Initializing")
+        qpm, scheduler, controller, qkd = build_qpm(
+            {0.0: first}, fail_paths=ids if mode == ALARM else (), ids=ids, config=config)
+        scheduler.at(0.0, lambda: qpm.startup(0.0), priority=Qpm.PRIORITY)
+        scheduler.run_until(1.0)
+        assert qpm.mode == mode
+        assume(not qpm.could_act(current["qber"], current["last_key_size_bits"],
+                                 current["state"]))
+        qpm.history[:] = history
+        qkd.script = {0.0: current}
+        t = qpm.next_poll_t
+        before = (list(qpm.events), dict(qpm.statuses), list(controller.calls),
+                  list(qkd.sessions))
+        scheduler.run_until(t)
+        assert (qpm.events, qpm.statuses, controller.calls, qkd.sessions) == before
+        assert qpm.mode == mode
+        assert qpm.history == (history + [dict(current, timestamp=t)])[-qpm._history_cap:]
 
 
 class TestBatchedPolls:

@@ -417,6 +417,11 @@ class TestQuietBatches:
     @example(seed=3, period=60.0, grace=60.0, debounce=2, threshold=0.08,
              duration=7200.0, attacks=[(0.0, "link1", 2.0), (0.0, "link2", 2.0),
                                        (0.0, "link3", 2.0)], reinit=1.0)
+    # Every link is attacked just short of its death power: an ALARM tail
+    # over a unit still generating, cut by an aborting block.
+    @example(seed=0, period=60.0, grace=60.0, debounce=2, threshold=0.08,
+             duration=7200.0, attacks=[(0.0, link, -0.3) for link in ("link1", "link2", "link3")],
+             reinit=1.0)
     def test_batches_leave_the_run_as_the_event_loop_does(
             self, reference_topology, seed, period, grace, debounce, threshold, duration,
             attacks, reinit):
@@ -449,6 +454,22 @@ class TestQuietBatches:
         run.qpm.poll = lambda t: (polls.append(t), poll(t))
         run.execute()
         assert len(polls) <= 5
+
+    def test_an_alarm_tail_is_batched(self, reference_topology):
+        """Every link attacked 1 dB short of its death power, over a 0.03
+        threshold: all three fail over by t=540 and the unit keeps generating.
+        The event loop alone polls 111 times after the exhaustion."""
+        config = QpmConfig(init_grace_s=60.0, qber_threshold=0.03)
+        attacks = tuple(ScenarioEvent(0.0, link, DEATH_DBM[link] - 1.0)
+                        for link in ("link1", "link2", "link3"))
+        run = ScenarioRun(reference_topology, Scenario(7200.0, attacks), seed=0,
+                          qpm_config=config)
+        polls, poll = [], run.qpm.poll
+        run.qpm.poll = lambda t: (polls.append(t), poll(t))
+        run.execute()
+        exhausted = [e.t for e in run.qpm.events if e.kind == EXHAUSTED]
+        assert len(exhausted) == 1
+        assert sum(1 for t in polls if t > exhausted[0]) <= 2
 
 
 @pytest.fixture(scope="module")

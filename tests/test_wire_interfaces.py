@@ -130,6 +130,22 @@ class TestMonitorSocket:
             server.server_close()
 
 
+    def test_a_dropped_connection_raises_connection_error(self):
+        class BrokenAgent:
+            def process_line(self, line):
+                raise RuntimeError("agent fault")
+
+        server = serve_agent(BrokenAgent())
+        try:
+            client = MonitorSocketClient(*server.server_address)
+            with pytest.raises(ConnectionError):
+                client.read_monitor()
+            client.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
 @pytest.fixture()
 def http_northbound(reference_topology):
     clock = WallClock()
