@@ -5,7 +5,13 @@ monitor under a single simulated clock, injects attacker-power changes
 at scripted times, and records poll-cadence metrics plus the monitor and
 controller event logs. Everything observable is written to plain files
 with fixed formatting so identical inputs and seed reproduce identical
-bytes.
+bytes. Every target is opened before the run starts, so one that cannot
+be written fails before the simulation and leaves an earlier run's files
+as they were. Each file is then overwritten in place and cut to length:
+a rerun into a used directory leaves exactly the bytes of a run into a
+fresh one, without the cost of truncating every file first. The monitor
+log is recorded in run_info.json by name when it sits in the run
+directory and by absolute path otherwise.
 
 The unit pair is advanced lazily: whenever any component needs current
 state (a poll, an attack change, a metrics sample), the runner ticks the
@@ -36,8 +42,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import time
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -380,77 +388,119 @@ def timing_rows(episodes: list[dict], scenario: Scenario) -> list[str]:
     return rows
 
 
-def _write_lines(path: str, lines):
-    """Write each of lines and a newline to path, in one call."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(line + "\n" for line in lines))
+@contextmanager
+def _opened(paths):
+    """Open each of paths for writing without truncating it; close all on exit.
+
+    Mode 0o666 less the umask, as open(path, "w") gives a new file. A
+    target that cannot be opened raises before any file's content changes.
+    """
+    fds = []
+    try:
+        for path in paths:
+            fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+        yield fds
+    finally:
+        for fd in fds:
+            os.close(fd)
+
+
+def _overwrite(fd: int, text: str) -> None:
+    """Make text, in UTF-8, the whole content of the file fd opened.
+
+    The bytes go over the old ones in place and a longer old file is cut
+    to the new length; truncating to zero first costs several times more
+    on some file systems. Only a regular file is cut, never a device or
+    a FIFO.
+    """
+    data = memoryview(text.encode("utf-8"))
+    size = len(data)
+    while data:
+        data = data[os.write(fd, data):]
+    st = os.fstat(fd)
+    if stat.S_ISREG(st.st_mode) and st.st_size > size:
+        os.ftruncate(fd, size)
+
+
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
 def _ndjson(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
+# The files every run writes into out_dir, after the monitor log.
+_RUN_FILES = ("metrics.csv", "controller_log.ndjson", "timing.csv", "run_info.json",
+              "summary.txt")
+
+
 def run_scenario(topology_file: str, scenario_file: str, seed: int, out_dir: str,
                  deterministic: bool = False, allow_exhaustion: bool = False,
                  qpm_log_path: Optional[str] = None,
                  qpm_config: Optional[QpmConfig] = None) -> int:
-    """Run one scenario end to end and write all artifacts into out_dir."""
+    """Run one scenario end to end and write all artifacts into out_dir.
+
+    Every target is opened before the run starts, so one that cannot be
+    written fails fast and leaves the files of an earlier run as they were.
+    """
     topology = load_topology(topology_file)
     scenario = load_scenario(scenario_file)
     run = ScenarioRun(topology, scenario, seed, qpm_config=qpm_config)
-    run.execute()
 
     os.makedirs(out_dir, exist_ok=True)
     qpm_log = qpm_log_path or os.path.join(out_dir, "qpm_log.ndjson")
+    with _opened([qpm_log, *(os.path.join(out_dir, name) for name in _RUN_FILES)]) as fds:
+        log_fd, metrics_fd, controller_fd, timing_fd, info_fd, summary_fd = fds
+        run.execute()
 
-    metrics_header = "t,active_path,skr_bps,qber," + ",".join(
-        f"attack_{link.link_id}_dbm" for link in topology.links) + ",qpm_state"
-    _write_lines(os.path.join(out_dir, "metrics.csv"), [metrics_header, *run.metrics_rows])
-    events = [event.to_dict() for event in run.qpm.events]
-    _write_lines(qpm_log, map(_ndjson, events))
-    _write_lines(os.path.join(out_dir, "controller_log.ndjson"),
-                 map(_ndjson, run.controller_records))
+        metrics_header = "t,active_path,skr_bps,qber," + ",".join(
+            f"attack_{link.link_id}_dbm" for link in topology.links) + ",qpm_state"
+        _overwrite(metrics_fd, _lines([metrics_header, *run.metrics_rows]))
+        events = [event.to_dict() for event in run.qpm.events]
+        _overwrite(log_fd, _lines(map(_ndjson, events)))
+        _overwrite(controller_fd, _lines(map(_ndjson, run.controller_records)))
 
-    first_init_s, episodes = extract_episodes(run.qpm.events)
-    timing_header = "episode,detect_s,controller_s,reinit_s,total_s"
-    timing = timing_rows(episodes, scenario)
-    _write_lines(os.path.join(out_dir, "timing.csv"), [timing_header, *timing])
+        first_init_s, episodes = extract_episodes(run.qpm.events)
+        timing_header = "episode,detect_s,controller_s,reinit_s,total_s"
+        timing = timing_rows(episodes, scenario)
+        _overwrite(timing_fd, _lines([timing_header, *timing]))
 
-    exhausted = any(ev.kind == EXHAUSTED for ev in run.qpm.events)
-    # Reference the log relative to out_dir when it lives inside, so the
-    # recorded metadata does not depend on where the run directory sits.
-    qpm_log_ref = qpm_log
-    if os.path.dirname(os.path.abspath(qpm_log)) == os.path.abspath(out_dir):
-        qpm_log_ref = os.path.basename(qpm_log)
-    info = {
-        "topology": topology_file,
-        "scenario": scenario_file,
-        "seed": seed,
-        "duration_s": scenario.duration_s,
-        "deterministic": deterministic,
-        "qpm_log": qpm_log_ref,
-        "poll_period_s": run.qpm.config.poll_period_s,
-        "init_grace_s": run.qpm.config.init_grace_s,
-        "first_init_s": round(first_init_s, 6) if first_init_s is not None else None,
-        "episodes": len(episodes),
-        "exhausted": exhausted,
-        "final_active_path": run.qpm.active_path,
-        "final_qpm_mode": run.qpm.mode,
-    }
-    if not deterministic:
-        info["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    _write_lines(os.path.join(out_dir, "run_info.json"), [json.dumps(info, indent=2)])
+        exhausted = any(ev.kind == EXHAUSTED for ev in run.qpm.events)
+        # Reference the log by name when it lives in out_dir, so the recorded
+        # metadata does not depend on where the run directory sits, and by
+        # absolute path otherwise, so summarize finds it from any directory.
+        qpm_log_ref = os.path.abspath(qpm_log)
+        if os.path.dirname(qpm_log_ref) == os.path.abspath(out_dir):
+            qpm_log_ref = os.path.basename(qpm_log)
+        info = {
+            "topology": topology_file,
+            "scenario": scenario_file,
+            "seed": seed,
+            "duration_s": scenario.duration_s,
+            "deterministic": deterministic,
+            "qpm_log": qpm_log_ref,
+            "poll_period_s": run.qpm.config.poll_period_s,
+            "init_grace_s": run.qpm.config.init_grace_s,
+            "first_init_s": round(first_init_s, 6) if first_init_s is not None else None,
+            "episodes": len(episodes),
+            "exhausted": exhausted,
+            "final_active_path": run.qpm.active_path,
+            "final_qpm_mode": run.qpm.mode,
+        }
+        if not deterministic:
+            info["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+        _overwrite(info_fd, _lines([json.dumps(info, indent=2)]))
 
-    # The summary parses the rows as written, so it reads what summarize
-    # would read back from the files.
-    summary, _ = report.render_summary(
-        info,
-        report.parse_metrics(metrics_header, run.metrics_rows, "metrics.csv"),
-        report.parse_timing(timing_header, timing, "timing.csv"),
-        events,
-        thresholds_path=None, include_timestamp=not deterministic)
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(summary)
+        # The summary parses the rows as written, so it reads what summarize
+        # would read back from the files.
+        summary, _ = report.render_summary(
+            info,
+            report.parse_metrics(metrics_header, run.metrics_rows, "metrics.csv"),
+            report.parse_timing(timing_header, timing, "timing.csv"),
+            events,
+            thresholds_path=None, include_timestamp=not deterministic)
+        _overwrite(summary_fd, summary)
 
     if exhausted and not allow_exhaustion:
         return EXIT_EXHAUSTED
@@ -472,15 +522,16 @@ def sweep_attack_power(topology_file: str, link_id: str,
         raise ScenarioError("step_db must be positive")
     if end_dbm < start_dbm:
         raise ScenarioError("end_dbm must be >= start_dbm")
+    rows = ["power_dbm,skr_bps,qber"]
+    k = 0
+    while True:
+        power = start_dbm + k * step_db
+        if power > end_dbm + 1e-9:
+            break
+        rows.append(f"{power:.2f},{skr(link.channel, power):.6f},"
+                    f"{qber(link.channel, power):.6f}")
+        k += 1
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("power_dbm,skr_bps,qber\n")
-        k = 0
-        while True:
-            power = start_dbm + k * step_db
-            if power > end_dbm + 1e-9:
-                break
-            fh.write(f"{power:.2f},{skr(link.channel, power):.6f},"
-                     f"{qber(link.channel, power):.6f}\n")
-            k += 1
+    with _opened([os.path.join(out_dir, "sweep.csv")]) as (fd,):
+        _overwrite(fd, _lines(rows))
     return EXIT_OK

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from qkdsim.cli import main
-from qkdsim.scenario import EXIT_USAGE
+from qkdsim.scenario import EXIT_USAGE, ScenarioRun
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -47,6 +47,35 @@ class TestRunCommand:
         assert code == 0
         assert log.exists()
         assert not (tmp_path / "out" / "qpm_log.ndjson").exists()
+
+    def test_an_unwritable_monitor_log_fails_before_the_run(self, tmp_path, configs,
+                                                            capsys, monkeypatch):
+        out = tmp_path / "out"
+        assert main(run_args(configs, out, extra=["--deterministic"])) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setattr(ScenarioRun, "execute",
+                            lambda self: pytest.fail("the run started"))
+        code = main(run_args(configs, out, scenario="attack-link1-then-link2.json",
+                             extra=["--qpm-log", str(tmp_path / "missing" / "log.ndjson")]))
+        assert code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_a_relative_monitor_log_is_found_from_any_directory(self, tmp_path, configs,
+                                                                capsys, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(run_args(configs, "rel",
+                             extra=["--deterministic", "--qpm-log", "logs.ndjson"])) == 0
+        info = json.loads((work / "rel" / "run_info.json").read_text(encoding="utf-8"))
+        assert os.path.isabs(info["qpm_log"])
+        assert os.path.samefile(info["qpm_log"], work / "logs.ndjson")
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["summarize", "--out", str(work / "rel")]) == 0
+        assert capsys.readouterr().out == (work / "rel" / "summary.txt").read_text(
+            encoding="utf-8")
 
     def test_missing_file_is_a_usage_error(self, tmp_path, configs, capsys):
         code = main(["run", "--topology", str(configs / "reference_topology.json"),

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -608,6 +610,92 @@ class TestRunScenarioArtifacts:
         info = json.loads((tmp_path / "b" / "run_info.json").read_text())
         assert info["exhausted"] is True
         assert info["final_qpm_mode"] == "ALARM"
+
+
+def tree(path: Path) -> dict:
+    """File name -> bytes of every file in the directory path."""
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def rerun_inputs(tmp_path_factory, configs):
+    """A short and a longer scenario, and the files a fresh run of the short one writes."""
+    base = tmp_path_factory.mktemp("rerun")
+    short = write_json(base / "short.json", {
+        "duration_s": 600,
+        "events": [{"t": 200, "link": "link1", "attack_power_dbm": -40}],
+    })
+    longer = write_json(base / "longer.json", {
+        "duration_s": 1800,
+        "events": [{"t": 200, "link": "link1", "attack_power_dbm": -40},
+                   {"t": 900, "link": "link2", "attack_power_dbm": -5}],
+    })
+    topology = str(configs / "reference_topology.json")
+    run_scenario(topology, short, seed=5, out_dir=str(base / "fresh"), deterministic=True)
+    return topology, short, longer, tree(base / "fresh")
+
+
+class TestRerunIntoAUsedDirectory:
+    """A rerun leaves exactly the bytes a run into a fresh directory writes."""
+
+    def test_over_the_files_of_a_longer_run(self, tmp_path, rerun_inputs):
+        topology, short, longer, fresh = rerun_inputs
+        run_scenario(topology, longer, seed=5, out_dir=str(tmp_path), deterministic=True)
+        stale = tree(tmp_path)
+        assert all(len(stale[name]) > len(fresh[name])
+                   for name in ("metrics.csv", "qpm_log.ndjson", "controller_log.ndjson"))
+        assert run_scenario(topology, short, seed=5, out_dir=str(tmp_path),
+                            deterministic=True) == EXIT_OK
+        assert tree(tmp_path) == fresh
+
+    def test_a_timestamped_run_then_a_deterministic_one(self, tmp_path, rerun_inputs):
+        topology, short, _, fresh = rerun_inputs
+        run_scenario(topology, short, seed=5, out_dir=str(tmp_path), deterministic=False)
+        stale = tree(tmp_path)
+        assert len(stale["run_info.json"]) > len(fresh["run_info.json"])
+        assert len(stale["summary.txt"]) > len(fresh["summary.txt"])
+        run_scenario(topology, short, seed=5, out_dir=str(tmp_path), deterministic=True)
+        assert tree(tmp_path) == fresh
+
+    def test_through_a_symlinked_artifact(self, tmp_path, rerun_inputs):
+        topology, short, _, fresh = rerun_inputs
+        out = tmp_path / "out"
+        out.mkdir()
+        target = tmp_path / "kept.csv"
+        target.write_bytes(fresh["metrics.csv"] * 2)
+        (out / "metrics.csv").symlink_to(target)
+        run_scenario(topology, short, seed=5, out_dir=str(out), deterministic=True)
+        assert (out / "metrics.csv").is_symlink()
+        assert target.read_bytes() == fresh["metrics.csv"]
+        assert tree(out) == fresh
+
+    def test_a_monitor_log_to_devnull(self, tmp_path, rerun_inputs):
+        topology, short, _, fresh = rerun_inputs
+        code = run_scenario(topology, short, seed=5, out_dir=str(tmp_path),
+                            deterministic=True, qpm_log_path=os.devnull)
+        assert code == EXIT_OK
+        written = tree(tmp_path)
+        assert set(written) == set(fresh) - {"qpm_log.ndjson"}
+        for name in set(written) - {"run_info.json"}:
+            assert written[name] == fresh[name], name
+        info = json.loads(written["run_info.json"])
+        assert info == {**json.loads(fresh["run_info.json"]), "qpm_log": os.devnull}
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_monitor_log_to_a_fifo(self, tmp_path, rerun_inputs):
+        topology, short, _, fresh = rerun_inputs
+        fifo = tmp_path / "log.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        code = run_scenario(topology, short, seed=5, out_dir=str(tmp_path / "out"),
+                            deterministic=True, qpm_log_path=str(fifo))
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == EXIT_OK
+        assert received == [fresh["qpm_log.ndjson"]]
+        assert (tmp_path / "out" / "metrics.csv").read_bytes() == fresh["metrics.csv"]
 
 
 # sha256 prefixes of the deterministic artifacts of the conftest reference

@@ -33,6 +33,24 @@ def test_run_reference_scenarios_writes_every_run_and_sweep(tmp_path, capsys):
     assert "all scenarios completed and passed their checks" in capsys.readouterr().out
 
 
+def test_rerunning_reference_scenarios_rewrites_the_same_tree(tmp_path, capsys):
+    """A rerun into a used --out leaves exactly the bytes of the first run."""
+    script = load_script("run_reference_scenarios")
+
+    def snapshot():
+        return {str(p.relative_to(tmp_path)): p.read_bytes()
+                for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+    assert script.main(["--out", str(tmp_path)]) == 0
+    first = snapshot()
+    assert script.main(["--out", str(tmp_path), "--seed", "7"]) == 0
+    assert snapshot() != first
+    assert script.main(["--out", str(tmp_path)]) == 0
+    assert snapshot() == first
+    assert sum(name.endswith("sweep.csv") for name in first) == len(script.SWEEPS)
+    capsys.readouterr()
+
+
 def test_realtime_demo_reroutes_over_sockets():
     """The demo serves every agent on 127.0.0.1 ephemeral ports."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
