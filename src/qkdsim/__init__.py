@@ -21,7 +21,6 @@ from .physics import (
     CalibrationAnchors,
     CalibrationError,
     ChannelParams,
-    QuantumSample,
     abort_qber,
     binary_entropy,
     calibrate,

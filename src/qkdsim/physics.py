@@ -58,18 +58,6 @@ class ChannelParams:
             raise ValueError("knee_sharpness must be > 0")
 
 
-@dataclass(frozen=True)
-class QuantumSample:
-    """One monitoring sample of the key-generation process."""
-
-    skr_bps: float
-    qber: float
-
-    def __post_init__(self):
-        if self.skr_bps < 0 or not 0.0 <= self.qber <= 0.5:
-            raise ValueError("sample out of range")
-
-
 def binary_entropy(x: float) -> float:
     """Shannon entropy of a binary variable, in bits; h(0) = h(1) = 0."""
     if not 0.0 <= x <= 1.0:
@@ -248,28 +236,16 @@ SKR_SIGMA = 0.03
 QBER_SIGMA = 0.05
 
 
-def sample(params: ChannelParams, attack_power_dbm: float, rng) -> QuantumSample:
-    """Draw one jittered monitoring sample around the model means.
+def sample(params: ChannelParams, attack_power_dbm: float,
+           normals) -> tuple[np.ndarray, np.ndarray]:
+    """Jittered monitoring samples around the model means: (qber, skr_bps)
+    arrays, one entry per sample.
 
-    Relative Gaussian jitter, clamped to valid ranges; rng is a
-    numpy Generator owned by the caller. A sample whose QBER lands at or
+    normals holds two standard normal draws per sample, QBER's first, as
+    the caller's numpy Generator gave them. Each mean takes relative
+    Gaussian jitter and is clamped to its valid range; an in-range value,
+    -0.0 included, is kept as it is. A sample whose QBER lands at or
     above the abort point reports zero key rate.
-    """
-    q = qber(params, attack_power_dbm) * (1.0 + QBER_SIGMA * rng.standard_normal())
-    s = skr(params, attack_power_dbm) * (1.0 + SKR_SIGMA * rng.standard_normal())
-    q = min(max(q, 0.0), 0.5)
-    s = max(s, 0.0)
-    if q >= abort_qber(params.ec_efficiency):
-        s = 0.0
-    return QuantumSample(skr_bps=s, qber=q)
-
-
-def sample_array(params: ChannelParams, attack_power_dbm: float,
-                 normals) -> tuple[np.ndarray, np.ndarray]:
-    """sample's (qber, skr_bps) as arrays, bit for bit.
-
-    normals holds each sample's two draws in sample's order, QBER's first;
-    the clamps keep Python's min/max results, signed zeros included.
     """
     q = qber(params, attack_power_dbm) * (1.0 + QBER_SIGMA * normals[0::2])
     s = skr(params, attack_power_dbm) * (1.0 + SKR_SIGMA * normals[1::2])

@@ -8,10 +8,16 @@ the optical circuit drops it to Idle (control-plane action, not attack).
 The monitor read-out is the poll target for failure detection: key size
 and rate read as zero whenever keys are not being generated.
 
-tick advances one interval; tick_while advances many at once on a lit
-circuit, drawing all their samples in one call, for as long as the
-state stays as it is and no block's read-out meets the caller's stop
-rule.
+One engine advances the unit: _steps runs the interval arithmetic over
+a list of ticks on a lit circuit, and physics.sample turns the blocks
+it distils into read-outs, all from one draw of normals. tick is that
+engine over one dt: it ends the init first if the init ends within dt,
+and stops the session at a block that aborts. tick_while runs it over
+many ticks for as long as the state stays as it is and no block's
+read-out meets the caller's stop rule. Where either stops at a block
+the draw covered blocks past it, the rng is put back and redrawn up
+to the blocks kept, so the random stream is the one that distilling
+block by block would leave.
 """
 
 from __future__ import annotations
@@ -42,12 +48,15 @@ class KeyBlock:
 
 
 class QkdUnitPair:
-    """State machine advanced by the simulation owner via tick().
+    """State machine advanced by the simulation owner via tick() or
+    tick_while(), both the batch engine (_steps, then one physics.sample).
 
     rng is a caller-owned numpy Generator; each session consumes one
-    uniform draw (init-duration jitter) followed by two normal draws per
-    key interval (QBER then SKR, inside physics.sample), so the draw
-    order is a pure function of the event timeline.
+    uniform draw (init-duration jitter) followed by two standard normal
+    draws per distilled block (QBER's then SKR's), in block order. numpy
+    gives the same normals whether they are drawn one block at a time or
+    many at once, so the draw order is a pure function of the event
+    timeline, however the timeline is cut into ticks.
     """
 
     def __init__(self, rng, init_time_s: float = 120.0, key_interval_s: float = 60.0,
@@ -86,37 +95,43 @@ class QkdUnitPair:
         self.state = STATE_INITIALIZING
 
     def tick(self, dt: float, active_channel, attack_power_dbm: float) -> list[KeyBlock]:
-        """Advance dt seconds under the given circuit/attack conditions."""
+        """Advance dt seconds under the given circuit/attack conditions: end
+        the init if it ends within dt, then run _steps over [dt] and sample
+        its blocks in one draw. A block that aborts ends the session there."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         if active_channel is None:
             self._now += dt
             self._to_idle()
             return []
+        if self.state == STATE_INITIALIZING and dt > _EPS and self._init_remaining - dt <= _EPS:
+            step = min(dt, self._init_remaining)
+            self._init_remaining -= step
+            self._now += step
+            dt -= step
+            self.state = STATE_GENERATING
+        _, _, times, init_left, elapsed, now = self._steps([dt])
         produced: list[KeyBlock] = []
-        remaining = dt
-        while remaining > _EPS:
-            if self.state == STATE_INITIALIZING:
-                step = min(remaining, self._init_remaining)
-                self._init_remaining -= step
-                self._now += step
-                remaining -= step
-                if self._init_remaining <= _EPS:
-                    self.state = STATE_GENERATING
-                    self._interval_elapsed = 0.0
-            elif self.state == STATE_GENERATING:
-                step = min(remaining, self.key_interval_s - self._interval_elapsed)
-                self._interval_elapsed += step
-                self._now += step
-                remaining -= step
-                if self._interval_elapsed >= self.key_interval_s - _EPS:
-                    self._interval_elapsed = 0.0
-                    block = self._distill(active_channel, attack_power_dbm)
-                    if block is not None:
-                        produced.append(block)
-            else:  # Idle or Aborted: time passes, nothing happens
-                self._now += remaining
-                remaining = 0.0
+        if times:
+            rng_state = self.rng.bit_generator.state if len(times) > 1 else None
+            q, s = (x.tolist() for x in physics.sample(
+                active_channel, attack_power_dbm, self.rng.standard_normal(2 * len(times))))
+            limit = physics.abort_qber(active_channel.ec_efficiency)
+            n = next((i + 1 for i, x in enumerate(q) if x >= limit), len(q))
+            if q[n - 1] >= limit:  # the session stops at the first aborting block
+                if n < len(q):  # the draw covered blocks past it: redraw up to it
+                    self.rng.bit_generator.state = rng_state
+                    self.rng.standard_normal(2 * n)
+                _, _, _, init_left, elapsed, now = self._steps([dt], abort_at=n)
+                self.state = STATE_ABORTED
+            bits = [round(x * self.key_interval_s) for x in s[:n]]
+            # An aborting block has no key rate, so no key bits.
+            self._last_qber, self._last_skr, self._last_key_bits = q[n - 1], s[n - 1], bits[-1]
+            for size, t in zip(bits, times):
+                if size > 0:
+                    self._sequence += 1
+                    produced.append(KeyBlock(self._sequence, size, t))
+        self._init_remaining, self._interval_elapsed, self._now = init_left, elapsed, now
         return produced
 
     def tick_while(self, dts, active_channel, attack_power_dbm: float, acts):
@@ -132,11 +147,11 @@ class QkdUnitPair:
         """
         reading = self.read_monitor(self._now)
         readouts = [(reading["qber"], reading["skr_bps"], reading["last_key_size_bits"])]
-        ticks, block_ticks, init_left, elapsed, now = self._steps(dts)
+        ticks, block_ticks, _, init_left, elapsed, now = self._steps(dts)
         if block_ticks:
             rng_state = self.rng.bit_generator.state
-            q, s = physics.sample_array(active_channel, attack_power_dbm,
-                                        self.rng.standard_normal(2 * len(block_ticks)))
+            q, s = physics.sample(active_channel, attack_power_dbm,
+                                  self.rng.standard_normal(2 * len(block_ticks)))
             bits = np.rint(s * self.key_interval_s).astype(np.int64)
             stops = np.flatnonzero(acts(q, bits, self.state) | (
                 q >= physics.abort_qber(active_channel.ec_efficiency)))
@@ -147,7 +162,7 @@ class QkdUnitPair:
                 kept = bisect_left(block_ticks, ticks)
                 self.rng.bit_generator.state = rng_state
                 self.rng.standard_normal(2 * kept)
-                _, _, init_left, elapsed, now = self._steps(dts[:ticks])
+                _, _, _, init_left, elapsed, now = self._steps(dts[:ticks])
             readouts += zip(q[:kept].tolist(), s[:kept].tolist(), bits[:kept].tolist())
             self._last_qber, self._last_skr, self._last_key_bits = readouts[-1]
             self._sequence += int(np.count_nonzero(bits[:kept]))
@@ -158,22 +173,25 @@ class QkdUnitPair:
         """Simulated time left in the init, to within _EPS; inf outside it."""
         return self._init_remaining if self.state == STATE_INITIALIZING else math.inf
 
-    def _steps(self, dts):
-        """tick's arithmetic over dts on a lit circuit, up to the tick that ends
-        the init: the ticks taken, the tick distilling each block, and the init
-        left, elapsed interval and clock after them."""
+    def _steps(self, dts, abort_at=0):
+        """The interval arithmetic over dts on a lit circuit, up to the tick
+        that ends the init: the ticks taken, the tick distilling each block and
+        its time, and the init left, elapsed interval and clock after them.
+        With abort_at n > 0, the session aborts at the n-th block: from there
+        on time passes and nothing happens."""
         initializing = self.state == STATE_INITIALIZING
         generating = self.state == STATE_GENERATING
         interval = self.key_interval_s
         edge = interval - _EPS
         init_left, elapsed, now = self._init_remaining, self._interval_elapsed, self._now
         block_ticks: list[int] = []
+        block_times: list[float] = []
         for i, dt in enumerate(dts):
             if dt <= _EPS:  # changes nothing, not even the clock
                 continue
             if initializing:
                 if init_left - dt <= _EPS:
-                    return i, block_ticks, init_left, elapsed, now
+                    return i, block_ticks, block_times, init_left, elapsed, now
                 init_left -= dt
             elif generating:
                 if elapsed + dt >= edge:  # the tick distils one block or more
@@ -186,10 +204,16 @@ class QkdUnitPair:
                         if elapsed >= edge:
                             elapsed = 0.0
                             block_ticks.append(i)
+                            block_times.append(now)
+                            if len(block_ticks) == abort_at:
+                                generating = False
+                                if remaining > _EPS:
+                                    now += remaining
+                                break
                     continue
                 elapsed += dt
             now += dt
-        return len(dts), block_ticks, init_left, elapsed, now
+        return len(dts), block_ticks, block_times, init_left, elapsed, now
 
     def read_monitor(self, now: float) -> dict:
         """Side-effect-free monitoring read-out in the wire schema."""
@@ -203,21 +227,6 @@ class QkdUnitPair:
         }
 
     # -- internals ---------------------------------------------------------
-
-    def _distill(self, channel: ChannelParams, attack_power_dbm: float):
-        sample = physics.sample(channel, attack_power_dbm, self.rng)
-        self._last_qber = sample.qber
-        self._last_skr = sample.skr_bps
-        if sample.qber >= physics.abort_qber(channel.ec_efficiency):
-            self.state = STATE_ABORTED
-            self._last_key_bits = 0
-            return None
-        bits = int(round(sample.skr_bps * self.key_interval_s))
-        self._last_key_bits = bits
-        if bits <= 0:
-            return None
-        self._sequence += 1
-        return KeyBlock(sequence_no=self._sequence, size_bits=bits, produced_at=self._now)
 
     def _to_idle(self):
         self.state = STATE_IDLE

@@ -29,10 +29,10 @@ class _LineHandler(socketserver.StreamRequestHandler):
         if greeting is not None:
             self.wfile.write(greeting().encode("utf-8"))
         for raw in self.rfile:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 reply = agent.process_line(line)
             except Exception:
                 break  # protocol violation: drop the connection

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -23,7 +22,6 @@ from qkdsim.physics import (
     noise_rate,
     qber,
     sample,
-    sample_array,
     skr,
 )
 
@@ -243,62 +241,51 @@ class TestCalibrate:
         assert skr(p, knee + span) == 0.0
 
 
-class FixedNormals:
-    """Stand-in rng whose standard normals are the given values, in turn."""
-
-    def __init__(self, *values):
-        self._values = itertools.cycle(values)
-
-    def standard_normal(self):
-        return next(self._values)
+def fixed_normals(value: float) -> np.ndarray:
+    """Both standard normals of one sample set to value."""
+    return np.full(2, value)
 
 
 class TestSample:
     def test_zero_sigma_reproduces_the_means(self):
         p = calibrate(LINK2_ANCHORS)
-        s = sample(p, ATTACK_OFF, FixedNormals(0.0))
-        assert s.skr_bps == skr(p, ATTACK_OFF)
-        assert s.qber == qber(p, ATTACK_OFF)
+        q, s = sample(p, ATTACK_OFF, fixed_normals(0.0))
+        assert s.tolist() == [skr(p, ATTACK_OFF)]
+        assert q.tolist() == [qber(p, ATTACK_OFF)]
 
     def test_same_seed_same_draws(self):
         p = calibrate(LINK2_ANCHORS)
-        a = [sample(p, -20.0, np.random.default_rng(7)) for _ in range(1)]
-        b = [sample(p, -20.0, np.random.default_rng(7)) for _ in range(1)]
-        assert a == b
+        a, b = (sample(p, -20.0, np.random.default_rng(7).standard_normal(2)) for _ in range(2))
+        assert (a[0].tolist(), a[1].tolist()) == (b[0].tolist(), b[1].tolist())
 
     def test_statistical_means(self):
         p = calibrate(LINK2_ANCHORS)
-        rng = np.random.default_rng(1234)
-        draws = [sample(p, ATTACK_OFF, rng) for _ in range(10_000)]
-        skr_mean = float(np.mean([d.skr_bps for d in draws]))
-        qber_mean = float(np.mean([d.qber for d in draws]))
+        q, s = sample(p, ATTACK_OFF, np.random.default_rng(1234).standard_normal(2 * 10_000))
         # 0.03 and 0.05 relative sigma; allow 5 standard errors.
-        assert abs(skr_mean - 950.0) < 5 * 950.0 * 0.03 / math.sqrt(10_000)
-        assert abs(qber_mean - 0.02) < 5 * 0.02 * 0.05 / math.sqrt(10_000)
+        assert abs(float(np.mean(s)) - 950.0) < 5 * 950.0 * 0.03 / math.sqrt(10_000)
+        assert abs(float(np.mean(q)) - 0.02) < 5 * 0.02 * 0.05 / math.sqrt(10_000)
 
     def test_clamped_to_valid_ranges(self):
         p = make_params()
         qbers = set()
         for power in (ATTACK_OFF, 20.0, 40.0):
             for normal in (30.0, -30.0):
-                s = sample(p, power, FixedNormals(normal))
-                assert s.skr_bps >= 0.0
-                assert 0.0 <= s.qber <= 0.5
-                qbers.add(s.qber)
+                q, s = sample(p, power, fixed_normals(normal))
+                assert s[0] >= 0.0
+                assert 0.0 <= q[0] <= 0.5
+                qbers.add(q[0].item())
         assert {0.0, 0.5} <= qbers
 
     def test_aborted_sample_reports_zero_key(self):
         p = calibrate(LINK1_ANCHORS)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            s = sample(p, -40.0, rng)
-            assert s.skr_bps == 0.0
-            assert s.qber >= abort_qber(p.ec_efficiency)
+        q, s = sample(p, -40.0, np.random.default_rng(3).standard_normal(2 * 50))
+        assert (s == 0.0).all()
+        assert (q >= abort_qber(p.ec_efficiency)).all()
 
 
-def hand_sample(p: ChannelParams, power: float, seed: int) -> tuple[float, float]:
-    """sample() spelled out: fresh means and two draws, QBER then SKR."""
-    rng = np.random.default_rng(seed)
+def hand_sample(p: ChannelParams, power: float, rng) -> tuple[float, float]:
+    """One sample spelled out in floats: fresh means and two draws from rng,
+    QBER then SKR."""
     q = min(max(qber(p, power) * (1.0 + 0.05 * rng.standard_normal()), 0.0), 0.5)
     s = max(skr(p, power) * (1.0 + 0.03 * rng.standard_normal()), 0.0)
     return q, (0.0 if q >= abort_qber(p.ec_efficiency) else s)
@@ -323,14 +310,14 @@ class TestSampleMemo:
            st.integers(0, 2**32 - 1))
     def test_sample_equals_the_means_computed_by_hand(self, p, powers, seed):
         for power in powers:
-            got = sample(p, power, np.random.default_rng(seed))
-            assert (got.qber, got.skr_bps) == hand_sample(p, power, seed)
+            q, s = sample(p, power, np.random.default_rng(seed).standard_normal(2))
+            assert (q.item(), s.item()) == hand_sample(p, power, np.random.default_rng(seed))
 
     def test_a_power_change_gives_the_new_means(self):
         p = calibrate(LINK2_ANCHORS)
         for power in (ATTACK_OFF, -12.0, -12.0, -30.0, ATTACK_OFF):
-            s = sample(p, power, FixedNormals(0.0))
-            assert (s.qber, s.skr_bps) == (qber(p, power), skr(p, power))
+            q, s = sample(p, power, fixed_normals(0.0))
+            assert (q.item(), s.item()) == (qber(p, power), skr(p, power))
 
 
 class TestSampleArray:
@@ -338,10 +325,11 @@ class TestSampleArray:
     @given(calibrated_channels, st.one_of(st.just(ATTACK_OFF), st.floats(-90.0, 0.0)),
            st.integers(0, 2**32 - 1), st.integers(0, 50))
     def test_bit_equal_to_sample(self, p, power, seed, n):
+        """n samples from one draw equal n hand samples drawn one at a time."""
         rng = np.random.default_rng(seed)
-        one_by_one = [sample(p, power, rng) for _ in range(n)]
-        q, s = sample_array(p, power, np.random.default_rng(seed).standard_normal(2 * n))
-        assert list(zip(q.tolist(), s.tolist())) == [(x.qber, x.skr_bps) for x in one_by_one]
+        one_by_one = [hand_sample(p, power, rng) for _ in range(n)]
+        q, s = sample(p, power, np.random.default_rng(seed).standard_normal(2 * n))
+        assert list(zip(q.tolist(), s.tolist())) == one_by_one
 
     @pytest.mark.parametrize("normals", [
         [-5.0, -40.0],  # a dead channel's zero mean times a negative factor: -0.0
@@ -356,7 +344,7 @@ class TestSampleArray:
         s = max(s_mean * (1.0 + 0.03 * normals[1]), 0.0)
         if q >= abort_qber(p.ec_efficiency):
             s = 0.0
-        got_q, got_s = sample_array(p, power, np.array(normals))
+        got_q, got_s = sample(p, power, np.array(normals))
         for got, want in ((got_q[0], q), (got_s[0], s)):
             assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 

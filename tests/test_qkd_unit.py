@@ -11,13 +11,23 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim.clock import SimClock
-from qkdsim.physics import ATTACK_OFF, CalibrationAnchors, calibrate
+from qkdsim.physics import (
+    ATTACK_OFF,
+    QBER_SIGMA,
+    SKR_SIGMA,
+    CalibrationAnchors,
+    abort_qber,
+    calibrate,
+    qber,
+    skr,
+)
 from qkdsim.qkd_unit import (
     _EPS,
     STATE_ABORTED,
     STATE_GENERATING,
     STATE_IDLE,
     STATE_INITIALIZING,
+    KeyBlock,
     MonitorAgent,
     QkdUnitPair,
 )
@@ -165,8 +175,8 @@ class TestDeterminismAndPartitioning:
 
 
 class LoopUnit(QkdUnitPair):
-    """Reference unit: tick written out step by step, independent of the
-    unit's own code."""
+    """Reference unit: tick written out step by step, one block and one
+    scalar sample at a time, independent of the unit's own code."""
 
     def tick(self, dt, active_channel, attack_power_dbm):
         if dt <= 0:
@@ -201,6 +211,21 @@ class LoopUnit(QkdUnitPair):
                 remaining = 0.0
         return produced
 
+    def _distill(self, channel, power):
+        q = qber(channel, power) * (1.0 + QBER_SIGMA * self.rng.standard_normal())
+        s = skr(channel, power) * (1.0 + SKR_SIGMA * self.rng.standard_normal())
+        self._last_qber = min(max(q, 0.0), 0.5)
+        if self._last_qber >= abort_qber(channel.ec_efficiency):
+            self.state = STATE_ABORTED
+            self._last_skr, self._last_key_bits = 0.0, 0
+            return None
+        self._last_skr = max(s, 0.0)
+        self._last_key_bits = round(self._last_skr * self.key_interval_s)
+        if self._last_key_bits <= 0:
+            return None
+        self._sequence += 1
+        return KeyBlock(self._sequence, self._last_key_bits, self._now)
+
 
 def unit_state(unit: QkdUnitPair):
     return (unit.state, unit._init_remaining, unit._interval_elapsed, unit._now,
@@ -220,7 +245,7 @@ steps = st.one_of(
     st.tuples(st.just("tick"), st.floats(1e-15, 1e-9)),
     st.tuples(st.just("tick"), st.floats(1e-6, 200.0)),
     st.tuples(st.just("near"), near),
-    st.tuples(st.just("power"), st.sampled_from([ATTACK_OFF, -40.0, -12.0, KILL_POWER])),
+    st.tuples(st.just("power"), st.sampled_from([ATTACK_OFF, -40.0, -12.0, -9.2, KILL_POWER])),
     st.tuples(st.just("lose"), st.floats(0.5, 5.0)),
     st.tuples(st.just("restart"), st.none()),
 )
@@ -231,6 +256,8 @@ class TestTickMatchesTheLoop:
     @given(st.integers(0, 2**32 - 1), st.lists(steps, max_size=40))
     @example(1, [("near", -1e-9), ("near", 1e-9), ("near", 0.0), ("tick", 1e-9),
                  ("near", -5e-10), ("near", 5e-10), ("power", KILL_POWER), ("near", 0.0)])
+    # Clean blocks, then one that aborts, inside the 600 s tick.
+    @example(3, [("tick", 130.0), ("power", -9.2), ("tick", 600.0), ("tick", 60.0)])
     def test_every_tick_equals_the_reference_loop(self, seed, ops):
         fast = make_unit(seed=seed, jitter=0.03)
         slow = LoopUnit(np.random.default_rng(seed), init_jitter_frac=0.03)
@@ -310,13 +337,13 @@ class TestTickWhileClean:
             assume(unit.state == STATE_GENERATING)
         distilled = []
 
-        def distill(channel, power, distill=ticked._distill):
+        def distill(channel, power, distill=looped._distill):
             block = distill(channel, power)
-            distilled.append((ticked._last_qber, ticked._last_skr, ticked._last_key_bits,
-                              ticked.state))
+            distilled.append((looped._last_qber, looped._last_skr, looped._last_key_bits,
+                              looped.state))
             return block
 
-        ticked._distill = distill
+        looped._distill = distill
         acts = never if qber_max is None else clean(qber_max)
         ticks, block_ticks, readouts = batched.tick_while(dts, CHANNEL, power, acts)
         for i, dt in enumerate(dts[:ticks]):
@@ -332,7 +359,7 @@ class TestTickWhileClean:
         assert all(not acts(q, bits, state) and state == STATE_GENERATING
                    for q, _, bits, state in distilled)
         if ticks < len(dts):
-            ticked.tick(dts[ticks], CHANNEL, power)
+            looped.tick(dts[ticks], CHANNEL, power)
             assert any(acts(q, bits, state) or state == STATE_ABORTED
                        for q, _, bits, state in distilled[len(readouts) - 1:])
 

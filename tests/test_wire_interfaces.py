@@ -129,6 +129,17 @@ class TestMonitorSocket:
             server.shutdown()
             server.server_close()
 
+    def test_a_non_utf8_line_drops_the_connection_silently(self, capfd):
+        unit = QkdUnitPair(np.random.default_rng(0))
+        server = serve_agent(MonitorAgent(unit, FrozenClock()), "127.0.0.1", 0)
+        try:
+            with socket.create_connection(server.server_address, timeout=5.0) as sock:
+                sock.sendall(b"\xff\n")
+                assert sock.makefile("rb").readline() == b""  # server closed on us
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert capfd.readouterr().err == ""
 
     def test_a_dropped_connection_raises_connection_error(self):
         class BrokenAgent:
