@@ -38,6 +38,8 @@ STATE_GENERATING = "Generating"
 STATE_ABORTED = "Aborted"
 
 _EPS = 1e-9
+# The read-outs of a tick_while that keeps no block.
+_NO_BLOCKS = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,11 @@ class QkdUnitPair:
         acts works elementwise on numpy arrays. All samples are drawn in one
         call, the same values as one at a time.
 
-        Returns the ticks taken, the tick distilling each block of dts, and the
-        read-outs (qber, skr_bps, key_bits) after 0, 1, ... of the blocks kept.
+        Returns the ticks taken, the tick distilling each block kept, and the
+        kept blocks' read-outs as arrays: qber, skr_bps and key_bits.
         """
-        reading = self.read_monitor(self._now)
-        readouts = [(reading["qber"], reading["skr_bps"], reading["last_key_size_bits"])]
         ticks, block_ticks, _, init_left, elapsed, now = self._steps(dts)
+        q = s = bits = _NO_BLOCKS
         if block_ticks:
             rng_state = self.rng.bit_generator.state
             q, s = physics.sample(active_channel, attack_power_dbm,
@@ -155,7 +156,6 @@ class QkdUnitPair:
             bits = np.rint(s * self.key_interval_s).astype(np.int64)
             stops = np.flatnonzero(acts(q, bits, self.state) | (
                 q >= physics.abort_qber(active_channel.ec_efficiency)))
-            kept = len(block_ticks)
             if len(stops):
                 ticks = block_ticks[stops[0]]
                 # One tick may distil several blocks: keep those before it.
@@ -163,11 +163,13 @@ class QkdUnitPair:
                 self.rng.bit_generator.state = rng_state
                 self.rng.standard_normal(2 * kept)
                 _, _, _, init_left, elapsed, now = self._steps(dts[:ticks])
-            readouts += zip(q[:kept].tolist(), s[:kept].tolist(), bits[:kept].tolist())
-            self._last_qber, self._last_skr, self._last_key_bits = readouts[-1]
-            self._sequence += int(np.count_nonzero(bits[:kept]))
+                block_ticks, q, s, bits = block_ticks[:kept], q[:kept], s[:kept], bits[:kept]
+            if block_ticks:
+                self._last_qber, self._last_skr = float(q[-1]), float(s[-1])
+                self._last_key_bits = int(bits[-1])
+                self._sequence += int(np.count_nonzero(bits))
         self._init_remaining, self._interval_elapsed, self._now = init_left, elapsed, now
-        return ticks, block_ticks, readouts
+        return ticks, block_ticks, q, s, bits
 
     def init_left(self) -> float:
         """Simulated time left in the init, to within _EPS; inf outside it."""
@@ -197,7 +199,9 @@ class QkdUnitPair:
                 if elapsed + dt >= edge:  # the tick distils one block or more
                     remaining = dt
                     while remaining > _EPS:
-                        step = min(remaining, interval - elapsed)
+                        step = interval - elapsed
+                        if remaining <= step:
+                            step = remaining
                         elapsed += step
                         now += step
                         remaining -= step

@@ -172,15 +172,16 @@ class Qpm:
             return self.config.reinit_poll_period_s
         return self.config.poll_period_s
 
-    def skip_polls(self, times: list[float], reading: Callable[[int], dict]):
-        """Take over polls at times (the pending one first), none of whose
-        readings could_act accepts; poll j reads reading(j). The monitor then
-        stands as if it had polled: same history and next poll."""
+    def skip_polls(self, count: int, last_t: float, reading: Callable[[int], dict]):
+        """Take over the next count polls (the pending one first, the last at
+        last_t), none of whose readings could_act accepts; poll j reads
+        reading(j), which is asked only for the polls the history keeps. The
+        monitor then stands as if it had polled: same history and next poll."""
         cap = self._history_cap
-        self.history.extend(reading(j) for j in range(max(0, len(times) - cap), len(times)))
+        self.history.extend(reading(j) for j in range(max(0, count - cap), count))
         del self.history[:-cap]
         self.scheduler.cancel(self._next_poll)
-        self._schedule_next(times[-1])
+        self._schedule_next(last_t)
 
     # -- internals -------------------------------------------------------------
 

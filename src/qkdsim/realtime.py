@@ -93,7 +93,9 @@ class SocketSwitchLink(_LineClient):
             raise SwitchDisconnected(self.switch_id)
         try:
             return self._exchange(msg)
-        except (OSError, json.JSONDecodeError) as exc:  # OSError covers ConnectionError
+        # OSError covers ConnectionError; ValueError covers a reply that is
+        # not JSON or not UTF-8.
+        except (OSError, ValueError) as exc:
             self.connected = False
             raise SwitchDisconnected(self.switch_id) from exc
 

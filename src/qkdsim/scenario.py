@@ -25,16 +25,27 @@ sample at k * period schedules the one at (k + 1) * period, so the
 event heap holds at most one metrics event at a time.
 
 Most polls cannot act, and the runner advances over them in batches.
-After every event the loop runs, it tries one batch over the polls and
-samples before the next attack change. One rule decides it,
-Qpm.could_act: the batch starts only from a unit read-out that the
-monitor could not act on, and QkdUnitPair.tick_while stops it before
-the tick that would change the unit's state (end the init, abort) or
-distil a block whose read-out the monitor could act on. So every poll
-the batch takes over reads a reading could_act rejects, and the poll
-that could act runs on the event loop. The artifacts and random stream
-come out as the event loop alone leaves them. The batch relies on
-attack changes, polls and samples being the only scheduled events.
+After every event the loop runs, it tries one batch over the attack
+changes, polls and samples ahead, up to _BATCH_PERIODS poll periods.
+One rule decides it, Qpm.could_act: the batch starts only from a unit
+read-out that the monitor could not act on, and QkdUnitPair.tick_while
+stops it before the tick that would change the unit's state (end the
+init, abort) or distil a block whose read-out the monitor could act on.
+So every poll the batch takes over reads a reading could_act rejects,
+and the poll that could act runs on the event loop.
+
+The batch relies on attack changes, polls and samples being the only
+scheduled events, and on none of them taking simulated time. It lists
+them on numpy arrays in the order the event loop runs them: at one
+time, attack changes in file order, then the poll, then the sample.
+Each syncs the unit as sync_unit does, merging events within _SYNC_EPS
+of the last tick's end. The ticks run in stretches of constant attack
+powers, one tick_while per stretch, since a change on the lit link
+changes the power its blocks are sampled at; the batch stops at the
+first stretch that stops. An attack change the batch takes over is
+applied as _apply_attack applies it, so rows after it show the new
+powers. The artifacts and random stream come out as the event loop
+alone leaves them.
 """
 
 from __future__ import annotations
@@ -44,7 +55,6 @@ import math
 import os
 import stat
 import time
-from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
@@ -79,12 +89,57 @@ _SYNC_EPS = 1e-12
 # Poll periods one batch spans at most, which bounds the memory it takes.
 _BATCH_PERIODS = 1024
 
-# A metrics.csv row: t, active_path, skr_bps, qber, the attack powers, qpm_state.
-_metrics_row = "{:.1f},{},{:.6f},{:.6f},{},{}".format
+# No polls, samples or attack changes in a batch, and their positions.
+_NO_EVENTS = np.empty(0)
+_NO_POSITIONS = np.empty(0, dtype=np.intp)
+
+
+def _row_template(path_id: str, powers_csv: str, mode: str) -> str:
+    """A metrics.csv row (t, active_path, skr_bps, qber, the attack powers,
+    qpm_state) as a %-template that t, skr_bps and qber fill in."""
+    return "%.1f," + path_id.replace("%", "%%") + ",%.6f,%.6f," + powers_csv + "," + mode
 
 
 class ScenarioError(ValueError):
     """Malformed scenario file or inconsistent run inputs."""
+
+
+def _run_order(polls: np.ndarray, samples: np.ndarray, attack_t: np.ndarray):
+    """Each event's place when the sorted polls, samples and attack changes
+    run as the event loop runs them: at one time, the attack changes (in
+    the order given), then the poll, then the sample."""
+    at_poll = np.arange(len(polls)) + samples.searchsorted(polls)
+    at_sample = np.arange(len(samples)) + polls.searchsorted(samples, "right")
+    at_attack = _NO_POSITIONS
+    if len(attack_t):
+        at_poll += attack_t.searchsorted(polls, "right")
+        at_sample += attack_t.searchsorted(samples, "right")
+        at_attack = (np.arange(len(attack_t)) + polls.searchsorted(attack_t)
+                     + samples.searchsorted(attack_t))
+    return at_poll, at_sample, at_attack
+
+
+def _sync_ticks(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ticks that syncing the unit at each of grid[1:] takes when the last
+    tick ended at grid[0]: the ticks ended up to each event, and their lengths.
+
+    As sync_unit does, an event ends a tick when it falls more than
+    _SYNC_EPS after the last tick's end. Events within _SYNC_EPS of each
+    other are merged in sequence, one after another.
+    """
+    times = grid[1:]
+    gaps = times - grid[:-1]
+    ends = gaps > _SYNC_EPS
+    if np.count_nonzero(gaps) == np.count_nonzero(ends):
+        return np.cumsum(ends), gaps[ends]  # each merged event is a tick's end
+    # An event merged into a tick ends past it: decide each in sequence.
+    last, ends = float(grid[0]), []
+    for t in times.tolist():
+        ends.append(t - last > _SYNC_EPS)
+        if ends[-1]:
+            last = t
+    ticks = times[ends]
+    return np.cumsum(ends), ticks - np.concatenate((grid[:1], ticks[:-1]))
 
 
 @dataclass(frozen=True)
@@ -164,6 +219,13 @@ class ScenarioRun:
         for event in scenario.events:
             if event.link_id not in known_links:
                 raise ScenarioError(f"scenario references unknown link '{event.link_id}'")
+        qpm_config = qpm_config or QpmConfig()
+        for name in ("poll_period_s", "reinit_poll_period_s"):
+            # A period of at most half an ulp of the duration leaves t + period
+            # == t for some t before the end, so polls would never get there.
+            if not math.ulp(scenario.duration_s) / 2 < getattr(qpm_config, name) < math.inf:
+                raise ScenarioError(f"{name} must be finite and large enough to advance "
+                                    f"the clock over duration_s {scenario.duration_s!r}")
         self.topology = topology
         self.scenario = scenario
         self.seed = seed
@@ -187,7 +249,7 @@ class ScenarioRun:
             topology, self.links, self.clock, log=self.controller_records.append)
         self.northbound = Northbound(self.controller)
         self.controller_client = LocalControllerClient(self.northbound, self.clock)
-        self.qpm = Qpm(qpm_config or QpmConfig(), topology,
+        self.qpm = Qpm(qpm_config, topology,
                        self.controller_client, LocalQkdClient(self),
                        self.clock, self.scheduler)
         self.attack_powers = {link.link_id: ATTACK_OFF for link in topology.links}
@@ -195,8 +257,9 @@ class ScenarioRun:
         self.metrics_rows: list[str] = []
         # The pending metrics sample: (k, scheduler entry), None past the end.
         self._next_metrics: Optional[tuple[int, list]] = None
-        # Attack changes run in time order; the batch stops before the next.
-        self._attack_times = sorted(event.t for event in scenario.events)
+        # The attack changes with their scheduler entries, in the order they
+        # run; the first _attacks_applied of them have run.
+        self._attacks: list[tuple[ScenarioEvent, list]] = []
         self._attacks_applied = 0
         self._last_sync = 0.0
 
@@ -231,6 +294,10 @@ class ScenarioRun:
 
     def _apply_attack(self, event: ScenarioEvent):
         self.sync_unit()
+        self._set_attack(event)
+
+    def _set_attack(self, event: ScenarioEvent):
+        """The attack change itself, once the unit is synced to its time."""
         self.attack_powers[event.link_id] = event.attack_power_dbm
         self._powers_csv = self._format_powers()
         self._attacks_applied += 1
@@ -241,9 +308,8 @@ class ScenarioRun:
         t = k * self.qpm.config.poll_period_s
         path_id, _, _ = self.current_circuit()
         reading = self.unit.read_monitor(self.clock.now())
-        self.metrics_rows.append(_metrics_row(
-            t, path_id or "none", reading["skr_bps"], reading["qber"], self._powers_csv,
-            self.qpm.mode))
+        self.metrics_rows.append(_row_template(path_id or "none", self._powers_csv, self.qpm.mode)
+                                 % (t, reading["skr_bps"], reading["qber"]))
         self._schedule_metrics(k + 1)
 
     def _schedule_metrics(self, k: int):
@@ -259,83 +325,139 @@ class ScenarioRun:
     # -- quiet stretches ---------------------------------------------------------
 
     def _advance_quiet(self):
-        """If the monitor could not act on the unit's read-out, run the polls
-        and samples before the next attack change in one batch, up to the tick
-        that would change the unit's state or give a read-out the monitor could
-        act on (see the module docstring)."""
+        """If the monitor could not act on the unit's read-out, run the attack
+        changes, polls and samples ahead in one batch, up to the tick that
+        would change the unit's state or give a read-out the monitor could act
+        on (see the module docstring)."""
         qpm, unit = self.qpm, self.unit
-        if self._circuit[1] is None:
+        path_id, link = self._circuit
+        if link is None:
             return
         current = unit.read_monitor(0.0)
         if qpm.could_act(current["qber"], current["last_key_size_bits"], current["state"]):
             return
         period = qpm.config.poll_period_s
         poll_period = qpm.poll_period()
-        now, duration = self.clock.now(), self.scenario.duration_s
-        if now > qpm.next_poll_t or (self._next_metrics is not None
-                                     and now > self._next_metrics[0] * period):
+        now, duration, last = self.clock.now(), self.scenario.duration_s, self._last_sync
+        attacks = self._attacks[self._attacks_applied:]
+        if (now > qpm.next_poll_t or (attacks and now > attacks[0][0].t)
+                or (self._next_metrics is not None and now > self._next_metrics[0] * period)):
             return  # an event runs late: leave it to the event loop
         end = min(duration, qpm.next_poll_t + _BATCH_PERIODS * min(period, poll_period),
-                  self._last_sync + unit.init_left())  # ticks past it are never taken
-        if self._attacks_applied < len(self._attack_times):
-            # An attack change runs first at its time: stop strictly before.
-            end = min(end, math.nextafter(self._attack_times[self._attacks_applied], -math.inf))
-        # Polls (t, 0, 0) and samples (t, 1, k), sorted as they run: a poll
-        # before a sample at the same time.
-        events = []
-        t = qpm.next_poll_t
-        while t <= end:
-            events.append((t, 0, 0))
-            t = t + poll_period
-        if self._next_metrics is not None:
-            k = self._next_metrics[0]
-            while k <= duration // period and k * period <= end:
-                events.append((k * period, 1, k))
-                k += 1
-        if not events:
-            return
-        events.sort()
+                  last + unit.init_left())  # ticks past it are never taken
 
-        last = self._last_sync
-        dts, tick_t, ticks_at = [], [], []  # ticks_at: ticks up to each event
-        for t, _, _ in events:
-            if t - last > _SYNC_EPS:
-                dts.append(t - last)
-                tick_t.append(t)
-                last = t
-            ticks_at.append(len(dts))
-        path_id, channel, power = self.current_circuit()
-        ticks, block_ticks, readouts = unit.tick_while(dts, channel, power, qpm.could_act)
-        cut = bisect_right(ticks_at, ticks)
+        # Polls: the monitor's chain of t + poll_period, which add.accumulate
+        # adds in the same sequence. A chain that falls short ends the batch.
+        polls = np.full(max(int((end - qpm.next_poll_t) / poll_period) + 2, 1), poll_period)
+        polls[0] = qpm.next_poll_t
+        np.add.accumulate(polls, out=polls)
+        end = min(end, float(polls[-1]))
+        polls = polls[:polls.searchsorted(end, "right")]
+        # Samples k * period; rows run up to k = duration // period.
+        samples = _NO_EVENTS
+        if self._next_metrics is not None:
+            samples = np.arange(self._next_metrics[0],
+                                int(min(duration // period, end // period + 1)) + 1) * period
+            samples = samples[:samples.searchsorted(end, "right")]
+        n_attacks = 0
+        while n_attacks < len(attacks) and attacks[n_attacks][0].t <= end:
+            n_attacks += 1
+        attacks = attacks[:n_attacks]
+        attack_t = np.array([event.t for event, _ in attacks]) if attacks else _NO_EVENTS
+        if not len(polls) + len(samples) + n_attacks:
+            return
+
+        # grid[0] is the last tick's end and grid[1:] the events in run order.
+        at_poll, at_sample, at_attack = _run_order(polls, samples, attack_t)
+        grid = np.empty(1 + len(polls) + len(samples) + n_attacks)
+        grid[0] = last
+        times = grid[1:]
+        times[at_poll] = polls
+        times[at_sample] = samples
+        times[at_attack] = attack_t
+        ticks_at, dts = _sync_ticks(grid)
+
+        # Ticks in stretches of constant attack powers, each up to the next
+        # attack change; the batch stops at the first stretch that stops.
+        _, channel, power = self.current_circuit()
+        bounds, powers = ticks_at[at_attack].tolist(), [power]
+        for event, _ in attacks:
+            powers.append(event.attack_power_dbm if event.link_id == link.link_id else powers[-1])
+        bounds.append(len(dts))
+        taken = 0
+        kept = []  # per stretch with blocks kept: their ticks, qber, skr_bps, key_bits
+        for stop, power in zip(bounds, powers):
+            if stop > taken:
+                start = taken
+                ticks, block_ticks, q, s, bits = unit.tick_while(
+                    dts[start:stop].tolist(), channel, power, qpm.could_act)
+                taken += ticks
+                if block_ticks:
+                    kept.append((np.add(block_ticks, start), q, s, bits))
+                if taken < stop:
+                    break
+
+        # Take over every event up to the last tick taken, and those merged into it.
+        cut = len(times) if taken == len(dts) else int(ticks_at.searchsorted(taken, "right"))
         if not cut:
             return
-        if ticks:
-            self._last_sync = tick_t[ticks - 1]
-        self.clock.advance_to(events[cut - 1][0])
-        blocks = np.searchsorted(block_ticks, ticks_at[:cut]).tolist()
+        if taken:
+            self._last_sync = float(times[ticks_at.searchsorted(taken)])
+        self.clock.advance_to(float(times[cut - 1]))
+        readout = (current["qber"], current["skr_bps"], current["last_key_size_bits"])
+        if kept:
+            # Read-out b is the one after b blocks: the current one, then each kept.
+            blocks = np.concatenate([part[0] for part in kept])
+            readouts = [np.concatenate([[value], *(part[i] for part in kept)])
+                        for i, value in enumerate(readout, 1)]
 
-        polls = [i for i in range(cut) if not events[i][1]]
-        if polls:
+        def read(at, *which):
+            """Read-outs 0 (qber), 1 (skr_bps) and 2 (key_bits) of the events
+            at positions at: one list for each index in which."""
+            if not kept:
+                return [[readout[i]] * len(at) for i in which]
+            done = blocks.searchsorted(ticks_at[at])
+            return [readouts[i][done].tolist() for i in which]
+
+        polls_kept = int(at_poll.searchsorted(cut))
+        if polls_kept:
+            first = max(0, polls_kept - qpm._history_cap)
+            qs, ss, bs = read(at_poll[first:polls_kept], 0, 1, 2)
+
             def reading(j):
-                q, s, bits = readouts[blocks[polls[j]]]
-                return {"timestamp": round(events[polls[j]][0], 6), "skr_bps": s, "qber": q,
-                        "last_key_size_bits": bits, "state": current["state"]}
-            qpm.skip_polls([events[i][0] for i in polls], reading)
+                i = j - first
+                return {"timestamp": round(float(polls[j]), 6), "skr_bps": ss[i],
+                        "qber": qs[i], "last_key_size_bits": bs[i], "state": current["state"]}
+            qpm.skip_polls(polls_kept, float(polls[polls_kept - 1]), reading)
 
-        powers, mode = self._powers_csv, qpm.mode
-        rows = [_metrics_row(k * period, path_id, readouts[b][1], readouts[b][0], powers, mode)
-                for (_, kind, k), b in zip(events[:cut], blocks) if kind]
-        if rows:
-            self.metrics_rows.extend(rows)
+        # Rows from one template per stretch; each attack change taken over
+        # applies between two stretches.
+        samples_kept = int(at_sample.searchsorted(cut))
+        sample_t = samples[:samples_kept].tolist()
+        qs, ss = read(at_sample[:samples_kept], 0, 1)
+        splits = at_sample.searchsorted(at_attack[at_attack < cut]).tolist()
+        start = 0
+        for index, stop in enumerate(splits + [samples_kept]):
+            if stop > start:
+                row = _row_template(path_id, self._powers_csv, qpm.mode)
+                self.metrics_rows += [row % args for args in
+                                      zip(sample_t[start:stop], ss[start:stop], qs[start:stop])]
+                start = stop
+            if index < len(splits):
+                event, entry = attacks[index]
+                self.scheduler.cancel(entry)
+                self._set_attack(event)
+        if samples_kept:
             self.scheduler.cancel(self._next_metrics[1])
-            self._schedule_metrics(self._next_metrics[0] + len(rows))
+            self._schedule_metrics(self._next_metrics[0] + samples_kept)
 
     # -- execution ---------------------------------------------------------------
 
     def execute(self):
-        for event in self.scenario.events:
-            self.scheduler.at(event.t, lambda ev=event: self._apply_attack(ev),
-                              priority=PRIORITY_ATTACK)
+        # In time order, and in file order at one time, as the event loop runs them.
+        for event in sorted(self.scenario.events, key=lambda event: event.t):
+            self._attacks.append((event, self.scheduler.at(
+                event.t, lambda ev=event: self._apply_attack(ev), priority=PRIORITY_ATTACK)))
         self.scheduler.at(0.0, lambda: self.qpm.startup(0.0), priority=PRIORITY_QPM)
         self._schedule_metrics(0)
         self.scheduler.run_until(self.scenario.duration_s, after=self._advance_quiet)

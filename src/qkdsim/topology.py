@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -74,18 +74,19 @@ class Topology:
     paths: tuple[PathSpec, ...]  # order is the QPM selection order
     alice_port: Port
     bob_port: Port
+    # Lookups by id, built once from links and paths.
+    _links: dict[str, LinkSpec] = field(init=False, repr=False, compare=False)
+    _paths: dict[str, PathSpec] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_links", {link.link_id: link for link in self.links})
+        object.__setattr__(self, "_paths", {path.path_id: path for path in self.paths})
 
     def link(self, link_id: str) -> LinkSpec:
-        for link in self.links:
-            if link.link_id == link_id:
-                return link
-        raise KeyError(link_id)
+        return self._links[link_id]
 
     def path(self, path_id: str) -> PathSpec:
-        for path in self.paths:
-            if path.path_id == path_id:
-                return path
-        raise KeyError(path_id)
+        return self._paths[path_id]
 
     def link_for_path(self, path_id: str) -> LinkSpec:
         return self.link(self.path(path_id).link_id)

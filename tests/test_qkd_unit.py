@@ -345,7 +345,11 @@ class TestTickWhileClean:
 
         looped._distill = distill
         acts = never if qber_max is None else clean(qber_max)
-        ticks, block_ticks, readouts = batched.tick_while(dts, CHANNEL, power, acts)
+        reading = ticked.read_monitor(ticked._now)
+        ticks, block_ticks, q, s, bits = batched.tick_while(dts, CHANNEL, power, acts)
+        assert len(block_ticks) == len(q) == len(s) == len(bits)
+        readouts = [(reading["qber"], reading["skr_bps"], reading["last_key_size_bits"]),
+                    *zip(q.tolist(), s.tolist(), bits.tolist())]
         for i, dt in enumerate(dts[:ticks]):
             reading = ticked.read_monitor(ticked._now)
             blocks = sum(1 for b in block_ticks if b < i)
@@ -406,9 +410,9 @@ class TestTickWhileFixed:
             if probe.state == STATE_INITIALIZING and probe._init_remaining + near_end > 0:
                 dts = dts + [probe._init_remaining + near_end]
         readout = ticked.read_monitor(0.0)
-        ticks, block_ticks, readouts = batched.tick_while(dts, CHANNEL, KILL_POWER, never)
-        assert block_ticks == []
-        assert readouts == [(readout["qber"], readout["skr_bps"], readout["last_key_size_bits"])]
+        ticks, block_ticks, q, s, bits = batched.tick_while(dts, CHANNEL, KILL_POWER, never)
+        assert block_ticks == [] and len(q) == len(s) == len(bits) == 0
+        assert batched.read_monitor(0.0) == readout
         for dt in dts[:ticks]:
             assert ticked.tick(dt, CHANNEL, KILL_POWER) == looped.tick(dt, CHANNEL, KILL_POWER)
             assert unit_state(ticked) == unit_state(looped)

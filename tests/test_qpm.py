@@ -358,7 +358,7 @@ class TestBatchedPolls:
         while len(times) < len(script):
             times.append(times[-1] + CFG.poll_period_s)
         qkd.script.update(zip(times, script))
-        batched.skip_polls(times, lambda j: dict(script[j], timestamp=times[j]))
+        batched.skip_polls(len(times), times[-1], lambda j: dict(script[j], timestamp=times[j]))
         scheduler.run_until(times[-1])
         assert polled.events == batched.events
         assert batched.history == polled.history

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -203,6 +205,15 @@ class TestScenarioRun:
         with pytest.raises(ScenarioError, match="unknown link"):
             ScenarioRun(reference_topology, scenario, seed=1)
 
+    @pytest.mark.parametrize("value", [1e-300, math.inf, math.nan])
+    @pytest.mark.parametrize("period", ["poll_period_s", "reinit_poll_period_s"])
+    def test_a_poll_period_the_clock_cannot_step_by_is_refused(self, reference_topology,
+                                                               period, value):
+        """600 + 1e-300 == 600: a chain of polls would never move."""
+        with pytest.raises(ScenarioError, match=period):
+            ScenarioRun(reference_topology, Scenario(600.0, ()), 1,
+                        qpm_config=QpmConfig(**{period: value}))
+
     def test_quiet_run_provisions_and_generates(self, reference_topology):
         run = ScenarioRun(reference_topology, Scenario(600.0, ()), seed=3)
         run.execute()
@@ -379,7 +390,11 @@ def finished_state(run, batches=True):
             run.controller_records, run.qpm.history, run.rng.bit_generator.state,
             (unit.state, unit._init_remaining, unit._interval_elapsed, unit._now,
              unit._sequence, unit._last_skr, unit._last_qber, unit._last_key_bits),
-            run._last_sync)
+            run._last_sync,
+            # Times and read-outs stay Python numbers, as the event loop keeps them.
+            [type(x).__name__ for x in (run.clock.now(), run._last_sync, unit._now,
+                                        run.qpm.next_poll_t, unit._last_qber, unit._last_skr,
+                                        unit._last_key_bits)])
 
 
 periods = st.one_of(st.sampled_from([0.1, 1.0, 59.999999999, 60.0, 60.000000001, 600.0]),
@@ -424,6 +439,22 @@ class TestQuietBatches:
     @example(seed=0, period=60.0, grace=60.0, debounce=2, threshold=0.08,
              duration=7200.0, attacks=[(0.0, link, -0.3) for link in ("link1", "link2", "link3")],
              reinit=1.0)
+    # Attack changes inside one batch: a lit-link change below the knee, an
+    # unlit-link change, two changes at one time, a change at the time of a
+    # poll and a sample (a 60 s re-init cadence keeps polls on the minute),
+    # and a lit-link change whose first block acts.
+    @example(seed=8, period=60.0, grace=240.0, debounce=2, threshold=0.08,
+             duration=7200.0, attacks=[(0.5, "link1", -10.0)], reinit=1.0)
+    @example(seed=9, period=60.0, grace=240.0, debounce=2, threshold=0.08,
+             duration=7200.0, attacks=[(0.5, "link3", -8.0)], reinit=1.0)
+    @example(seed=10, period=60.0, grace=240.0, debounce=2, threshold=0.08,
+             duration=7200.0, attacks=[(0.5, "link2", -10.0), (0.5, "link3", -8.0)],
+             reinit=1.0)
+    @example(seed=11, period=60.0, grace=240.0, debounce=2, threshold=0.08,
+             duration=7200.0, attacks=[(0.5, "link1", -8.0), (0.5, "link2", -10.0)],
+             reinit=60.0)
+    @example(seed=12, period=60.0, grace=240.0, debounce=2, threshold=0.08,
+             duration=7200.0, attacks=[(0.5, "link1", 0.0)], reinit=1.0)
     def test_batches_leave_the_run_as_the_event_loop_does(
             self, reference_topology, seed, period, grace, debounce, threshold, duration,
             attacks, reinit):
@@ -457,6 +488,41 @@ class TestQuietBatches:
         run.execute()
         assert len(polls) <= 5
 
+    def test_an_hourly_drift_is_batched(self, reference_topology):
+        """link1 falls at t=600 and link2, lit from then on, drifts hourly
+        below its knee for a day. The batches take the attack changes over,
+        link1's included: the event loop applies at most one of the 24."""
+        powers = [-45.0 + (7 * hour) % 24 for hour in range(1, 24)]
+        events = (ScenarioEvent(600.0, "link1", -40.0),
+                  *(ScenarioEvent(3600.0 * hour, "link2", power)
+                    for hour, power in enumerate(powers, start=1)))
+        run = ScenarioRun(reference_topology, Scenario(86400.0, events), seed=3)
+        applied, apply = [], run._apply_attack
+        run._apply_attack = lambda event: (applied.append(event), apply(event))
+        run.execute()
+        assert len(applied) <= 1
+        assert run._attacks_applied == 24
+        assert [e.kind for e in run.qpm.events].count(DETECTED) == 1
+        assert run.metrics_rows[-1].split(",")[4:7] == ["-40.00", f"{powers[-1]:.2f}", "-inf"]
+
+    def test_events_within_the_sync_tolerance_merge_in_sequence(self, reference_topology):
+        """Attack changes 2 ulps after the sample at 1800 s, and 2 and 4 ulps
+        after the one at 3600 s. Each is within _SYNC_EPS of the event before
+        it and ends no tick, so the next tick is timed from the sample; but
+        the one 4 ulps after 3600 s is not within _SYNC_EPS of the sample, so
+        it ends a tick of its own."""
+        ulp = math.ulp(3600.0)
+        assert 2 * ulp <= 1e-12 < 4 * ulp
+        events = (ScenarioEvent(1800.0 + 2 * math.ulp(1800.0), "link3", -40.0),
+                  ScenarioEvent(3600.0 + 2 * ulp, "link3", -30.0),
+                  ScenarioEvent(3600.0 + 4 * ulp, "link2", -30.0))
+
+        def state(batches):
+            return finished_state(ScenarioRun(reference_topology, Scenario(7200.0, events),
+                                              seed=4), batches)
+
+        assert state(True) == state(False)
+
     def test_an_alarm_tail_is_batched(self, reference_topology):
         """Every link attacked 1 dB short of its death power, over a 0.03
         threshold: all three fail over by t=540 and the unit keeps generating.
@@ -472,6 +538,21 @@ class TestQuietBatches:
         exhausted = [e.t for e in run.qpm.events if e.kind == EXHAUSTED]
         assert len(exhausted) == 1
         assert sum(1 for t in polls if t > exhausted[0]) <= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(0.0, 1e7), period=st.one_of(
+    st.sampled_from([1e-9, 0.1, 1.0, 1.0000000001, 59.999999999, 60.0, 7.3]),
+    st.floats(1e-6, 1e4)), count=st.integers(1, 1100))
+def test_add_accumulate_chains_as_repeated_addition(start, period, count):
+    """The batch lists poll times with np.add.accumulate: bit for bit the
+    monitor's t = t + period, one addition after another."""
+    chain = [start]
+    while len(chain) < count:
+        chain.append(chain[-1] + period)
+    times = np.full(count, period)
+    times[0] = start
+    assert np.add.accumulate(times).tolist() == chain
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -107,6 +108,30 @@ class TestSwitchSocket:
         link.close()
         with pytest.raises(SwitchDisconnected):
             link.send({"type": "BARRIER_REQUEST", "xid": 1})
+
+    def test_a_non_utf8_reply_disconnects_the_link(self):
+        """A stub switch greets, then answers a request with a byte that is
+        not UTF-8: the link marks itself disconnected."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as rfile:
+                conn.sendall(b'{"switch":"stub"}\n')
+                rfile.readline()
+                conn.sendall(b"\xff\n")
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        link = SocketSwitchLink(*listener.getsockname())
+        try:
+            with pytest.raises(SwitchDisconnected):
+                link.send({"type": "BARRIER_REQUEST", "xid": 1})
+            assert not link.connected
+        finally:
+            link.close()
+            server.join(timeout=5)
+            listener.close()
 
 
 class TestMonitorSocket:
