@@ -30,6 +30,11 @@ from .topology import Topology
 OUTCOME_SUCCESS = "SUCCESS"
 OUTCOME_FAILED = "FAILED"
 
+# Simulated time each direction of an in-process message takes.
+LATENCY_S = 0.002
+# Reconfigurations that may wait behind the running one.
+QUEUE_DEPTH = 16
+
 
 class SwitchDisconnected(ConnectionError):
     """Southbound link to a switch is down."""
@@ -96,22 +101,21 @@ class InProcessSwitchLink:
     """Deterministic southbound transport to one in-process switch.
 
     Each direction of every exchange advances the simulated clock by
-    latency_s, which is how controller time becomes measurable (and
+    LATENCY_S, which is how controller time becomes measurable (and
     small) in simulated runs.
     """
 
-    def __init__(self, switch: OpticalSwitch, clock, latency_s: float = 0.002):
+    def __init__(self, switch: OpticalSwitch, clock):
         self.switch = switch
         self.clock = clock
-        self.latency_s = latency_s
         self.connected = True
 
     def send(self, msg: dict) -> dict:
         if not self.connected:
             raise SwitchDisconnected(self.switch.switch_id)
-        self.clock.advance(self.latency_s)
+        self.clock.advance(LATENCY_S)
         reply = self.switch.handle_message(msg)
-        self.clock.advance(self.latency_s)
+        self.clock.advance(LATENCY_S)
         return reply
 
 
@@ -269,12 +273,11 @@ class Northbound:
 
     Shared by the in-process client and the HTTP server so the same
     status codes and body schemas apply on both transports. At most one
-    reconfiguration runs at a time; up to queue_depth more may wait.
+    reconfiguration runs at a time; up to QUEUE_DEPTH more may wait.
     """
 
-    def __init__(self, controller: SdnController, queue_depth: int = 16):
+    def __init__(self, controller: SdnController):
         self.controller = controller
-        self.queue_depth = queue_depth
         self._admission = threading.Lock()
         self._in_system = 0
 
@@ -283,7 +286,7 @@ class Northbound:
         if error is not None:
             return 400, {"error": error}
         with self._admission:
-            if self._in_system > self.queue_depth:
+            if self._in_system > QUEUE_DEPTH:
                 return 409, {"error": "reconfiguration queue full"}
             self._in_system += 1
         try:
@@ -323,21 +326,20 @@ class Northbound:
 
 
 class LocalControllerClient:
-    """In-process northbound client with deterministic request latency."""
+    """In-process northbound client: each direction takes LATENCY_S."""
 
-    def __init__(self, northbound: Northbound, clock, latency_s: float = 0.002):
+    def __init__(self, northbound: Northbound, clock):
         self.northbound = northbound
         self.clock = clock
-        self.latency_s = latency_s
 
     def post_reconfigure(self, body: dict) -> tuple[int, dict]:
-        self.clock.advance(self.latency_s)
+        self.clock.advance(LATENCY_S)
         status, resp = self.northbound.post_reconfigure(body)
-        self.clock.advance(self.latency_s)
+        self.clock.advance(LATENCY_S)
         return status, resp
 
     def get_paths(self) -> tuple[int, dict]:
-        self.clock.advance(self.latency_s)
+        self.clock.advance(LATENCY_S)
         status, resp = self.northbound.get_paths()
-        self.clock.advance(self.latency_s)
+        self.clock.advance(LATENCY_S)
         return status, resp

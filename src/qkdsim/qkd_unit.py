@@ -8,23 +8,21 @@ the optical circuit drops it to Idle (control-plane action, not attack).
 The monitor read-out is the poll target for failure detection: key size
 and rate read as zero whenever keys are not being generated.
 
-One engine advances the unit: _steps runs the interval arithmetic over
-a list of ticks on a lit circuit, and physics.sample turns the blocks
-it distils into read-outs, all from one draw of normals. tick is that
-engine over one dt: it ends the init first if the init ends within dt,
-and stops the session at a block that aborts. tick_while runs it over
-many ticks for as long as the state stays as it is and no block's
-read-out meets the caller's stop rule. Where either stops at a block
-the draw covered blocks past it, the rng is put back and redrawn up
-to the blocks kept, so the random stream is the one that distilling
-block by block would leave.
+One engine advances the unit, tick_while: _steps runs the interval
+arithmetic over ticks on a lit circuit, up to and including the first
+that ends the init or distils a block that aborts or meets the caller's
+stop rule, and physics.sample turns the blocks into read-outs from one
+draw of normals. tick is tick_while over one dt with a rule that flags
+nothing. Where the draw covered blocks past those kept, the rng is put
+back and redrawn, so the random stream is the one that distilling block
+by block would leave.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +40,11 @@ _EPS = 1e-9
 _NO_BLOCKS = np.empty(0)
 
 
+def _never(qber, key_bits, state):
+    """The stop rule that tick passes tick_while: it flags no read-out."""
+    return False
+
+
 @dataclass(frozen=True)
 class KeyBlock:
     sequence_no: int
@@ -50,8 +53,8 @@ class KeyBlock:
 
 
 class QkdUnitPair:
-    """State machine advanced by the simulation owner via tick() or
-    tick_while(), both the batch engine (_steps, then one physics.sample).
+    """State machine advanced by the simulation owner via tick_while(), or
+    tick() over one dt.
 
     rng is a caller-owned numpy Generator; each session consumes one
     uniform draw (init-duration jitter) followed by two standard normal
@@ -97,105 +100,100 @@ class QkdUnitPair:
         self.state = STATE_INITIALIZING
 
     def tick(self, dt: float, active_channel, attack_power_dbm: float) -> list[KeyBlock]:
-        """Advance dt seconds under the given circuit/attack conditions: end
-        the init if it ends within dt, then run _steps over [dt] and sample
-        its blocks in one draw. A block that aborts ends the session there."""
+        """Advance dt seconds under the given circuit/attack conditions:
+        tick_while over [dt] with a rule that flags nothing."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         if active_channel is None:
             self._now += dt
             self._to_idle()
             return []
-        if self.state == STATE_INITIALIZING and dt > _EPS and self._init_remaining - dt <= _EPS:
-            step = min(dt, self._init_remaining)
-            self._init_remaining -= step
-            self._now += step
-            dt -= step
-            self.state = STATE_GENERATING
-        _, _, times, init_left, elapsed, now = self._steps([dt])
-        produced: list[KeyBlock] = []
-        if times:
-            rng_state = self.rng.bit_generator.state if len(times) > 1 else None
-            q, s = (x.tolist() for x in physics.sample(
-                active_channel, attack_power_dbm, self.rng.standard_normal(2 * len(times))))
-            limit = physics.abort_qber(active_channel.ec_efficiency)
-            n = next((i + 1 for i, x in enumerate(q) if x >= limit), len(q))
-            if q[n - 1] >= limit:  # the session stops at the first aborting block
-                if n < len(q):  # the draw covered blocks past it: redraw up to it
-                    self.rng.bit_generator.state = rng_state
-                    self.rng.standard_normal(2 * n)
-                _, _, _, init_left, elapsed, now = self._steps([dt], abort_at=n)
-                self.state = STATE_ABORTED
-            bits = [round(x * self.key_interval_s) for x in s[:n]]
-            # An aborting block has no key rate, so no key bits.
-            self._last_qber, self._last_skr, self._last_key_bits = q[n - 1], s[n - 1], bits[-1]
-            for size, t in zip(bits, times):
-                if size > 0:
-                    self._sequence += 1
-                    produced.append(KeyBlock(self._sequence, size, t))
-        self._init_remaining, self._interval_elapsed, self._now = init_left, elapsed, now
-        return produced
+        first = self._sequence + 1
+        _, _, _, times, _, _, bits = self.tick_while([dt], active_channel, attack_power_dbm, _never)
+        keyed = [(size, t) for size, t in zip(bits.tolist(), times) if size > 0]
+        return [KeyBlock(n, size, t) for n, (size, t) in enumerate(keyed, first)]
 
     def tick_while(self, dts, active_channel, attack_power_dbm: float, acts):
-        """tick(dt, active_channel, attack_power_dbm) on a lit circuit for each
-        of dts while the state stays as it is and no block distilled has a
-        read-out (qber, key_bits, state) that acts flags: up to the tick that
-        ends the init, or that distils an aborting block or one acts flags.
-        acts works elementwise on numpy arrays. All samples are drawn in one
-        call, the same values as one at a time.
+        """Advance over each of dts on a lit circuit, up to and including the
+        first tick that ends the init or distils a block that aborts or whose
+        read-out (qber, key_bits, state) acts flags, elementwise on numpy
+        arrays. That stop tick is taken whole unless a block in it aborts:
+        the session ends there and the rest of the tick passes.
 
-        Returns the ticks taken, the tick distilling each block kept, and the
-        kept blocks' read-outs as arrays: qber, skr_bps and key_bits.
-        """
-        ticks, block_ticks, _, init_left, elapsed, now = self._steps(dts)
+        Returns the ticks taken, whether the last one was a stop, the tick
+        distilling each kept block and its time, and their read-outs as
+        arrays: qber, skr_bps and key_bits."""
+        ticks, stopped, block_ticks, times, init_left, elapsed, now = self._steps(dts)
         q = s = bits = _NO_BLOCKS
+        aborted = False
         if block_ticks:
             rng_state = self.rng.bit_generator.state
             q, s = physics.sample(active_channel, attack_power_dbm,
                                   self.rng.standard_normal(2 * len(block_ticks)))
             bits = np.rint(s * self.key_interval_s).astype(np.int64)
-            stops = np.flatnonzero(acts(q, bits, self.state) | (
-                q >= physics.abort_qber(active_channel.ec_efficiency)))
+            aborts = q >= physics.abort_qber(active_channel.ec_efficiency)
+            stops = np.flatnonzero(acts(q, bits, self.state) | aborts)
             if len(stops):
-                ticks = block_ticks[stops[0]]
-                # One tick may distil several blocks: keep those before it.
-                kept = bisect_left(block_ticks, ticks)
-                self.rng.bit_generator.state = rng_state
-                self.rng.standard_normal(2 * kept)
-                _, _, _, init_left, elapsed, now = self._steps(dts[:ticks])
-                block_ticks, q, s, bits = block_ticks[:kept], q[:kept], s[:kept], bits[:kept]
-            if block_ticks:
-                self._last_qber, self._last_skr = float(q[-1]), float(s[-1])
-                self._last_key_bits = int(bits[-1])
-                self._sequence += int(np.count_nonzero(bits))
+                stop = block_ticks[stops[0]]
+                kept = bisect_right(block_ticks, stop)  # the whole stop tick
+                aborted = bool(aborts[:kept].any())
+                if aborted:  # or up to its first aborting block
+                    kept = int(aborts.argmax()) + 1
+                if kept < len(block_ticks):  # the draw covered more: redraw
+                    self.rng.bit_generator.state = rng_state
+                    self.rng.standard_normal(2 * kept)
+                    block_ticks, times = block_ticks[:kept], times[:kept]
+                    q, s, bits = q[:kept], s[:kept], bits[:kept]
+                if aborted or stop + 1 < ticks:
+                    ticks = stop + 1
+                    *_, init_left, elapsed, now = self._steps(
+                        dts[:ticks], abort_at=kept if aborted else 0)
+                stopped = True
+            self._last_qber, self._last_skr = float(q[-1]), float(s[-1])
+            self._last_key_bits = int(bits[-1])
+            self._sequence += int(np.count_nonzero(bits))
+        if stopped:
+            self.state = STATE_ABORTED if aborted else STATE_GENERATING
         self._init_remaining, self._interval_elapsed, self._now = init_left, elapsed, now
-        return ticks, block_ticks, q, s, bits
+        return ticks, stopped, block_ticks, times, q, s, bits
 
     def init_left(self) -> float:
         """Simulated time left in the init, to within _EPS; inf outside it."""
         return self._init_remaining if self.state == STATE_INITIALIZING else math.inf
 
     def _steps(self, dts, abort_at=0):
-        """The interval arithmetic over dts on a lit circuit, up to the tick
-        that ends the init: the ticks taken, the tick distilling each block and
-        its time, and the init left, elapsed interval and clock after them.
-        With abort_at n > 0, the session aborts at the n-th block: from there
-        on time passes and nothing happens."""
-        initializing = self.state == STATE_INITIALIZING
+        """The interval arithmetic over dts on a lit circuit, up to and including
+        the tick that ends the init: the ticks taken, whether the init ended,
+        each block's tick and time, and the init left, elapsed interval and
+        clock after them. With abort_at n > 0 the session aborts at the n-th
+        block, after which time passes and nothing happens."""
         generating = self.state == STATE_GENERATING
         interval = self.key_interval_s
         edge = interval - _EPS
         init_left, elapsed, now = self._init_remaining, self._interval_elapsed, self._now
         block_ticks: list[int] = []
         block_times: list[float] = []
-        for i, dt in enumerate(dts):
-            if dt <= _EPS:  # changes nothing, not even the clock
+        ticks, ended, first = len(dts), False, 0
+        if self.state == STATE_INITIALIZING:
+            for first, dt in enumerate(dts):
+                if dt <= _EPS:  # changes nothing, not even the clock
+                    continue
+                if init_left - dt > _EPS:
+                    init_left -= dt
+                    now += dt
+                    continue
+                # The init ends within this tick; the rest of it generates.
+                step = min(dt, init_left)
+                init_left -= step
+                now += step
+                ticks, ended, generating, dts = first + 1, True, True, [dt - step]
+                break
+            else:
+                dts = ()  # the init outlasts every tick
+        for i, dt in enumerate(dts, first):
+            if dt <= _EPS:
                 continue
-            if initializing:
-                if init_left - dt <= _EPS:
-                    return i, block_ticks, block_times, init_left, elapsed, now
-                init_left -= dt
-            elif generating:
+            if generating:
                 if elapsed + dt >= edge:  # the tick distils one block or more
                     remaining = dt
                     while remaining > _EPS:
@@ -217,7 +215,7 @@ class QkdUnitPair:
                     continue
                 elapsed += dt
             now += dt
-        return len(dts), block_ticks, block_times, init_left, elapsed, now
+        return ticks, ended, block_ticks, block_times, init_left, elapsed, now
 
     def read_monitor(self, now: float) -> dict:
         """Side-effect-free monitoring read-out in the wire schema."""

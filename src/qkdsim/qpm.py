@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
+from .topology import is_number
+
 AVAILABLE = "AVAILABLE"
 ACTIVE = "ACTIVE"
 FAILED = "FAILED"
@@ -50,12 +52,16 @@ class QpmConfig:
     reinit_poll_period_s: float = 1.0
 
     def __post_init__(self):
+        for name in ("poll_period_s", "qber_threshold", "init_grace_s",
+                     "reinit_poll_period_s"):
+            if not is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if self.poll_period_s <= 0 or self.reinit_poll_period_s <= 0:
             raise ValueError("poll periods must be positive")
         if not 0.0 < self.qber_threshold < 0.5:
             raise ValueError("qber_threshold must be in (0, 0.5)")
-        if self.zero_key_debounce < 1:
-            raise ValueError("zero_key_debounce must be >= 1")
+        if not is_number(self.zero_key_debounce, int) or self.zero_key_debounce < 1:
+            raise ValueError("zero_key_debounce must be an int >= 1")
         if self.init_grace_s < 0:
             raise ValueError("init_grace_s must be >= 0")
 

@@ -62,10 +62,15 @@ class _LineClient:
         self._wfile = self._sock.makefile("w", encoding="utf-8")
 
     def _read(self) -> dict:
-        line = self._rfile.readline()
-        if not line:
-            raise ConnectionError("peer closed the connection")
-        return json.loads(line)
+        """The next reply; ConnectionError when the peer closed the connection
+        or sent a line that is not UTF-8 or not JSON."""
+        try:
+            line = self._rfile.readline()
+            if line:
+                return json.loads(line)
+        except ValueError as exc:
+            raise ConnectionError(f"malformed reply: {exc}") from exc
+        raise ConnectionError("peer closed the connection")
 
     def _exchange(self, msg: dict) -> dict:
         self._wfile.write(json.dumps(msg, separators=(",", ":")) + "\n")
@@ -93,9 +98,7 @@ class SocketSwitchLink(_LineClient):
             raise SwitchDisconnected(self.switch_id)
         try:
             return self._exchange(msg)
-        # OSError covers ConnectionError; ValueError covers a reply that is
-        # not JSON or not UTF-8.
-        except (OSError, ValueError) as exc:
+        except OSError as exc:  # ConnectionError included: a lost or malformed reply
             self.connected = False
             raise SwitchDisconnected(self.switch_id) from exc
 

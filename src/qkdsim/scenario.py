@@ -29,10 +29,11 @@ After every event the loop runs, it tries one batch over the attack
 changes, polls and samples ahead, up to _BATCH_PERIODS poll periods.
 One rule decides it, Qpm.could_act: the batch starts only from a unit
 read-out that the monitor could not act on, and QkdUnitPair.tick_while
-stops it before the tick that would change the unit's state (end the
-init, abort) or distil a block whose read-out the monitor could act on.
-So every poll the batch takes over reads a reading could_act rejects,
-and the poll that could act runs on the event loop.
+stops it after the tick that changes the unit's state (ends the init,
+aborts) or distils a block whose read-out the monitor could act on. The
+batch takes over only the events before that tick's end, so every poll
+it takes over reads a reading could_act rejects; the events at its end
+run on the event loop, on a unit already synced to them.
 
 The batch relies on attack changes, polls and samples being the only
 scheduled events, and on none of them taking simulated time. It lists
@@ -223,9 +224,9 @@ class ScenarioRun:
         for name in ("poll_period_s", "reinit_poll_period_s"):
             # A period of at most half an ulp of the duration leaves t + period
             # == t for some t before the end, so polls would never get there.
-            if not math.ulp(scenario.duration_s) / 2 < getattr(qpm_config, name) < math.inf:
-                raise ScenarioError(f"{name} must be finite and large enough to advance "
-                                    f"the clock over duration_s {scenario.duration_s!r}")
+            if not math.ulp(scenario.duration_s) / 2 < getattr(qpm_config, name):
+                raise ScenarioError(f"{name} must be large enough to advance the clock "
+                                    f"over duration_s {scenario.duration_s!r}")
         self.topology = topology
         self.scenario = scenario
         self.seed = seed
@@ -326,9 +327,9 @@ class ScenarioRun:
 
     def _advance_quiet(self):
         """If the monitor could not act on the unit's read-out, run the attack
-        changes, polls and samples ahead in one batch, up to the tick that
-        would change the unit's state or give a read-out the monitor could act
-        on (see the module docstring)."""
+        changes, polls and samples ahead in one batch, up to the end of the
+        tick that changes the unit's state or gives a read-out the monitor
+        could act on (see the module docstring)."""
         qpm, unit = self.qpm, self.unit
         path_id, link = self._circuit
         if link is None:
@@ -344,7 +345,7 @@ class ScenarioRun:
                 or (self._next_metrics is not None and now > self._next_metrics[0] * period)):
             return  # an event runs late: leave it to the event loop
         end = min(duration, qpm.next_poll_t + _BATCH_PERIODS * min(period, poll_period),
-                  last + unit.init_left())  # ticks past it are never taken
+                  last + unit.init_left())  # a batch stops at the init's end: list no further
 
         # Polls: the monitor's chain of t + poll_period, which add.accumulate
         # adds in the same sequence. A chain that falls short ends the batch.
@@ -384,25 +385,26 @@ class ScenarioRun:
         for event, _ in attacks:
             powers.append(event.attack_power_dbm if event.link_id == link.link_id else powers[-1])
         bounds.append(len(dts))
-        taken = 0
+        taken, stopped = 0, False
         kept = []  # per stretch with blocks kept: their ticks, qber, skr_bps, key_bits
         for stop, power in zip(bounds, powers):
             if stop > taken:
                 start = taken
-                ticks, block_ticks, q, s, bits = unit.tick_while(
+                ticks, stopped, block_ticks, _, q, s, bits = unit.tick_while(
                     dts[start:stop].tolist(), channel, power, qpm.could_act)
                 taken += ticks
                 if block_ticks:
                     kept.append((np.add(block_ticks, start), q, s, bits))
-                if taken < stop:
+                if stopped:
                     break
 
-        # Take over every event up to the last tick taken, and those merged into it.
-        cut = len(times) if taken == len(dts) else int(ticks_at.searchsorted(taken, "right"))
-        if not cut:
-            return
+        # Take over every event, or those before the stop tick's end: the events
+        # at its end run on the event loop, and their sync_unit finds nothing to tick.
         if taken:
             self._last_sync = float(times[ticks_at.searchsorted(taken)])
+        cut = int(ticks_at.searchsorted(taken - 1, "right")) if stopped else len(times)
+        if not cut:
+            return
         self.clock.advance_to(float(times[cut - 1]))
         readout = (current["qber"], current["skr_bps"], current["last_key_size_bits"])
         if kept:

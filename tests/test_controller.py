@@ -13,6 +13,7 @@ from qkdsim.controller import (
     Northbound,
     OUTCOME_FAILED,
     OUTCOME_SUCCESS,
+    QUEUE_DEPTH,
     ReconfigRequest,
     SdnController,
     SwitchDisconnected,
@@ -24,8 +25,8 @@ from qkdsim.topology import resolve_active_path
 class RecordingLink(InProcessSwitchLink):
     """Southbound link that appends every message to a shared journal."""
 
-    def __init__(self, switch, clock, journal, latency_s=0.002):
-        super().__init__(switch, clock, latency_s)
+    def __init__(self, switch, clock, journal):
+        super().__init__(switch, clock)
         self.journal = journal
 
     def send(self, msg: dict) -> dict:
@@ -256,8 +257,8 @@ class TestNorthbound:
         assert fabric["journal"] == []
 
     def test_queue_overflow_gets_409(self, fabric):
-        northbound = Northbound(fabric["controller"], queue_depth=16)
-        northbound._in_system = 17  # one running, sixteen already waiting
+        northbound = Northbound(fabric["controller"])
+        northbound._in_system = QUEUE_DEPTH + 1  # one running, a full queue waiting
         status, resp = northbound.post_reconfigure(
             {"request_id": "r", "set_up": "link1"})
         assert status == 409

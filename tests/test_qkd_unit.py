@@ -340,16 +340,19 @@ class TestTickWhileClean:
         def distill(channel, power, distill=looped._distill):
             block = distill(channel, power)
             distilled.append((looped._last_qber, looped._last_skr, looped._last_key_bits,
-                              looped.state))
+                              looped.state, looped._now))
             return block
 
         looped._distill = distill
         acts = never if qber_max is None else clean(qber_max)
         reading = ticked.read_monitor(ticked._now)
-        ticks, block_ticks, q, s, bits = batched.tick_while(dts, CHANNEL, power, acts)
-        assert len(block_ticks) == len(q) == len(s) == len(bits)
+        ticks, stopped, block_ticks, times, q, s, bits = batched.tick_while(
+            dts, CHANNEL, power, acts)
+        assert len(block_ticks) == len(times) == len(q) == len(s) == len(bits)
         readouts = [(reading["qber"], reading["skr_bps"], reading["last_key_size_bits"]),
                     *zip(q.tolist(), s.tolist(), bits.tolist())]
+        # Every tick taken, the stop tick included, leaves the unit as tick and
+        # the reference loop do, and reads the read-out of the blocks before it.
         for i, dt in enumerate(dts[:ticks]):
             reading = ticked.read_monitor(ticked._now)
             blocks = sum(1 for b in block_ticks if b < i)
@@ -357,25 +360,33 @@ class TestTickWhileClean:
                 reading["qber"], reading["skr_bps"], reading["last_key_size_bits"])
             assert ticked.tick(dt, CHANNEL, power) == looped.tick(dt, CHANNEL, power)
         assert unit_state(batched) == unit_state(ticked) == unit_state(looped)
-        # Every kept block keeps the unit Generating and is not flagged, and
-        # the next tick distils one that aborts or is flagged.
+        # The blocks kept are the ones the loop distils, at the same times.
         assert readouts[1:] == [r[:3] for r in distilled]
+        assert times == [r[4] for r in distilled]
+        # Every block before the stop tick keeps the unit Generating and is
+        # not flagged; the stop tick distils one that aborts or is flagged.
+        stop_tick = ticks - 1 if stopped else ticks
+        before = sum(1 for b in block_ticks if b < stop_tick)
         assert all(not acts(q, bits, state) and state == STATE_GENERATING
-                   for q, _, bits, state in distilled)
-        if ticks < len(dts):
-            looped.tick(dts[ticks], CHANNEL, power)
-            assert any(acts(q, bits, state) or state == STATE_ABORTED
-                       for q, _, bits, state in distilled[len(readouts) - 1:])
+                   for q, _, bits, state, _ in distilled[:before])
+        assert stopped == any(acts(q, bits, state) or state == STATE_ABORTED
+                              for q, _, bits, state, _ in distilled[before:])
+        assert stopped or ticks == len(dts)
 
-    def test_an_unclean_first_block_changes_nothing(self):
-        """An aborting first block stops the batch under any rule."""
-        unit = make_unit(seed=4)
-        unit.start_session(CHANNEL, now=0.0)
-        unit.tick(150.0, CHANNEL, ATTACK_OFF)
-        before = unit_state(unit)
+    def test_an_aborting_first_block_is_taken(self):
+        """Under any rule, a first block that aborts stops the batch after its
+        tick: one tick is taken and the unit is left Aborted, as tick leaves it."""
         for acts in (clean(0.08), never):
-            assert unit.tick_while([60.0] * 10, CHANNEL, KILL_POWER, acts)[0] == 0
-            assert unit_state(unit) == before
+            batched, ticked = make_unit(seed=4), make_unit(seed=4)
+            for unit in (batched, ticked):
+                unit.start_session(CHANNEL, now=0.0)
+                unit.tick(150.0, CHANNEL, ATTACK_OFF)
+            ticks, stopped, block_ticks, *_ = batched.tick_while(
+                [60.0] * 10, CHANNEL, KILL_POWER, acts)
+            assert (ticks, stopped, block_ticks) == (1, True, [0])
+            assert ticked.tick(60.0, CHANNEL, KILL_POWER) == []
+            assert batched.state == STATE_ABORTED
+            assert unit_state(batched) == unit_state(ticked)
 
 
 fixed_ticks = st.one_of(
@@ -389,10 +400,13 @@ class TestTickWhileFixed:
            st.sampled_from([None, -2e-9, -1e-9, -5e-10, 0.0, 5e-10, 2e-9]))
     # Ticks of at most _EPS change nothing; the last one ends 5e-10 s early.
     @example(1, False, [5e-13, 1e-9, 60.0, 1e-9, 30.0], -5e-10)
+    # The tick that ends the init distils a block, which aborts.
+    @example(1, False, [200.0, 60.0], None)
     def test_the_ticks_taken_equal_ticking(self, seed, aborted, dts, near_end):
         """From Initializing or Aborted, each tick taken leaves the unit as tick
-        and the reference loop do, draws nothing and keeps the read-out; the
-        first tick not taken is one that ends the init."""
+        and the reference loop do; every tick before the last draws nothing
+        and keeps the read-out. The batch stops only after the tick that ends
+        the init, which may distil blocks (at this power the first aborts)."""
         units = (make_unit(seed=seed, jitter=0.03), make_unit(seed=seed, jitter=0.03),
                  LoopUnit(np.random.default_rng(seed), init_jitter_frac=0.03))
         for unit in units:
@@ -409,29 +423,37 @@ class TestTickWhileFixed:
                 probe.tick(dt, CHANNEL, ATTACK_OFF)
             if probe.state == STATE_INITIALIZING and probe._init_remaining + near_end > 0:
                 dts = dts + [probe._init_remaining + near_end]
-        readout = ticked.read_monitor(0.0)
-        ticks, block_ticks, q, s, bits = batched.tick_while(dts, CHANNEL, KILL_POWER, never)
-        assert block_ticks == [] and len(q) == len(s) == len(bits) == 0
-        assert batched.read_monitor(0.0) == readout
-        for dt in dts[:ticks]:
+        readout, drawn = ticked.read_monitor(0.0), ticked.rng.bit_generator.state
+        ticks, stopped, block_ticks, times, q, s, bits = batched.tick_while(
+            dts, CHANNEL, KILL_POWER, never)
+        assert len(block_ticks) == len(times) == len(q) == len(s) == len(bits)
+        assert all(b == ticks - 1 for b in block_ticks) and len(block_ticks) <= 1
+        stop_tick = ticks - 1 if stopped else ticks
+        for dt in dts[:stop_tick]:
             assert ticked.tick(dt, CHANNEL, KILL_POWER) == looped.tick(dt, CHANNEL, KILL_POWER)
             assert unit_state(ticked) == unit_state(looped)
             assert ticked.read_monitor(0.0) == readout
-        assert unit_state(batched) == unit_state(ticked)
-        if ticks < len(dts):
-            ticked.tick(dts[ticks], CHANNEL, ATTACK_OFF)
-            assert ticked.state == STATE_GENERATING
+            assert ticked.rng.bit_generator.state == drawn
+        if stopped:  # the last tick taken ends the init
+            assert not aborted and ticked.state == STATE_INITIALIZING
+            dt = dts[stop_tick]
+            assert ticked.tick(dt, CHANNEL, KILL_POWER) == looped.tick(dt, CHANNEL, KILL_POWER)
+            assert ticked.state == (STATE_ABORTED if block_ticks else STATE_GENERATING)
+        else:
+            assert ticks == len(dts) and not block_ticks
+            assert batched.read_monitor(0.0) == readout
+        assert unit_state(batched) == unit_state(ticked) == unit_state(looped)
 
     def test_init_left_is_the_time_to_generating(self):
         unit = make_unit()
         assert unit.init_left() == math.inf
         unit.start_session(CHANNEL, now=0.0)
-        assert unit.tick_while([30.0, 30.0], CHANNEL, ATTACK_OFF, never)[0] == 2
+        assert unit.tick_while([30.0, 30.0], CHANNEL, ATTACK_OFF, never)[:2] == (2, False)
         assert unit.init_left() == 60.0
-        assert unit.tick_while([59.0, 1.0, 1.0], CHANNEL, ATTACK_OFF, never)[0] == 1
         assert unit.state == STATE_INITIALIZING
-        unit.tick(1.0, CHANNEL, ATTACK_OFF)
-        assert (unit.state, unit.init_left()) == (STATE_GENERATING, math.inf)
+        # The tick that ends the init is taken, and the batch stops after it.
+        assert unit.tick_while([59.0, 1.0, 1.0], CHANNEL, ATTACK_OFF, never)[:2] == (2, True)
+        assert (unit.state, unit.init_left(), unit._now) == (STATE_GENERATING, math.inf, 120.0)
 
 
 class TestMonitorReadout:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -373,6 +375,19 @@ class TestConfigValidation:
         {"qber_threshold": 0.5},
         {"zero_key_debounce": 0},
         {"init_grace_s": -1.0},
+        # Not finite: NaN passes every comparison above as false.
+        {"poll_period_s": math.inf},
+        {"poll_period_s": math.nan},
+        {"reinit_poll_period_s": math.inf},
+        {"reinit_poll_period_s": math.nan},
+        {"qber_threshold": math.nan},
+        {"init_grace_s": math.inf},
+        {"init_grace_s": math.nan},
+        # The debounce counts polls: a whole number, not a bool.
+        {"zero_key_debounce": math.nan},
+        {"zero_key_debounce": 2.5},
+        {"zero_key_debounce": 2.0},
+        {"zero_key_debounce": True},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

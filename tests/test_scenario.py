@@ -205,14 +205,13 @@ class TestScenarioRun:
         with pytest.raises(ScenarioError, match="unknown link"):
             ScenarioRun(reference_topology, scenario, seed=1)
 
-    @pytest.mark.parametrize("value", [1e-300, math.inf, math.nan])
     @pytest.mark.parametrize("period", ["poll_period_s", "reinit_poll_period_s"])
     def test_a_poll_period_the_clock_cannot_step_by_is_refused(self, reference_topology,
-                                                               period, value):
+                                                               period):
         """600 + 1e-300 == 600: a chain of polls would never move."""
         with pytest.raises(ScenarioError, match=period):
             ScenarioRun(reference_topology, Scenario(600.0, ()), 1,
-                        qpm_config=QpmConfig(**{period: value}))
+                        qpm_config=QpmConfig(**{period: 1e-300}))
 
     def test_quiet_run_provisions_and_generates(self, reference_topology):
         run = ScenarioRun(reference_topology, Scenario(600.0, ()), seed=3)
@@ -455,6 +454,14 @@ class TestQuietBatches:
              reinit=60.0)
     @example(seed=12, period=60.0, grace=240.0, debounce=2, threshold=0.08,
              duration=7200.0, attacks=[(0.5, "link1", 0.0)], reinit=1.0)
+    # A stop tick that distils several blocks and aborts part way through:
+    # the 300 s tick after the attack at 3600 s distils three, the second aborts.
+    @example(seed=5, period=300.0, grace=60.0, debounce=2, threshold=0.08,
+             duration=7200.0, attacks=[(0.5, "link1", -0.1)], reinit=1.0)
+    # A tick that ends the init and distils a block: the first re-init poll
+    # comes 190 s after the session starts, about 70 s after the init ends.
+    @example(seed=1, period=600.0, grace=60.0, debounce=2, threshold=0.08,
+             duration=7200.0, attacks=[(0.3, "link1", 0.0)], reinit=190.0)
     def test_batches_leave_the_run_as_the_event_loop_does(
             self, reference_topology, seed, period, grace, debounce, threshold, duration,
             attacks, reinit):
@@ -477,6 +484,29 @@ class TestQuietBatches:
             return finished_state(run, batches)
 
         assert state(True) == state(False)
+
+    @pytest.mark.parametrize("scenario, seed, most", [
+        ("attack-link1.json", 42, 2),
+        ("attack-link1-then-link2.json", 7, 3),
+        ("attack-all-links.json", 11, 3),
+    ])
+    def test_the_event_loop_does_not_redraw_a_batch_stop_tick(self, configs, reference_topology,
+                                                             scenario, seed, most):
+        """A batch takes the tick that stops it, so the event loop draws only
+        for ticks no batch took: the first block after each init."""
+        run = ScenarioRun(reference_topology, load_scenario(str(configs / scenario)), seed)
+        drawing, tick = [], run.unit.tick
+
+        def counted(dt, channel, power):
+            before = run.rng.bit_generator.state
+            blocks = tick(dt, channel, power)
+            if run.rng.bit_generator.state != before:
+                drawing.append(run.clock.now())
+            return blocks
+
+        run.unit.tick = counted
+        run.execute()
+        assert len(drawing) <= most
 
     def test_a_quiet_day_is_batched(self, reference_topology):
         """Without batches an attack-free day polls about 1,560 times on the

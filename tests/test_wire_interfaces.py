@@ -181,6 +181,29 @@ class TestMonitorSocket:
             server.shutdown()
             server.server_close()
 
+    @pytest.mark.parametrize("reply", [b"\xff\n", b"not json\n"], ids=["non-utf8", "non-json"])
+    def test_a_malformed_reply_raises_connection_error(self, reply):
+        """A stub monitor answers a read with a line that is not UTF-8 or not
+        JSON: the client reports a lost monitor, as for a dropped connection."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as rfile:
+                rfile.readline()
+                conn.sendall(reply)
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        client = MonitorSocketClient(*listener.getsockname())
+        try:
+            with pytest.raises(ConnectionError):
+                client.read_monitor()
+        finally:
+            client.close()
+            server.join(timeout=5)
+            listener.close()
+
 
 @pytest.fixture()
 def http_northbound(reference_topology):
