@@ -8,9 +8,13 @@ the Alice QKD unit for last. Staging before any commit plus the
 Alice-last order is what keeps the fabric from ever exposing two
 complete paths (or a half-built one) to an observer.
 
-On any staging failure the controller reverses its own staged mods and
-commits the net-zero batch, so a failed request leaves neither committed
-changes nor staged residue behind.
+On a staging failure the controller reverses its own staged mods and
+commits the net-zero batch, so the request leaves neither committed
+changes nor staged residue on the switches it can reach. A barrier
+failure is not undone: the switches that already committed keep the new
+cross-connects, only the others have their staged mods reversed, a
+switch that cannot be reached keeps what it staged, and active_path
+still names the old path.
 """
 
 from __future__ import annotations

@@ -13,14 +13,14 @@ Detection is suppressed for a grace window after every path change so a
 fresh session's empty readings are not mistaken for an attack.
 
 Qpm.could_act is the one rule for which readings a poll can act on in
-each mode. A poll on any other reading only records it, so a runner may
-take such polls over in a batch (Qpm.skip_polls).
+each mode. A poll on any other reading only ends a run of zero-key
+polls, so a runner may take such polls over in a batch (Qpm.skip_polls).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .topology import is_number
 
@@ -82,25 +82,15 @@ class MitigationEvent:
         return record
 
 
-def detect_failure(reading: Mapping, history, config: QpmConfig,
+def detect_failure(reading: Mapping, zero_key_polls: int, config: QpmConfig,
                    since_path_change: float) -> bool:
-    """Failure predicate over the latest reading and the recent window.
-
-    history is the recent readings, oldest first, with the current
-    reading as its last element. Only a current reading with qber above
-    the threshold or no key bits can fire it.
-    """
+    """Past the grace window: qber above the threshold, or zero_key_polls
+    (polls in a row, the current one last, that read no key bits from
+    Generating or Aborted units) at the debounce or above."""
     if since_path_change <= config.init_grace_s:
         return False
-    if reading["qber"] > config.qber_threshold:
-        return True
-    window = list(history)[-config.zero_key_debounce:]
-    if len(window) < config.zero_key_debounce:
-        return False
-    return all(
-        r["last_key_size_bits"] == 0 and r["state"] in _GENERATING_OR_ABORTED
-        for r in window
-    )
+    return (reading["qber"] > config.qber_threshold
+            or zero_key_polls >= config.zero_key_debounce)
 
 
 def select_next_path(statuses: Mapping[str, str]) -> Optional[str]:
@@ -128,9 +118,9 @@ class Qpm:
         self.mode = MONITORING
         self.active_path: Optional[str] = None
         self.events: list[MitigationEvent] = []
-        self.history: list[dict] = []
-        # Readings kept for detect_failure's debounce window.
-        self._history_cap = max(config.zero_key_debounce, 8)
+        # Polls in a row since the last path change that could act and read
+        # no key bits from Generating or Aborted units.
+        self.zero_key_polls = 0
         self._t_path_change: Optional[float] = None
         self._request_seq = 0
         # The one pending poll: its time and scheduler entry.
@@ -146,16 +136,17 @@ class Qpm:
 
     def poll(self, sched_t: float):
         reading = self.qkd_client.read_monitor()
-        self.history.append(reading)
-        if len(self.history) > self._history_cap:
-            del self.history[0]
-        if self.could_act(reading["qber"], reading["last_key_size_bits"], reading["state"]):
+        acts = self.could_act(reading["qber"], reading["last_key_size_bits"], reading["state"])
+        zero_key = (acts and reading["last_key_size_bits"] == 0
+                    and reading["state"] in _GENERATING_OR_ABORTED)
+        self.zero_key_polls = self.zero_key_polls + 1 if zero_key else 0
+        if acts:
             if self.mode == AWAITING_REINIT:
                 self._emit(REINIT_DONE, path=self.active_path or "",
                            detail=f"state={reading['state']}")
                 self.mode = MONITORING
             elif self.active_path is not None and detect_failure(
-                    reading, self.history, self.config,
+                    reading, self.zero_key_polls, self.config,
                     self.clock.now() - self._t_path_change):
                 self._on_detect(reading)
         self._schedule_next(sched_t)
@@ -165,8 +156,9 @@ class Qpm:
         monitor act in its current mode; elementwise over numpy arrays.
 
         MONITORING: qber above the threshold or no key bits (detect_failure
-        fires on no other reading, whatever the history, grace or debounce).
-        AWAITING_REINIT: the units are Generating or Aborted. ALARM: never.
+        fires on no other reading, whatever the zero-key count, grace or
+        debounce). AWAITING_REINIT: the units are Generating or Aborted.
+        ALARM: never.
         """
         if self.mode == MONITORING:
             return (qber > self.config.qber_threshold) | (key_bits == 0)
@@ -178,14 +170,12 @@ class Qpm:
             return self.config.reinit_poll_period_s
         return self.config.poll_period_s
 
-    def skip_polls(self, count: int, last_t: float, reading: Callable[[int], dict]):
-        """Take over the next count polls (the pending one first, the last at
-        last_t), none of whose readings could_act accepts; poll j reads
-        reading(j), which is asked only for the polls the history keeps. The
-        monitor then stands as if it had polled: same history and next poll."""
-        cap = self._history_cap
-        self.history.extend(reading(j) for j in range(max(0, count - cap), count))
-        del self.history[:-cap]
+    def skip_polls(self, last_t: float):
+        """Take over the polls up to the one at last_t, the pending one first,
+        none of whose readings could_act accepts. Such a reading ends any run
+        of zero-key polls, so the monitor stands as if it had polled: a zero
+        count and the next poll after last_t."""
+        self.zero_key_polls = 0
         self.scheduler.cancel(self._next_poll)
         self._schedule_next(last_t)
 
@@ -227,7 +217,7 @@ class Qpm:
                 xids = [tx["xid"] for tx in body["transactions"]]
                 self._emit(RECONFIG_DONE, path=target, detail=detail, xids=xids)
                 self._t_path_change = self.clock.now()
-                self.history.clear()
+                self.zero_key_polls = 0
                 self.qkd_client.start_session()
                 self.mode = AWAITING_REINIT
                 return True

@@ -21,6 +21,10 @@ import urllib.request
 
 from .controller import Northbound, SwitchDisconnected
 
+# The longest request line or northbound body a server reads, in bytes; a
+# peer's length or line past it is refused before it is read into memory.
+MAX_REQUEST_BYTES = 64 * 1024
+
 
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self):
@@ -28,7 +32,10 @@ class _LineHandler(socketserver.StreamRequestHandler):
         greeting = getattr(agent, "greeting_line", None)
         if greeting is not None:
             self.wfile.write(greeting().encode("utf-8"))
-        for raw in self.rfile:
+        while True:
+            raw = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+            if not raw or len(raw) > MAX_REQUEST_BYTES:
+                break  # closed, or a line too long: drop the connection
             try:
                 line = raw.decode("utf-8").strip()
                 if not line:
@@ -123,6 +130,9 @@ class _NorthboundHandler(http.server.BaseHTTPRequestHandler):
         if not (length.isascii() and length.isdigit()):
             self._respond(400, {"error": "Content-Length must be a non-negative integer"})
             return
+        if int(length) > MAX_REQUEST_BYTES:
+            self._respond(413, {"error": f"body longer than {MAX_REQUEST_BYTES} bytes"})
+            return
         raw = self.rfile.read(int(length)) if int(length) else b"{}"
         try:
             body = json.loads(raw)
@@ -183,10 +193,14 @@ class HttpControllerClient:
     def _exchange(self, request) -> tuple[int, dict]:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return resp.status, json.loads(resp.read())
+                status, raw = resp.status, resp.read()
         except urllib.error.HTTPError as exc:
             raw = exc.read()
             try:
                 return exc.code, json.loads(raw)
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or not UTF-8
                 return exc.code, {"error": raw.decode("utf-8", "replace")}
+        try:
+            return status, json.loads(raw)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConnectionError(f"malformed reply: {exc}") from exc

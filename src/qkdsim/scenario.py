@@ -329,7 +329,9 @@ class ScenarioRun:
         """If the monitor could not act on the unit's read-out, run the attack
         changes, polls and samples ahead in one batch, up to the end of the
         tick that changes the unit's state or gives a read-out the monitor
-        could act on (see the module docstring)."""
+        could act on (see the module docstring). The polls it takes over
+        leave only the next poll behind (Qpm.skip_polls), so only the
+        samples need read-outs."""
         qpm, unit = self.qpm, self.unit
         path_id, link = self._circuit
         if link is None:
@@ -386,15 +388,15 @@ class ScenarioRun:
             powers.append(event.attack_power_dbm if event.link_id == link.link_id else powers[-1])
         bounds.append(len(dts))
         taken, stopped = 0, False
-        kept = []  # per stretch with blocks kept: their ticks, qber, skr_bps, key_bits
+        kept = []  # per stretch with blocks kept: their ticks, qber and skr_bps
         for stop, power in zip(bounds, powers):
             if stop > taken:
                 start = taken
-                ticks, stopped, block_ticks, _, q, s, bits = unit.tick_while(
+                ticks, stopped, block_ticks, _, q, s, _ = unit.tick_while(
                     dts[start:stop].tolist(), channel, power, qpm.could_act)
                 taken += ticks
                 if block_ticks:
-                    kept.append((np.add(block_ticks, start), q, s, bits))
+                    kept.append((np.add(block_ticks, start), q, s))
                 if stopped:
                     break
 
@@ -406,37 +408,24 @@ class ScenarioRun:
         if not cut:
             return
         self.clock.advance_to(float(times[cut - 1]))
-        readout = (current["qber"], current["skr_bps"], current["last_key_size_bits"])
-        if kept:
-            # Read-out b is the one after b blocks: the current one, then each kept.
-            blocks = np.concatenate([part[0] for part in kept])
-            readouts = [np.concatenate([[value], *(part[i] for part in kept)])
-                        for i, value in enumerate(readout, 1)]
-
-        def read(at, *which):
-            """Read-outs 0 (qber), 1 (skr_bps) and 2 (key_bits) of the events
-            at positions at: one list for each index in which."""
-            if not kept:
-                return [[readout[i]] * len(at) for i in which]
-            done = blocks.searchsorted(ticks_at[at])
-            return [readouts[i][done].tolist() for i in which]
-
         polls_kept = int(at_poll.searchsorted(cut))
         if polls_kept:
-            first = max(0, polls_kept - qpm._history_cap)
-            qs, ss, bs = read(at_poll[first:polls_kept], 0, 1, 2)
+            qpm.skip_polls(float(polls[polls_kept - 1]))
 
-            def reading(j):
-                i = j - first
-                return {"timestamp": round(float(polls[j]), 6), "skr_bps": ss[i],
-                        "qber": qs[i], "last_key_size_bits": bs[i], "state": current["state"]}
-            qpm.skip_polls(polls_kept, float(polls[polls_kept - 1]), reading)
+        # The samples' read-outs: read-out b is the one after b blocks, the
+        # current one, then each kept.
+        samples_kept = int(at_sample.searchsorted(cut))
+        sample_t = samples[:samples_kept].tolist()
+        if kept:
+            done = np.concatenate([part[0] for part in kept]).searchsorted(
+                ticks_at[at_sample[:samples_kept]])
+            qs, ss = (np.concatenate([[current[key]], *(part[i] for part in kept)])[done].tolist()
+                      for i, key in ((1, "qber"), (2, "skr_bps")))
+        else:
+            qs, ss = [current["qber"]] * samples_kept, [current["skr_bps"]] * samples_kept
 
         # Rows from one template per stretch; each attack change taken over
         # applies between two stretches.
-        samples_kept = int(at_sample.searchsorted(cut))
-        sample_t = samples[:samples_kept].tolist()
-        qs, ss = read(at_sample[:samples_kept], 0, 1)
         splits = at_sample.searchsorted(at_attack[at_attack < cut]).tolist()
         start = 0
         for index, stop in enumerate(splits + [samples_kept]):

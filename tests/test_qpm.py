@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim.clock import Scheduler, SimClock
@@ -37,39 +37,55 @@ def reading(qber=0.02, key_bits=57000, state="Generating", t=0.0) -> dict:
 
 class TestDetectFailure:
     def test_high_qber_past_grace(self):
-        r = reading(qber=0.21)
-        assert detect_failure(r, [r], CFG, since_path_change=300.0)
+        assert detect_failure(reading(qber=0.21), 0, CFG, since_path_change=300.0)
 
     def test_anything_within_grace_is_ignored(self):
         r = reading(qber=0.45, key_bits=0, state="Aborted")
-        assert not detect_failure(r, [r, r, r], CFG, since_path_change=240.0)
+        assert not detect_failure(r, 3, CFG, since_path_change=240.0)
 
     def test_qber_at_threshold_does_not_trip(self):
         r = reading(qber=CFG.qber_threshold)
-        assert not detect_failure(r, [r], CFG, since_path_change=300.0)
+        assert not detect_failure(r, 0, CFG, since_path_change=300.0)
 
     def test_zero_key_needs_debounced_window(self):
         dead = reading(qber=0.03, key_bits=0)
-        live = reading(qber=0.02)
-        assert not detect_failure(dead, [live, dead], CFG, 300.0)
-        assert detect_failure(dead, [live, dead, dead], CFG, 300.0)
+        assert not detect_failure(dead, 1, CFG, 300.0)
+        assert detect_failure(dead, 2, CFG, 300.0)
+        assert detect_failure(dead, 3, CFG, 300.0)
+
+    def test_high_qber_trips_even_while_keys_flow(self):
+        assert detect_failure(reading(qber=0.11, key_bits=50000), 0, CFG, 300.0)
+
+    # Which polls count towards the zero-key debounce, seen through polls.
+
+    def test_zero_key_needs_debounced_polls(self):
+        qpm, scheduler, _, qkd = monitoring_qpm()
+        dead, live = reading(qber=0.03, key_bits=0), reading(qber=0.02)
+        assert poll_each(qpm, scheduler, qkd, [live, dead]) == [[], []]
+        assert qpm.zero_key_polls == 1
+        assert poll_each(qpm, scheduler, qkd, [dead]) == [[DETECTED, RECONFIG_SENT,
+                                                           RECONFIG_DONE]]
+        # The path change starts the count again.
+        assert qpm.zero_key_polls == 0
 
     def test_single_zero_reading_is_not_enough(self):
-        dead = reading(key_bits=0)
-        assert not detect_failure(dead, [dead], CFG, 300.0)
+        qpm, scheduler, _, qkd = monitoring_qpm()
+        dead, live = reading(key_bits=0), reading()
+        assert poll_each(qpm, scheduler, qkd, [dead, live, dead]) == [[], [], []]
+        assert qpm.zero_key_polls == 1
 
     def test_aborted_zero_readings_count(self):
+        qpm, scheduler, _, qkd = monitoring_qpm()
         dead = reading(qber=0.05, key_bits=0, state="Aborted")
-        assert detect_failure(dead, [dead, dead], CFG, 300.0)
+        assert poll_each(qpm, scheduler, qkd, [dead, dead])[1][0] == DETECTED
+        assert "last_key_size_bits=0 state=Aborted" in qpm.events[-3].detail
 
     def test_idle_or_initializing_zeros_do_not_count(self):
         for state in ("Idle", "Initializing"):
+            qpm, scheduler, _, qkd = monitoring_qpm()
             dead = reading(qber=0.0, key_bits=0, state=state)
-            assert not detect_failure(dead, [dead, dead, dead], CFG, 300.0)
-
-    def test_high_qber_trips_even_while_keys_flow(self):
-        r = reading(qber=0.11, key_bits=50000)
-        assert detect_failure(r, [r], CFG, 300.0)
+            assert poll_each(qpm, scheduler, qkd, [dead] * 3) == [[], [], []]
+            assert qpm.zero_key_polls == 0
 
 
 class TestSelectNextPath:
@@ -140,13 +156,36 @@ class FakeTopology:
 
 
 def build_qpm(script, fail_paths=(), ids=("link1", "link2", "link3"),
-              config=None):
+              config=None, monitor=Qpm):
     clock = SimClock()
     scheduler = Scheduler(clock)
     controller = StubController(fail_paths)
     qkd = StubQkd(clock, script)
-    qpm = Qpm(config or CFG, FakeTopology(ids), controller, qkd, clock, scheduler)
+    qpm = monitor(config or CFG, FakeTopology(ids), controller, qkd, clock, scheduler)
     return qpm, scheduler, controller, qkd
+
+
+def monitoring_qpm(config=CFG):
+    """A monitor past its grace window, MONITORING a healthy link1."""
+    qpm, scheduler, controller, qkd = build_qpm(
+        {0.0: reading(state="Initializing", key_bits=0, qber=0.0), 100.0: reading()},
+        config=config)
+    scheduler.at(0.0, lambda: qpm.startup(0.0), priority=Qpm.PRIORITY)
+    scheduler.run_until(config.init_grace_s + 1.0)
+    assert qpm.mode == MONITORING
+    return qpm, scheduler, controller, qkd
+
+
+def poll_each(qpm, scheduler, qkd, script):
+    """Make the next polls read the script's readings in turn; the kinds of
+    the events each poll emits."""
+    emitted = []
+    for r in script:
+        t, before = qpm.next_poll_t, len(qpm.events)
+        qkd.script[t] = r
+        scheduler.run_until(t)
+        emitted.append([e.kind for e in qpm.events[before:]])
+    return emitted
 
 
 class TestMitigationLoop:
@@ -295,32 +334,43 @@ readings = st.builds(reading, qber=st.floats(0.0, 0.5), key_bits=st.integers(0, 
 
 class TestCleanReadings:
     @settings(max_examples=300, deadline=None)
-    @given(history=st.lists(readings, max_size=12), current=readings,
-           key_bits=st.integers(1, 10**6), since=st.floats(-1e6, 1e6),
-           grace=st.floats(0.0, 1e4), debounce=st.integers(1, 9),
+    @given(count=st.integers(0, 20), current=readings, key_bits=st.integers(1, 10**6),
+           since=st.floats(-1e6, 1e6), grace=st.floats(0.0, 1e4), debounce=st.integers(1, 9),
            threshold=st.floats(1e-6, 0.5, exclude_max=True))
-    def test_a_clean_reading_never_detects(self, history, current, key_bits, since, grace,
+    def test_a_clean_reading_never_detects(self, count, current, key_bits, since, grace,
                                            debounce, threshold):
-        """qber at most the threshold and some key bits: no history, time since
-        the path change, grace, debounce or threshold makes it a detection."""
+        """qber at most the threshold and some key bits: no zero-key count
+        before it, time since the path change, grace, debounce or threshold
+        makes a poll on it a detection."""
         config = QpmConfig(qber_threshold=threshold, zero_key_debounce=debounce,
                            init_grace_s=grace)
         clean = dict(current, qber=min(current["qber"], threshold), last_key_size_bits=key_bits)
-        assert not detect_failure(clean, history + [clean], config, since)
+        # A poll on it counts 0 zero-key polls.
+        assert not detect_failure(clean, 0, config, since)
+        qpm, scheduler, _, qkd = build_qpm({0.0: reading()}, config=config)
+        scheduler.at(0.0, lambda: qpm.startup(0.0), priority=Qpm.PRIORITY)
+        scheduler.run_until(1.0)
+        assert qpm.mode == MONITORING
+        qpm.zero_key_polls = count
+        assert poll_each(qpm, scheduler, qkd, [clean]) == [[]]
+        assert qpm.zero_key_polls == 0
 
 
 class TestPollsThatCannotAct:
     @settings(max_examples=300, deadline=None)
     @given(mode=st.sampled_from([MONITORING, AWAITING_REINIT, ALARM]),
-           history=st.lists(readings, max_size=8), current=readings,
+           count=st.integers(0, 20), current=readings,
            grace=st.floats(0.0, 120.0), debounce=st.integers(1, 9),
            threshold=st.floats(1e-6, 0.5, exclude_max=True))
-    def test_a_poll_that_cannot_act_only_adds_to_the_history(
-            self, mode, history, current, grace, debounce, threshold):
-        """In every mode, whatever the history, grace window, debounce and
-        threshold: a reading that could_act rejects emits no event, leaves
-        the mode, statuses, controller and session alone, and joins the
-        history."""
+    # ALARM rejects even a zero-key reading from a Generating unit.
+    @example(mode=ALARM, count=1, current=reading(key_bits=0), grace=60.0, debounce=2,
+             threshold=0.08)
+    def test_a_poll_that_cannot_act_only_ends_the_zero_key_run(
+            self, mode, count, current, grace, debounce, threshold):
+        """In every mode, whatever the zero-key count, grace window, debounce
+        and threshold: a reading that could_act rejects emits no event, leaves
+        the mode, statuses, controller and session alone, and sets the count
+        to 0."""
         config = QpmConfig(qber_threshold=threshold, zero_key_debounce=debounce,
                            init_grace_s=grace)
         ids = ("link1", "link2", "link3")
@@ -332,7 +382,7 @@ class TestPollsThatCannotAct:
         assert qpm.mode == mode
         assume(not qpm.could_act(current["qber"], current["last_key_size_bits"],
                                  current["state"]))
-        qpm.history[:] = history
+        qpm.zero_key_polls = count
         qkd.script = {0.0: current}
         t = qpm.next_poll_t
         before = (list(qpm.events), dict(qpm.statuses), list(controller.calls),
@@ -340,7 +390,7 @@ class TestPollsThatCannotAct:
         scheduler.run_until(t)
         assert (qpm.events, qpm.statuses, controller.calls, qkd.sessions) == before
         assert qpm.mode == mode
-        assert qpm.history == (history + [dict(current, timestamp=t)])[-qpm._history_cap:]
+        assert qpm.zero_key_polls == 0
 
 
 class TestBatchedPolls:
@@ -349,22 +399,95 @@ class TestBatchedPolls:
         pytest.param([reading(qber=CFG.qber_threshold, key_bits=1)] * 12, id="at-the-edge"),
     ])
     def test_batched_polls_match_polling(self, script):
-        start = {0.0: reading(state="Initializing", key_bits=0, qber=0.0), 100.0: reading()}
-        twins = [build_qpm(start) for _ in range(2)]
-        for qpm, scheduler, _, _ in twins:
-            scheduler.at(0.0, lambda qpm=qpm: qpm.startup(0.0), priority=Qpm.PRIORITY)
-            scheduler.run_until(200.0)
-            assert qpm.mode == MONITORING
+        twins = [monitoring_qpm() for _ in range(2)]
+        for qpm, _, _, _ in twins:
+            qpm.zero_key_polls = 1
         (batched, _, _, _), (polled, scheduler, _, qkd) = twins
         times = [batched.next_poll_t]
         while len(times) < len(script):
             times.append(times[-1] + CFG.poll_period_s)
         qkd.script.update(zip(times, script))
-        batched.skip_polls(len(times), times[-1], lambda j: dict(script[j], timestamp=times[j]))
+        batched.skip_polls(times[-1])
         scheduler.run_until(times[-1])
         assert polled.events == batched.events
-        assert batched.history == polled.history
+        assert batched.zero_key_polls == polled.zero_key_polls == 0
         assert batched.next_poll_t == polled.next_poll_t
+
+
+def window_detect(reading, history, config, since_path_change) -> bool:
+    """The detection rule over a log of readings, kept as the oracle for the
+    zero-key count: history is the readings since the last path change (at
+    most the last max(debounce, 8)), the current one last."""
+    if since_path_change <= config.init_grace_s:
+        return False
+    if reading["qber"] > config.qber_threshold:
+        return True
+    window = history[-config.zero_key_debounce:]
+    return len(window) == config.zero_key_debounce and all(
+        r["last_key_size_bits"] == 0 and r["state"] in ("Generating", "Aborted") for r in window)
+
+
+class WindowQpm(Qpm):
+    """The monitor with a log of readings and window_detect in place of the
+    zero-key count."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.history = []
+
+    def poll(self, sched_t):
+        reading = self.qkd_client.read_monitor()
+        self.history = (self.history + [reading])[-max(self.config.zero_key_debounce, 8):]
+        if self.could_act(reading["qber"], reading["last_key_size_bits"], reading["state"]):
+            if self.mode == AWAITING_REINIT:
+                self._emit(REINIT_DONE, path=self.active_path or "",
+                           detail=f"state={reading['state']}")
+                self.mode = MONITORING
+            elif self.active_path is not None and window_detect(
+                    reading, self.history, self.config, self.clock.now() - self._t_path_change):
+                self._on_detect(reading)
+        self._schedule_next(sched_t)
+
+    def _emit(self, kind, path, detail, xids=None):
+        super()._emit(kind, path, detail, xids)
+        if kind == RECONFIG_DONE:
+            self.history = []
+
+
+script_readings = st.builds(
+    reading, qber=st.sampled_from([0.0, 0.02, 0.08, 0.3]), key_bits=st.sampled_from([0, 0, 57000]),
+    state=st.sampled_from(["Idle", "Initializing", "Generating", "Aborted"]))
+
+
+class TestZeroKeyCountMatchesTheWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(script=st.lists(st.tuples(st.integers(0, 7200), script_readings), max_size=40),
+           period=st.sampled_from([30.0, 60.0, 97.5]), reinit=st.sampled_from([1.0, 45.0]),
+           grace=st.floats(0.0, 400.0), debounce=st.integers(1, 9),
+           fail_paths=st.sets(st.sampled_from(["link1", "link2", "link3"])))
+    # Three zero-key detections after a reading with key bits, the last of
+    # them exhausting the paths.
+    @example(script=[(0, reading(state="Initializing", key_bits=0)), (100, reading()),
+                     (500, reading(key_bits=0)), (1000, reading(key_bits=0, state="Aborted"))],
+             period=60.0, reinit=1.0, grace=240.0, debounce=3, fail_paths=set())
+    def test_events_equal_the_window_rule(self, script, period, reinit, grace, debounce,
+                                          fail_paths):
+        """Whatever the readings, debounce, grace and failing paths, the
+        monitor emits the events, at the same times and with the same
+        details, that a monitor with a window of readings emits."""
+        config = QpmConfig(poll_period_s=period, reinit_poll_period_s=reinit,
+                           init_grace_s=grace, zero_key_debounce=debounce)
+
+        def run(monitor):
+            qpm, scheduler, controller, qkd = build_qpm(
+                {float(t): r for t, r in script}, fail_paths=fail_paths, config=config,
+                monitor=monitor)
+            scheduler.at(0.0, lambda: qpm.startup(0.0), priority=Qpm.PRIORITY)
+            scheduler.run_until(7200.0)
+            return ([e.to_dict() for e in qpm.events], qpm.statuses, qpm.mode,
+                    qpm.next_poll_t, controller.calls, qkd.sessions)
+
+        assert run(Qpm) == run(WindowQpm)
 
 
 class TestConfigValidation:

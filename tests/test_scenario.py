@@ -386,7 +386,7 @@ def finished_state(run, batches=True):
     run.execute()
     unit = run.unit
     return (run.metrics_rows, [e.to_dict() for e in run.qpm.events],
-            run.controller_records, run.qpm.history, run.rng.bit_generator.state,
+            run.controller_records, run.qpm.zero_key_polls, run.rng.bit_generator.state,
             (unit.state, unit._init_remaining, unit._interval_elapsed, unit._now,
              unit._sequence, unit._last_skr, unit._last_qber, unit._last_key_bits),
             run._last_sync,
@@ -462,6 +462,11 @@ class TestQuietBatches:
     # comes 190 s after the session starts, about 70 s after the init ends.
     @example(seed=1, period=600.0, grace=60.0, debounce=2, threshold=0.08,
              duration=7200.0, attacks=[(0.3, "link1", 0.0)], reinit=190.0)
+    # Detections by zero-key debounce, with no attack: each init outlasts the
+    # 60 s grace, and 30 s polls read a session's empty read-out twice before
+    # its first block (DETECTED at t=152, 301 and 448).
+    @example(seed=0, period=30.0, grace=60.0, debounce=2, threshold=0.08,
+             duration=7200.0, attacks=[], reinit=1.0)
     def test_batches_leave_the_run_as_the_event_loop_does(
             self, reference_topology, seed, period, grace, debounce, threshold, duration,
             attacks, reinit):

@@ -15,6 +15,7 @@ from qkdsim.controller import Northbound, SdnController, SwitchDisconnected
 from qkdsim.physics import ATTACK_OFF, CalibrationAnchors, calibrate
 from qkdsim.qkd_unit import MonitorAgent, QkdUnitPair
 from qkdsim.realtime import (
+    MAX_REQUEST_BYTES,
     HttpControllerClient,
     MonitorSocketClient,
     SocketSwitchLink,
@@ -108,6 +109,27 @@ class TestSwitchSocket:
         link.close()
         with pytest.raises(SwitchDisconnected):
             link.send({"type": "BARRIER_REQUEST", "xid": 1})
+
+    def test_an_overlong_line_drops_the_connection(self, switch_server, capfd):
+        """A request line past MAX_REQUEST_BYTES is not read to its end: the
+        server drops that connection and still serves the next one."""
+        switch, server = switch_server
+        sock, reader = self.raw_connection(server)
+        try:
+            reader.readline()  # greeting
+            sock.sendall(b" " * MAX_REQUEST_BYTES
+                         + b'{"type":"FLOW_MOD","xid":7,"command":"ADD","in_port":0,"out_port":1}\n')
+            assert reader.readline() == b""
+        finally:
+            sock.close()
+        link = SocketSwitchLink(*server.server_address)
+        try:
+            reply = link.send({"type": "BARRIER_REQUEST", "xid": 8})
+        finally:
+            link.close()
+        assert reply["committed_xids"] == []
+        assert not switch.query_entries()
+        assert capfd.readouterr().err == ""
 
     def test_a_non_utf8_reply_disconnects_the_link(self):
         """A stub switch greets, then answers a request with a byte that is
@@ -268,6 +290,25 @@ class TestHttpNorthbound:
             conn.close()
         assert all(not s.query_entries() for s in switches.values())
 
+    def test_an_oversized_length_gets_413_without_reading_the_body(self, http_northbound,
+                                                                    capfd):
+        client, switches, _ = http_northbound
+        host, port = client.base_url.rsplit("/", 1)[1].split(":")
+        for length in (MAX_REQUEST_BYTES + 1, 99999999999999):
+            conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
+            try:
+                conn.putrequest("POST", "/reconfigure")
+                conn.putheader("Content-Length", str(length))
+                conn.endheaders(b'{"request_id": "a", "set_up": "link1"}')
+                response = conn.getresponse()
+                assert response.status == 413
+                assert list(json.loads(response.read())) == ["error"]
+            finally:
+                conn.close()
+        assert all(not s.query_entries() for s in switches.values())
+        assert client.get_paths()[0] == 200
+        assert capfd.readouterr().err == ""
+
     def test_get_paths(self, http_northbound):
         client, _, _ = http_northbound
         client.post_reconfigure({"request_id": "r", "set_up": "link2"})
@@ -279,3 +320,39 @@ class TestHttpNorthbound:
         client, _, _ = http_northbound
         status, _ = HttpControllerClient(client.base_url + "/nowhere").get_paths()
         assert status == 404
+
+
+class TestHttpControllerClient:
+    @pytest.mark.parametrize("status, reply, expected", [
+        (200, b"\xff", ConnectionError),
+        (200, b"not json", ConnectionError),
+        (409, b"\xff", (409, {"error": "\ufffd"})),
+    ], ids=["2xx-non-utf8", "2xx-non-json", "4xx-non-utf8"])
+    def test_a_malformed_reply(self, status, reply, expected):
+        """A stub northbound answers with a body that is not UTF-8 or not
+        JSON: a 2xx reply raises ConnectionError, as a malformed line reply
+        does; an error reply keeps its status and carries the text."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as rfile:
+                while rfile.readline() not in (b"\r\n", b""):
+                    pass  # request line and headers; a GET has no body
+                conn.sendall(b"HTTP/1.0 %d X\r\nContent-Length: %d\r\n\r\n%s"
+                             % (status, len(reply), reply))
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        host, port = listener.getsockname()
+        client = HttpControllerClient(f"http://{host}:{port}")
+        try:
+            if expected is ConnectionError:
+                with pytest.raises(ConnectionError):
+                    client.get_paths()
+            else:
+                assert client.get_paths() == expected
+        finally:
+            server.join(timeout=5)
+            assert not server.is_alive()
+            listener.close()
