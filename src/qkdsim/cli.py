@@ -64,8 +64,7 @@ def main(argv=None) -> int:
             print(f"sweep written to {args.out}/sweep.csv")
             return code
         if args.command == "summarize":
-            text, all_pass = summarize(args.out, thresholds_path=args.thresholds,
-                                       include_timestamp=False)
+            text, all_pass = summarize(args.out, thresholds_path=args.thresholds)
             print(text, end="")
             return 0 if all_pass else 1
     # TopologyError, ScenarioError and CalibrationError are ValueErrors.

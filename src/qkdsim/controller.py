@@ -6,7 +6,9 @@ global ascending transaction-id sequence, stages everything, then
 commits with one barrier per affected switch, leaving the switch nearest
 the Alice QKD unit for last. Staging before any commit plus the
 Alice-last order is what keeps the fabric from ever exposing two
-complete paths (or a half-built one) to an observer.
+complete paths (or a half-built one) to an observer. Every southbound
+message goes through one of two steps: the flow-mod step `_flow_mod`
+stages and records one mod, the barrier step `_barrier` commits one switch.
 
 On a staging failure the controller reverses its own staged mods and
 commits the net-zero batch, so the request leaves neither committed
@@ -74,12 +76,15 @@ class TransactionRecord:
 @dataclass
 class ReconfigReport:
     request_id: str
-    outcome: str
     transactions: list[TransactionRecord] = field(default_factory=list)
     barrier_xids: list[int] = field(default_factory=list)
     started_at: float = 0.0
     completed_at: float = 0.0
     error: Optional[str] = None
+
+    @property
+    def outcome(self) -> str:
+        return OUTCOME_SUCCESS if self.error is None else OUTCOME_FAILED
 
     @property
     def duration_ms(self) -> float:
@@ -162,11 +167,7 @@ class SdnController:
     # -- internals ---------------------------------------------------------
 
     def _execute(self, request: ReconfigRequest) -> ReconfigReport:
-        report = ReconfigReport(
-            request_id=request.request_id,
-            outcome=OUTCOME_SUCCESS,
-            started_at=self.clock.now(),
-        )
+        report = ReconfigReport(request.request_id, started_at=self.clock.now())
         plan: list[tuple[str, str, int, int]] = []
         if request.tear_down is not None:
             for cc in self.topology.path(request.tear_down).cross_connects:
@@ -174,96 +175,79 @@ class SdnController:
         for cc in self.topology.path(request.set_up).cross_connects:
             plan.append((cc.switch, CMD_ADD, cc.in_port, cc.out_port))
 
-        staged: list[tuple[str, str, int, int]] = []
-        for switch_id, command, in_port, out_port in plan:
-            xid = self.next_xid()
-            record = TransactionRecord(xid, switch_id, command, in_port, out_port)
-            report.transactions.append(record)
-            try:
-                ack = self._send(switch_id, {
-                    "type": "FLOW_MOD", "xid": xid, "command": command,
-                    "in_port": in_port, "out_port": out_port,
-                })
-            except SwitchDisconnected:
-                record.status = "FAILED"
-                report.outcome = OUTCOME_FAILED
-                report.error = f"switch {switch_id} disconnected"
+        # Each uncommitted switch's acked xids, in first-touched order.
+        acked: dict[str, list[int]] = {}
+        for mod in plan:
+            reply, report.error = self._flow_mod(report, *mod)
+            if report.error is not None:
                 break
-            if ack.get("xid") == xid and ack.get("status") == STATUS_STAGED:
-                record.status = "ACKED"
-                staged.append((switch_id, command, in_port, out_port))
-            else:
-                record.status = "FAILED"
-                report.outcome = OUTCOME_FAILED
-                report.error = f"xid {xid} on {switch_id}: {ack.get('status')}"
-                break
+            acked.setdefault(mod[0], []).append(reply["xid"])
 
-        committed: set[str] = set()
-        if report.outcome == OUTCOME_SUCCESS:
-            for switch_id in self._commit_order(plan):
-                expected = [t.xid for t in report.transactions
-                            if t.switch == switch_id and t.status == "ACKED"]
-                xid = self.next_xid()
-                try:
-                    reply = self._send(switch_id, {"type": "BARRIER_REQUEST", "xid": xid})
-                except SwitchDisconnected:
-                    report.outcome = OUTCOME_FAILED
+        if report.error is None:
+            alice_switch = self.topology.alice_port[0]
+            if alice_switch in acked:
+                acked[alice_switch] = acked.pop(alice_switch)
+            for switch_id, xids in list(acked.items()):
+                committed_xids = self._barrier(report, switch_id)
+                if committed_xids is None:
                     report.error = f"switch {switch_id} disconnected at barrier"
                     break
-                report.barrier_xids.append(xid)
-                if reply.get("committed_xids") != expected:
-                    report.outcome = OUTCOME_FAILED
+                if committed_xids != xids:
                     report.error = f"barrier on {switch_id} committed unexpected xids"
                     break
-                committed.add(switch_id)
+                del acked[switch_id]
 
-        if report.outcome == OUTCOME_FAILED:
-            self._compensate(report, staged, committed)
-        else:
+        if report.error is None:
             self.active_path = request.set_up
+        else:
+            self._compensate(report, acked)
         report.completed_at = self.clock.now()
         return report
 
-    def _commit_order(self, plan) -> list[str]:
-        """Affected switches in first-touched order, Alice-side switch last."""
-        order: list[str] = []
-        for switch_id, _, _, _ in plan:
-            if switch_id not in order:
-                order.append(switch_id)
-        alice_switch = self.topology.alice_port[0]
-        if alice_switch in order:
-            order.remove(alice_switch)
-            order.append(alice_switch)
-        return order
-
-    def _compensate(self, report: ReconfigReport, staged, committed: set[str]):
+    def _compensate(self, report: ReconfigReport, uncommitted: dict[str, list[int]]):
         """Reverse staged-but-uncommitted mods and flush them with a barrier."""
-        touched: list[str] = []
-        for switch_id, command, in_port, out_port in reversed(staged):
-            if switch_id in committed:
-                continue
-            reverse = CMD_DELETE if command == CMD_ADD else CMD_ADD
-            xid = self.next_xid()
-            record = TransactionRecord(xid, switch_id, reverse, in_port, out_port)
-            report.transactions.append(record)
-            try:
-                ack = self._send(switch_id, {
-                    "type": "FLOW_MOD", "xid": xid, "command": reverse,
-                    "in_port": in_port, "out_port": out_port,
-                })
-                record.status = "ACKED" if ack.get("status") == STATUS_STAGED else "FAILED"
-            except SwitchDisconnected:
-                record.status = "FAILED"
-                continue
-            if switch_id not in touched:
-                touched.append(switch_id)
-        for switch_id in touched:
-            xid = self.next_xid()
-            try:
-                self._send(switch_id, {"type": "BARRIER_REQUEST", "xid": xid})
-                report.barrier_xids.append(xid)
-            except SwitchDisconnected:
-                pass
+        undo = [t for t in report.transactions
+                if t.status == "ACKED" and t.switch in uncommitted]
+        reached: list[str] = []
+        for t in reversed(undo):
+            reverse = CMD_DELETE if t.command == CMD_ADD else CMD_ADD
+            reply, _ = self._flow_mod(report, t.switch, reverse, t.in_port, t.out_port)
+            if reply is not None and t.switch not in reached:
+                reached.append(t.switch)
+        for switch_id in reached:
+            self._barrier(report, switch_id)
+
+    def _flow_mod(self, report: ReconfigReport, switch_id: str, command: str,
+                  in_port: int, out_port: int) -> tuple[Optional[dict], Optional[str]]:
+        """Stage one mod and record it as ACKED or FAILED.
+
+        Returns the switch's reply, None if the switch is unreachable, and
+        why the mod failed: None if it was staged.
+        """
+        xid = self.next_xid()
+        record = TransactionRecord(xid, switch_id, command, in_port, out_port, "FAILED")
+        report.transactions.append(record)
+        try:
+            reply = self._send(switch_id, {
+                "type": "FLOW_MOD", "xid": xid, "command": command,
+                "in_port": in_port, "out_port": out_port,
+            })
+        except SwitchDisconnected:
+            return None, f"switch {switch_id} disconnected"
+        if reply.get("xid") != xid or reply.get("status") != STATUS_STAGED:
+            return reply, f"xid {xid} on {switch_id}: {reply.get('status')}"
+        record.status = "ACKED"
+        return reply, None
+
+    def _barrier(self, report: ReconfigReport, switch_id: str) -> Optional[list[int]]:
+        """Commit one switch: the xids it committed, or None if it is unreachable."""
+        xid = self.next_xid()
+        try:
+            reply = self._send(switch_id, {"type": "BARRIER_REQUEST", "xid": xid})
+        except SwitchDisconnected:
+            return None
+        report.barrier_xids.append(xid)
+        return reply.get("committed_xids") or []
 
     def _send(self, switch_id: str, msg: dict) -> dict:
         link = self.switch_links.get(switch_id)

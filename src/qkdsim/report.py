@@ -249,8 +249,7 @@ def window_stats(window: dict, metrics: Metrics) -> dict:
     return stats
 
 
-def summarize(out_dir: str, thresholds_path: Optional[str] = None,
-              include_timestamp: bool = False) -> tuple[str, bool]:
+def summarize(out_dir: str, thresholds_path: Optional[str] = None) -> tuple[str, bool]:
     """Render the summary of a run directory; the flag reports whether all checks passed."""
     info = load_info(out_dir)
     qpm_log = info["qpm_log"]
@@ -261,7 +260,7 @@ def summarize(out_dir: str, thresholds_path: Optional[str] = None,
         load_metrics(os.path.join(out_dir, "metrics.csv")),
         load_timing(os.path.join(out_dir, "timing.csv")),
         load_events(qpm_log),
-        thresholds_path, include_timestamp,
+        thresholds_path,
     )
 
 

@@ -14,11 +14,11 @@ log is recorded in run_info.json by name when it sits in the run
 directory and by absolute path otherwise.
 
 The unit pair is advanced lazily: whenever any component needs current
-state (a poll, an attack change, a metrics sample), the runner ticks the
-units over the elapsed interval under the circuit and attack power that
-held during it. Key-block boundaries therefore land at exact simulated
-times and random draws occur in timeline order no matter which event
-triggered the tick.
+state (a poll, an attack change, a metrics sample) or a switch commit
+may change the circuit, the runner ticks the units over the elapsed
+interval under the circuit and attack power that held during it.
+Key-block boundaries therefore land at exact simulated times and random
+draws occur in timeline order no matter which event triggered the tick.
 
 Metrics samples are chained the way the monitor chains its polls: the
 sample at k * period schedules the one at (k + 1) * period, so the
@@ -267,6 +267,7 @@ class ScenarioRun:
     # -- time-consistent unit state -------------------------------------------
 
     def _on_commit(self, _switch: OpticalSwitch):
+        self.sync_unit()
         states = {sid: sw.query_entries() for sid, sw in self.switches.items()}
         path_id = resolve_active_path(self.topology, states)
         link = None if path_id is None else self.topology.link_for_path(path_id)

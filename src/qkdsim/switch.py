@@ -16,8 +16,6 @@ import json
 import threading
 from typing import Callable, Optional
 
-from .topology import is_number
-
 STATUS_STAGED = "STAGED"
 STATUS_PORT_IN_USE = "PORT_IN_USE"
 STATUS_NO_SUCH_ENTRY = "NO_SUCH_ENTRY"
@@ -99,7 +97,8 @@ class OpticalSwitch:
 
     def _stage_status(self, command: str, in_port: int, out_port: int) -> str:
         for port in (in_port, out_port):
-            if not is_number(port, int) or not 0 <= port < self.port_count:
+            # Refuses bools and floats, as topology.is_number(port, int) does.
+            if type(port) is not int or not 0 <= port < self.port_count:
                 return STATUS_NO_SUCH_PORT
         if command == CMD_ADD:
             if in_port == out_port:

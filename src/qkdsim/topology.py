@@ -136,7 +136,7 @@ def _port(raw, switches: Mapping[str, int], where: str) -> Port:
     sw, port = raw
     if not isinstance(sw, str) or sw not in switches:
         raise TopologyError(f"{where} references unknown switch {sw!r}")
-    if not isinstance(port, int) or not 0 <= port < switches[sw]:
+    if not is_number(port, int) or not 0 <= port < switches[sw]:
         raise TopologyError(f"{where} port {port} out of range on switch '{sw}'")
     return (sw, port)
 

@@ -54,6 +54,26 @@ def fabric(reference_topology):
     }
 
 
+def lose_after(link, sent: int):
+    """Let `sent` more messages through `link`, then take it down for good."""
+    budget, forward = iter(range(sent)), link.send
+
+    def send(msg):
+        link.connected = next(budget, None) is not None
+        return forward(msg)
+
+    link.send = send
+
+
+def messages(journal) -> list:
+    return [(sw, msg["type"], msg["xid"]) for sw, msg in journal]
+
+
+def transactions(report) -> list:
+    return [(t.xid, t.switch, t.command, t.in_port, t.out_port, t.status)
+            for t in report.transactions]
+
+
 def switch_states(switches) -> dict:
     return {sw: s.query_entries() for sw, s in switches.items()}
 
@@ -201,6 +221,69 @@ class TestFailureHandling:
         fabric["links"]["bob"].connected = True
         report = establish(fabric, "link2", tear_down="link1")
         assert report.outcome == OUTCOME_SUCCESS
+
+    def test_alice_lost_at_her_barrier_after_bob_committed(self, fabric):
+        establish(fabric, "link1")
+        fabric["journal"].clear()
+        lose_after(fabric["links"]["alice"], 2)
+        report = establish(fabric, "link2", tear_down="link1")
+        assert report.outcome == OUTCOME_FAILED
+        assert report.error == "switch alice disconnected at barrier"
+        # Bob's commit stands; alice's reversals cannot reach her, so she
+        # gets no compensation barrier.
+        assert messages(fabric["journal"]) == [
+            ("alice", "FLOW_MOD", 5), ("bob", "FLOW_MOD", 6),
+            ("alice", "FLOW_MOD", 7), ("bob", "FLOW_MOD", 8),
+            ("bob", "BARRIER_REQUEST", 9), ("alice", "BARRIER_REQUEST", 10),
+            ("alice", "FLOW_MOD", 11), ("alice", "FLOW_MOD", 12),
+        ]
+        assert transactions(report) == [
+            (5, "alice", "DELETE", 0, 1, "ACKED"),
+            (6, "bob", "DELETE", 1, 0, "ACKED"),
+            (7, "alice", "ADD", 0, 2, "ACKED"),
+            (8, "bob", "ADD", 2, 0, "ACKED"),
+            (11, "alice", "DELETE", 0, 2, "FAILED"),
+            (12, "alice", "ADD", 0, 1, "FAILED"),
+        ]
+        assert report.barrier_xids == [9]
+        bob, alice = fabric["switches"]["bob"], fabric["switches"]["alice"]
+        assert bob.query_entries() == {(2, 0)}
+        assert bob.pending_count == 0
+        assert alice.query_entries() == {(0, 1)}
+        assert alice.pending_count == 2
+
+    def test_a_foreign_staged_mod_fails_a_barrier(self, fabric):
+        establish(fabric, "link1")
+        fabric["journal"].clear()
+        # Staged on bob outside the controller: bob's barrier commits it too.
+        fabric["switches"]["bob"].handle_flow_mod(90001, "ADD", 5, 6)
+        report = establish(fabric, "link2", tear_down="link1")
+        assert report.outcome == OUTCOME_FAILED
+        assert report.error == "barrier on bob committed unexpected xids"
+        # Bob is not counted as committed, so every staged mod is reversed,
+        # newest first, and each switch gets one barrier.
+        assert messages(fabric["journal"]) == [
+            ("alice", "FLOW_MOD", 5), ("bob", "FLOW_MOD", 6),
+            ("alice", "FLOW_MOD", 7), ("bob", "FLOW_MOD", 8),
+            ("bob", "BARRIER_REQUEST", 9),
+            ("bob", "FLOW_MOD", 10), ("alice", "FLOW_MOD", 11),
+            ("bob", "FLOW_MOD", 12), ("alice", "FLOW_MOD", 13),
+            ("bob", "BARRIER_REQUEST", 14), ("alice", "BARRIER_REQUEST", 15),
+        ]
+        assert transactions(report) == [
+            (5, "alice", "DELETE", 0, 1, "ACKED"),
+            (6, "bob", "DELETE", 1, 0, "ACKED"),
+            (7, "alice", "ADD", 0, 2, "ACKED"),
+            (8, "bob", "ADD", 2, 0, "ACKED"),
+            (10, "bob", "DELETE", 2, 0, "ACKED"),
+            (11, "alice", "DELETE", 0, 2, "ACKED"),
+            (12, "bob", "ADD", 1, 0, "ACKED"),
+            (13, "alice", "ADD", 0, 1, "ACKED"),
+        ]
+        assert report.barrier_xids == [9, 14, 15]
+        assert switch_states(fabric["switches"]) == {
+            "alice": {(0, 1)}, "bob": {(1, 0), (5, 6)}, "int1": set(), "int2": set()}
+        assert all(s.pending_count == 0 for s in fabric["switches"].values())
 
     def test_missing_link_treated_as_disconnected(self, fabric):
         del fabric["links"]["int1"]

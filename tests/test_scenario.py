@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim.physics import ATTACK_OFF, CalibrationError
+from qkdsim.qkd_unit import STATE_GENERATING, STATE_IDLE
 from qkdsim.qpm import (
     DETECTED,
     EXHAUSTED,
@@ -27,6 +29,7 @@ from qkdsim.qpm import (
 from qkdsim.scenario import (
     EXIT_EXHAUSTED,
     EXIT_OK,
+    LocalQkdClient,
     PRIORITY_METRICS,
     Scenario,
     ScenarioError,
@@ -357,6 +360,28 @@ class TestScenarioRun:
                 link.connected = True
             states = {sid: sw.query_entries() for sid, sw in run.switches.items()}
             assert run.current_circuit()[0] == resolve_active_path(reference_topology, states)
+
+    def test_a_commit_syncs_the_unit_under_the_old_circuit(self, reference_topology):
+        """The unit goes Idle at the commit that breaks its circuit, so a
+        block that falls due during a path move is never drawn."""
+        run = ScenarioRun(reference_topology, Scenario(3600.0, ()), seed=1)
+        run.controller_client.post_reconfigure({"request_id": "r0", "set_up": "link1"})
+        LocalQkdClient(run).start_session()
+        run.clock.advance(300.0)
+        run.sync_unit()
+        assert run.unit.state == STATE_GENERATING
+        _, channel, power = run.current_circuit()
+        due = copy.deepcopy(run.unit).tick(60.0, channel, power)[0].produced_at
+        # Posted 25 ms before the block: bob commits at +20 ms, alice at
+        # +24 ms, and the reply lands at +28 ms.
+        run.clock.advance(due - 0.025 - run.clock.now())
+        rng_state = run.rng.bit_generator.state
+        status, body = run.controller_client.post_reconfigure(
+            {"request_id": "r1", "tear_down": "link1", "set_up": "link2"})
+        assert (status, body["outcome"]) == (200, "SUCCESS")
+        run.sync_unit()
+        assert run.unit.state == STATE_IDLE
+        assert run.rng.bit_generator.state == rng_state
 
 
 # Each link's death power in the reference topology: offsets from it

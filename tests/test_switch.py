@@ -88,7 +88,8 @@ class TestStaging:
 
     # A bool is not a port number, though True == 1 (JSON true on the wire).
     @pytest.mark.parametrize("in_port,out_port", [(-1, 2), (2, -1), (8, 2), (2, 8),
-                                                  (True, 2), (2, True), (False, 2), (2, False)])
+                                                  (True, 2), (2, True), (False, 2), (2, False),
+                                                  (1.0, 2), (2, 1.0)])
     def test_out_of_range_ports(self, sw, in_port, out_port):
         ack = sw.handle_flow_mod(1, CMD_ADD, in_port, out_port)
         assert ack["status"] == STATUS_NO_SUCH_PORT

@@ -178,6 +178,11 @@ class TestValidation:
                          id="alice-port-out-of-range"),
             pytest.param(lambda d: d.__setitem__("alice_port", "alice:0"),
                          id="alice-port-not-a-pair"),
+            # False == 0, so a bool port would load as the real one.
+            pytest.param(lambda d: d.__setitem__("alice_port", ["alice", False]),
+                         id="alice-port-is-a-bool"),
+            pytest.param(lambda d: d.__setitem__("bob_port", ["bob", False]),
+                         id="bob-port-is-a-bool"),
             pytest.param(lambda d: d.__setitem__("bob_port", d["alice_port"]),
                          id="alice-equals-bob"),
             pytest.param(lambda d: d["paths"][0]["cross_connects"][0].__setitem__("switch", "ghost"),
