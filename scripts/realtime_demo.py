@@ -69,7 +69,7 @@ def main() -> int:
     states = {sid: sw.query_entries() for sid, sw in switches.items()}
     active = resolve_active_path(topology, states)
     print(f"fabric resolves to: {active}")
-    unit.start_session(topology.link_for_path(active).channel, clock.now())
+    unit.start_session(topology.link_for_path(active).channel)
     unit.tick(1.5, topology.link_for_path(active).channel, ATTACK_OFF)
     print(f"monitor reading over socket: {monitor.read_monitor()}")
 

@@ -8,6 +8,11 @@ the optical circuit drops it to Idle (control-plane action, not attack).
 The monitor read-out is the poll target for failure detection: key size
 and rate read as zero whenever keys are not being generated.
 
+The unit keeps no clock. It is a session state machine that its caller
+advances by the lengths of ticks, so time is the caller's: the init
+left and the elapsed key interval are all the unit knows of it, and a
+read-out is stamped with the time the caller passes in.
+
 One engine advances the unit, tick_while: _steps runs the interval
 arithmetic over ticks on a lit circuit, up to and including the first
 that ends the init or distils a block that aborts or meets the caller's
@@ -49,12 +54,11 @@ def _never(qber, key_bits, state):
 class KeyBlock:
     sequence_no: int
     size_bits: int
-    produced_at: float
 
 
 class QkdUnitPair:
-    """State machine advanced by the simulation owner via tick_while(), or
-    tick() over one dt.
+    """Session state machine advanced by its owner via tick_while(), or
+    tick() over one dt; the owner keeps the time.
 
     rng is a caller-owned numpy Generator; each session consumes one
     uniform draw (init-duration jitter) followed by two standard normal
@@ -75,7 +79,6 @@ class QkdUnitPair:
         self.key_interval_s = key_interval_s
         self.init_jitter_frac = init_jitter_frac
         self.state = STATE_IDLE
-        self._now = 0.0
         self._init_remaining = 0.0
         self._interval_elapsed = 0.0
         self._sequence = 0
@@ -83,13 +86,10 @@ class QkdUnitPair:
         self._last_qber = 0.0
         self._last_key_bits = 0
 
-    def start_session(self, channel: ChannelParams, now: float):
+    def start_session(self, channel: ChannelParams):
         """Begin (re-)initialization; caller guarantees a complete circuit."""
         if channel is None:
             raise ValueError("start_session requires an established channel")
-        if now < self._now - _EPS:
-            raise ValueError("session start before the unit's current time")
-        self._now = max(self._now, now)
         jitter = 1.0 + self.init_jitter_frac * (2.0 * self.rng.random() - 1.0)
         self._init_remaining = self.init_time_s * jitter
         self._interval_elapsed = 0.0
@@ -105,13 +105,12 @@ class QkdUnitPair:
         if dt <= 0:
             raise ValueError("dt must be positive")
         if active_channel is None:
-            self._now += dt
-            self._to_idle()
+            self.state = STATE_IDLE
             return []
         first = self._sequence + 1
-        _, _, _, times, _, _, bits = self.tick_while([dt], active_channel, attack_power_dbm, _never)
-        keyed = [(size, t) for size, t in zip(bits.tolist(), times) if size > 0]
-        return [KeyBlock(n, size, t) for n, (size, t) in enumerate(keyed, first)]
+        bits = self.tick_while([dt], active_channel, attack_power_dbm, _never)[-1]
+        keyed = [size for size in bits.tolist() if size > 0]
+        return [KeyBlock(n, size) for n, size in enumerate(keyed, first)]
 
     def tick_while(self, dts, active_channel, attack_power_dbm: float, acts):
         """Advance over each of dts on a lit circuit, up to and including the
@@ -121,9 +120,9 @@ class QkdUnitPair:
         the session ends there and the rest of the tick passes.
 
         Returns the ticks taken, whether the last one was a stop, the tick
-        distilling each kept block and its time, and their read-outs as
-        arrays: qber, skr_bps and key_bits."""
-        ticks, stopped, block_ticks, times, init_left, elapsed, now = self._steps(dts)
+        distilling each kept block, and their read-outs as arrays: qber,
+        skr_bps and key_bits. The ticks' times are the caller's."""
+        ticks, stopped, block_ticks, init_left, elapsed = self._steps(dts)
         q = s = bits = _NO_BLOCKS
         aborted = False
         if block_ticks:
@@ -142,80 +141,69 @@ class QkdUnitPair:
                 if kept < len(block_ticks):  # the draw covered more: redraw
                     self.rng.bit_generator.state = rng_state
                     self.rng.standard_normal(2 * kept)
-                    block_ticks, times = block_ticks[:kept], times[:kept]
+                    block_ticks = block_ticks[:kept]
                     q, s, bits = q[:kept], s[:kept], bits[:kept]
-                if aborted or stop + 1 < ticks:
+                if aborted:  # the aborting block closed an interval
+                    ticks, elapsed = stop + 1, 0.0
+                elif stop + 1 < ticks:
                     ticks = stop + 1
-                    *_, init_left, elapsed, now = self._steps(
-                        dts[:ticks], abort_at=kept if aborted else 0)
+                    *_, init_left, elapsed = self._steps(dts[:ticks])
                 stopped = True
             self._last_qber, self._last_skr = float(q[-1]), float(s[-1])
             self._last_key_bits = int(bits[-1])
             self._sequence += int(np.count_nonzero(bits))
         if stopped:
             self.state = STATE_ABORTED if aborted else STATE_GENERATING
-        self._init_remaining, self._interval_elapsed, self._now = init_left, elapsed, now
-        return ticks, stopped, block_ticks, times, q, s, bits
+        self._init_remaining, self._interval_elapsed = init_left, elapsed
+        return ticks, stopped, block_ticks, q, s, bits
 
     def init_left(self) -> float:
         """Simulated time left in the init, to within _EPS; inf outside it."""
         return self._init_remaining if self.state == STATE_INITIALIZING else math.inf
 
-    def _steps(self, dts, abort_at=0):
+    def _steps(self, dts):
         """The interval arithmetic over dts on a lit circuit, up to and including
         the tick that ends the init: the ticks taken, whether the init ended,
-        each block's tick and time, and the init left, elapsed interval and
-        clock after them. With abort_at n > 0 the session aborts at the n-th
-        block, after which time passes and nothing happens."""
-        generating = self.state == STATE_GENERATING
-        interval = self.key_interval_s
-        edge = interval - _EPS
-        init_left, elapsed, now = self._init_remaining, self._interval_elapsed, self._now
+        each block's tick, and the init left and elapsed interval after them.
+        Outside Initializing and Generating the ticks change nothing."""
+        init_left, elapsed = self._init_remaining, self._interval_elapsed
         block_ticks: list[int] = []
-        block_times: list[float] = []
         ticks, ended, first = len(dts), False, 0
         if self.state == STATE_INITIALIZING:
             for first, dt in enumerate(dts):
-                if dt <= _EPS:  # changes nothing, not even the clock
+                if dt <= _EPS:  # changes nothing
                     continue
                 if init_left - dt > _EPS:
                     init_left -= dt
-                    now += dt
                     continue
                 # The init ends within this tick; the rest of it generates.
                 step = min(dt, init_left)
                 init_left -= step
-                now += step
-                ticks, ended, generating, dts = first + 1, True, True, [dt - step]
+                ticks, ended, dts = first + 1, True, [dt - step]
                 break
-            else:
-                dts = ()  # the init outlasts every tick
+            else:  # the init outlasts every tick
+                return ticks, ended, block_ticks, init_left, elapsed
+        elif self.state != STATE_GENERATING:
+            return ticks, ended, block_ticks, init_left, elapsed
+        interval = self.key_interval_s
+        edge = interval - _EPS
         for i, dt in enumerate(dts, first):
             if dt <= _EPS:
                 continue
-            if generating:
-                if elapsed + dt >= edge:  # the tick distils one block or more
-                    remaining = dt
-                    while remaining > _EPS:
-                        step = interval - elapsed
-                        if remaining <= step:
-                            step = remaining
-                        elapsed += step
-                        now += step
-                        remaining -= step
-                        if elapsed >= edge:
-                            elapsed = 0.0
-                            block_ticks.append(i)
-                            block_times.append(now)
-                            if len(block_ticks) == abort_at:
-                                generating = False
-                                if remaining > _EPS:
-                                    now += remaining
-                                break
-                    continue
-                elapsed += dt
-            now += dt
-        return ticks, ended, block_ticks, block_times, init_left, elapsed, now
+            if elapsed + dt >= edge:  # the tick distils one block or more
+                remaining = dt
+                while remaining > _EPS:
+                    step = interval - elapsed
+                    if remaining <= step:
+                        step = remaining
+                    elapsed += step
+                    remaining -= step
+                    if elapsed >= edge:
+                        elapsed = 0.0
+                        block_ticks.append(i)
+                continue
+            elapsed += dt
+        return ticks, ended, block_ticks, init_left, elapsed
 
     def read_monitor(self, now: float) -> dict:
         """Side-effect-free monitoring read-out in the wire schema."""
@@ -228,22 +216,13 @@ class QkdUnitPair:
             "state": self.state,
         }
 
-    # -- internals ---------------------------------------------------------
-
-    def _to_idle(self):
-        self.state = STATE_IDLE
-        self._init_remaining = 0.0
-        self._interval_elapsed = 0.0
-        self._last_skr = 0.0
-        self._last_qber = 0.0
-        self._last_key_bits = 0
-
 
 class MonitorAgent:
     """Line-oriented monitor protocol over one unit pair.
 
-    The socket transport and the in-process client both produce readings
-    through here, so the serialized schema is identical in either mode.
+    A line carries the unit's read_monitor dictionary, the one the run
+    hands the monitor in process, so the schema is identical in either
+    mode.
     """
 
     def __init__(self, unit: QkdUnitPair, clock):

@@ -26,6 +26,14 @@ from .controller import Northbound, SwitchDisconnected
 MAX_REQUEST_BYTES = 64 * 1024
 
 
+def _json_object(raw) -> dict:
+    """raw parsed as JSON; ValueError unless it is UTF-8 JSON of an object."""
+    obj = json.loads(raw)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self):
         agent = self.server.agent  # type: ignore[attr-defined]
@@ -70,11 +78,11 @@ class _LineClient:
 
     def _read(self) -> dict:
         """The next reply; ConnectionError when the peer closed the connection
-        or sent a line that is not UTF-8 or not JSON."""
+        or sent a line that is not UTF-8 JSON of an object."""
         try:
             line = self._rfile.readline()
             if line:
-                return json.loads(line)
+                return _json_object(line)
         except ValueError as exc:
             raise ConnectionError(f"malformed reply: {exc}") from exc
         raise ConnectionError("peer closed the connection")
@@ -96,7 +104,11 @@ class SocketSwitchLink(_LineClient):
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
         super().__init__(host, port, timeout)
-        self.hello = self._read()
+        try:
+            self.hello = self._read()
+        except OSError:  # closed, timed out or malformed: release the socket
+            super().close()
+            raise
         self.switch_id = self.hello.get("switch", "?")
         self.connected = True
 
@@ -197,10 +209,10 @@ class HttpControllerClient:
         except urllib.error.HTTPError as exc:
             raw = exc.read()
             try:
-                return exc.code, json.loads(raw)
-            except ValueError:  # not JSON, or not UTF-8
+                return exc.code, _json_object(raw)
+            except ValueError:  # not UTF-8 JSON of an object
                 return exc.code, {"error": raw.decode("utf-8", "replace")}
         try:
-            return status, json.loads(raw)
-        except ValueError as exc:  # not JSON, or not UTF-8
+            return status, _json_object(raw)
+        except ValueError as exc:  # not UTF-8 JSON of an object
             raise ConnectionError(f"malformed reply: {exc}") from exc

@@ -19,6 +19,9 @@ may change the circuit, the runner ticks the units over the elapsed
 interval under the circuit and attack power that held during it.
 Key-block boundaries therefore land at exact simulated times and random
 draws occur in timeline order no matter which event triggered the tick.
+The unit keeps no clock: the end of its last tick, _last_sync, is the
+only time it has. The run is also the monitor's in-process unit client:
+its read_monitor and start_session sync the unit to the clock first.
 
 Metrics samples are chained the way the monitor chains its polls: the
 sample at k * period schedules the one at (k + 1) * period, so the
@@ -193,24 +196,6 @@ def load_scenario(file_path: str) -> Scenario:
     return Scenario(duration_s=float(duration), events=tuple(events))
 
 
-class LocalQkdClient:
-    """In-process monitor/session access for the QPM, kept time-consistent."""
-
-    def __init__(self, run: "ScenarioRun"):
-        self.run = run
-
-    def read_monitor(self) -> dict:
-        self.run.sync_unit()
-        return self.run.unit.read_monitor(self.run.clock.now())
-
-    def start_session(self):
-        self.run.sync_unit()
-        _, channel, _ = self.run.current_circuit()
-        if channel is None:
-            raise RuntimeError("start_session with no established circuit")
-        self.run.unit.start_session(channel, self.run.clock.now())
-
-
 class ScenarioRun:
     """State of one deterministic simulated run."""
 
@@ -250,8 +235,7 @@ class ScenarioRun:
             topology, self.links, self.clock, log=self.controller_records.append)
         self.northbound = Northbound(self.controller)
         self.controller_client = LocalControllerClient(self.northbound, self.clock)
-        self.qpm = Qpm(qpm_config, topology,
-                       self.controller_client, LocalQkdClient(self),
+        self.qpm = Qpm(qpm_config, topology, self.controller_client, self,
                        self.clock, self.scheduler)
         self.attack_powers = {link.link_id: ATTACK_OFF for link in topology.links}
         self._powers_csv = self._format_powers()
@@ -287,6 +271,21 @@ class ScenarioRun:
             self.unit.tick(dt, channel, power)
             self._last_sync = now
 
+    # -- the monitor's unit client -----------------------------------------------
+
+    def read_monitor(self) -> dict:
+        """The unit's read-out, synced to the clock."""
+        self.sync_unit()
+        return self.unit.read_monitor(self.clock.now())
+
+    def start_session(self):
+        """Start a session on the lit circuit, once the unit is synced."""
+        self.sync_unit()
+        _, channel, _ = self.current_circuit()
+        if channel is None:
+            raise RuntimeError("start_session with no established circuit")
+        self.unit.start_session(channel)
+
     # -- scheduled handlers -----------------------------------------------------
 
     def _format_powers(self) -> str:
@@ -306,10 +305,9 @@ class ScenarioRun:
 
     def _sample_metrics(self, k: int):
         """Write the metrics row at k * period and schedule the next one."""
-        self.sync_unit()
+        reading = self.read_monitor()
         t = k * self.qpm.config.poll_period_s
         path_id, _, _ = self.current_circuit()
-        reading = self.unit.read_monitor(self.clock.now())
         self.metrics_rows.append(_row_template(path_id or "none", self._powers_csv, self.qpm.mode)
                                  % (t, reading["skr_bps"], reading["qber"]))
         self._schedule_metrics(k + 1)
@@ -393,7 +391,7 @@ class ScenarioRun:
         for stop, power in zip(bounds, powers):
             if stop > taken:
                 start = taken
-                ticks, stopped, block_ticks, _, q, s, _ = unit.tick_while(
+                ticks, stopped, block_ticks, q, s, _ = unit.tick_while(
                     dts[start:stop].tolist(), channel, power, qpm.could_act)
                 taken += ticks
                 if block_ticks:
@@ -460,7 +458,8 @@ def extract_episodes(events) -> tuple[Optional[float], list[dict]]:
 
     Returns (first_init_s, episodes); first_init_s is the startup
     provisioning-to-keys duration, episodes are dicts with t_detected /
-    t_reconfig_done / t_reinit_done for every completed mitigation.
+    t_reconfig_done / t_reinit_done for every completed mitigation, the
+    failed path and the path it moved to.
     """
     first_reconfig_done = None
     first_init_s = None
@@ -468,7 +467,7 @@ def extract_episodes(events) -> tuple[Optional[float], list[dict]]:
     current: Optional[dict] = None
     for event in events:
         if event.kind == DETECTED:
-            current = {"t_detected": event.t, "path": None}
+            current = {"t_detected": event.t, "failed_path": event.path, "path": None}
         elif event.kind == RECONFIG_DONE:
             if current is not None and "t_reconfig_done" not in current:
                 current["t_reconfig_done"] = event.t
@@ -485,12 +484,16 @@ def extract_episodes(events) -> tuple[Optional[float], list[dict]]:
     return first_init_s, episodes
 
 
-def timing_rows(episodes: list[dict], scenario: Scenario) -> list[str]:
-    """timing.csv rows: per-episode breakdown anchored at attack onset."""
+def timing_rows(episodes: list[dict], scenario: Scenario, topology: Topology) -> list[str]:
+    """timing.csv rows: per-episode breakdown anchored at attack onset, the
+    latest attack switched on at or before detection on the failed path's
+    link, or at detection when there is none."""
     rows = []
-    onsets = [ev.t for ev in scenario.events if ev.attack_power_dbm != ATTACK_OFF]
     for index, ep in enumerate(episodes, start=1):
-        candidates = [t for t in onsets if t <= ep["t_detected"]]
+        link_id = topology.path(ep["failed_path"]).link_id
+        candidates = [ev.t for ev in scenario.events
+                      if ev.link_id == link_id and ev.attack_power_dbm != ATTACK_OFF
+                      and ev.t <= ep["t_detected"]]
         onset = max(candidates) if candidates else ep["t_detected"]
         detect_s = ep["t_detected"] - onset
         controller_s = ep["t_reconfig_done"] - ep["t_detected"]
@@ -536,6 +539,14 @@ def _overwrite(fd: int, text: str) -> None:
         os.ftruncate(fd, size)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one file, existing or not."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either is missing
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _lines(lines) -> str:
     return "".join(line + "\n" for line in lines)
 
@@ -557,14 +568,19 @@ def run_scenario(topology_file: str, scenario_file: str, seed: int, out_dir: str
 
     Every target is opened before the run starts, so one that cannot be
     written fails fast and leaves the files of an earlier run as they were.
+    A monitor log that is one of the other targets is refused the same way.
     """
     topology = load_topology(topology_file)
     scenario = load_scenario(scenario_file)
     run = ScenarioRun(topology, scenario, seed, qpm_config=qpm_config)
 
-    os.makedirs(out_dir, exist_ok=True)
     qpm_log = qpm_log_path or os.path.join(out_dir, "qpm_log.ndjson")
-    with _opened([qpm_log, *(os.path.join(out_dir, name) for name in _RUN_FILES)]) as fds:
+    targets = [os.path.join(out_dir, name) for name in _RUN_FILES]
+    for target in targets:
+        if _same_file(qpm_log, target):
+            raise ScenarioError(f"monitor log {qpm_log} is the run's {os.path.basename(target)}")
+    os.makedirs(out_dir, exist_ok=True)
+    with _opened([qpm_log, *targets]) as fds:
         log_fd, metrics_fd, controller_fd, timing_fd, info_fd, summary_fd = fds
         run.execute()
 
@@ -577,7 +593,7 @@ def run_scenario(topology_file: str, scenario_file: str, seed: int, out_dir: str
 
         first_init_s, episodes = extract_episodes(run.qpm.events)
         timing_header = "episode,detect_s,controller_s,reinit_s,total_s"
-        timing = timing_rows(episodes, scenario)
+        timing = timing_rows(episodes, scenario, topology)
         _overwrite(timing_fd, _lines([timing_header, *timing]))
 
         exhausted = any(ev.kind == EXHAUSTED for ev in run.qpm.events)

@@ -61,6 +61,27 @@ class TestRunCommand:
         assert "error:" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("name", ["metrics.csv", "summary.txt"])
+    def test_a_monitor_log_on_a_run_file_is_refused(self, tmp_path, configs, capsys,
+                                                    monkeypatch, name):
+        """A --qpm-log that names one of the run's own files, however spelt,
+        exits 2 with one line before anything is written."""
+        out = tmp_path / "out"
+        assert main(run_args(configs, out, extra=["--deterministic"])) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setattr(ScenarioRun, "execute",
+                            lambda self: pytest.fail("the run started"))
+        capsys.readouterr()
+        fresh = tmp_path / "fresh"
+        for run_dir, log in ((out, out / name), (out, out / "." / name),
+                             (fresh, fresh / name)):
+            code = main(run_args(configs, run_dir, extra=["--qpm-log", str(log)]))
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: monitor log") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not fresh.exists()
+
     def test_a_relative_monitor_log_is_found_from_any_directory(self, tmp_path, configs,
                                                                 capsys, monkeypatch):
         work = tmp_path / "work"

@@ -43,7 +43,7 @@ def make_unit(seed=0, jitter=0.0, **kwargs) -> QkdUnitPair:
 class TestLifecycle:
     def test_initialization_takes_the_configured_time(self):
         unit = make_unit()
-        unit.start_session(CHANNEL, now=0.0)
+        unit.start_session(CHANNEL)
         assert unit.state == STATE_INITIALIZING
         unit.tick(119.0, CHANNEL, ATTACK_OFF)
         assert unit.state == STATE_INITIALIZING
@@ -53,23 +53,27 @@ class TestLifecycle:
 
     def test_one_block_per_interval_after_init(self):
         unit = make_unit()
-        unit.start_session(CHANNEL, now=0.0)
+        unit.start_session(CHANNEL)
         blocks = unit.tick(120.0 + 3 * 60.0, CHANNEL, ATTACK_OFF)
         assert [b.sequence_no for b in blocks] == [1, 2, 3]
-        assert [b.produced_at for b in blocks] == pytest.approx([180.0, 240.0, 300.0])
         for b in blocks:
             # Size is rate times interval with ~3% jitter around 950 b/s.
             assert 950 * 60 * 0.85 < b.size_bits < 950 * 60 * 1.15
+        # The blocks fall due at the ends of the intervals: 180, 240 and 300 s.
+        timed = make_unit()
+        timed.start_session(CHANNEL)
+        timed.tick(120.0, CHANNEL, ATTACK_OFF)
+        assert timed.tick_while([30.0] * 6, CHANNEL, ATTACK_OFF, never)[2] == [1, 3, 5]
 
     def test_sequence_numbers_are_gapless_over_a_long_run(self):
         unit = make_unit()
-        unit.start_session(CHANNEL, now=0.0)
+        unit.start_session(CHANNEL)
         blocks = unit.tick(120.0 + 200 * 60.0, CHANNEL, ATTACK_OFF)
         assert [b.sequence_no for b in blocks] == list(range(1, 201))
 
     def test_attack_aborts_at_the_first_distillation(self):
         unit = make_unit()
-        unit.start_session(CHANNEL, now=0.0)
+        unit.start_session(CHANNEL)
         blocks = unit.tick(180.0, CHANNEL, KILL_POWER)
         assert blocks == []
         assert unit.state == STATE_ABORTED
@@ -80,17 +84,17 @@ class TestLifecycle:
 
     def test_aborted_session_stays_aborted(self):
         unit = make_unit()
-        unit.start_session(CHANNEL, now=0.0)
+        unit.start_session(CHANNEL)
         unit.tick(180.0, CHANNEL, KILL_POWER)
         assert unit.tick(3600.0, CHANNEL, ATTACK_OFF) == []
         assert unit.state == STATE_ABORTED
 
     @pytest.mark.parametrize("prepare", [
         pytest.param(lambda u: None, id="from-idle"),
-        pytest.param(lambda u: u.start_session(CHANNEL, 0.0), id="from-initializing"),
-        pytest.param(lambda u: (u.start_session(CHANNEL, 0.0),
+        pytest.param(lambda u: u.start_session(CHANNEL), id="from-initializing"),
+        pytest.param(lambda u: (u.start_session(CHANNEL),
                                 u.tick(130.0, CHANNEL, ATTACK_OFF)), id="from-generating"),
-        pytest.param(lambda u: (u.start_session(CHANNEL, 0.0),
+        pytest.param(lambda u: (u.start_session(CHANNEL),
                                 u.tick(180.0, CHANNEL, KILL_POWER)), id="from-aborted"),
     ])
     def test_losing_the_circuit_drops_to_idle(self, prepare):
@@ -103,10 +107,10 @@ class TestLifecycle:
 
     def test_restart_after_idle_reinitializes(self):
         unit = make_unit()
-        unit.start_session(CHANNEL, now=0.0)
+        unit.start_session(CHANNEL)
         unit.tick(200.0, CHANNEL, ATTACK_OFF)
         unit.tick(5.0, None, ATTACK_OFF)
-        unit.start_session(CHANNEL, now=205.0)
+        unit.start_session(CHANNEL)
         assert unit.state == STATE_INITIALIZING
         blocks = unit.tick(120.0 + 60.0, CHANNEL, ATTACK_OFF)
         assert [b.sequence_no for b in blocks] == [1]  # fresh session numbering
@@ -116,7 +120,7 @@ class TestLifecycle:
         unit = make_unit(jitter=0.0)
         for round_no in range(2):
             unit.tick(1.0, None, ATTACK_OFF)
-            unit.start_session(CHANNEL, now=unit._now)
+            unit.start_session(CHANNEL)
             elapsed = 0.0
             while unit.state == STATE_INITIALIZING:
                 unit.tick(0.5, CHANNEL, ATTACK_OFF)
@@ -129,7 +133,7 @@ class TestLifecycle:
         durations = []
         for _ in range(40):
             unit.tick(1.0, None, ATTACK_OFF)
-            unit.start_session(CHANNEL, now=unit._now)
+            unit.start_session(CHANNEL)
             elapsed = 0.0
             while unit.state == STATE_INITIALIZING:
                 unit.tick(0.25, CHANNEL, ATTACK_OFF)
@@ -144,7 +148,7 @@ class TestDeterminismAndPartitioning:
         runs = []
         for _ in range(2):
             unit = make_unit(seed=42, jitter=0.03)
-            unit.start_session(CHANNEL, now=0.0)
+            unit.start_session(CHANNEL)
             runs.append(unit.tick(1200.0, CHANNEL, ATTACK_OFF))
         assert runs[0] == runs[1]
 
@@ -159,17 +163,14 @@ class TestDeterminismAndPartitioning:
             chunks = chunks + [0.5]
             total += 0.5
         one = make_unit(seed=7)
-        one.start_session(CHANNEL, now=0.0)
+        one.start_session(CHANNEL)
         whole = one.tick(total, CHANNEL, ATTACK_OFF)
         other = make_unit(seed=7)
-        other.start_session(CHANNEL, now=0.0)
+        other.start_session(CHANNEL)
         pieces = []
         for chunk in chunks:
             pieces.extend(other.tick(chunk, CHANNEL, ATTACK_OFF))
-        assert [(b.sequence_no, b.size_bits) for b in whole] == \
-               [(b.sequence_no, b.size_bits) for b in pieces]
-        assert [b.produced_at for b in pieces] == pytest.approx(
-            [b.produced_at for b in whole], abs=1e-6)
+        assert whole == pieces
         assert one.state == other.state
         assert one.read_monitor(total) == other.read_monitor(total)
 
@@ -182,8 +183,7 @@ class LoopUnit(QkdUnitPair):
         if dt <= 0:
             raise ValueError("dt must be positive")
         if active_channel is None:
-            self._now += dt
-            self._to_idle()
+            self.state = STATE_IDLE
             return []
         produced = []
         remaining = dt
@@ -191,7 +191,6 @@ class LoopUnit(QkdUnitPair):
             if self.state == STATE_INITIALIZING:
                 step = min(remaining, self._init_remaining)
                 self._init_remaining -= step
-                self._now += step
                 remaining -= step
                 if self._init_remaining <= _EPS:
                     self.state = STATE_GENERATING
@@ -199,7 +198,6 @@ class LoopUnit(QkdUnitPair):
             elif self.state == STATE_GENERATING:
                 step = min(remaining, self.key_interval_s - self._interval_elapsed)
                 self._interval_elapsed += step
-                self._now += step
                 remaining -= step
                 if self._interval_elapsed >= self.key_interval_s - _EPS:
                     self._interval_elapsed = 0.0
@@ -207,7 +205,6 @@ class LoopUnit(QkdUnitPair):
                     if block is not None:
                         produced.append(block)
             else:
-                self._now += remaining
                 remaining = 0.0
         return produced
 
@@ -224,12 +221,11 @@ class LoopUnit(QkdUnitPair):
         if self._last_key_bits <= 0:
             return None
         self._sequence += 1
-        return KeyBlock(self._sequence, self._last_key_bits, self._now)
+        return KeyBlock(self._sequence, self._last_key_bits)
 
 
 def unit_state(unit: QkdUnitPair):
-    return (unit.state, unit._init_remaining, unit._interval_elapsed, unit._now,
-            unit._sequence, unit._last_skr, unit._last_qber, unit._last_key_bits,
+    return (unit.state, unit._init_remaining, unit._interval_elapsed, unit._sequence, unit._last_skr, unit._last_qber, unit._last_key_bits,
             unit.rng.bit_generator.state)
 
 
@@ -262,15 +258,15 @@ class TestTickMatchesTheLoop:
         fast = make_unit(seed=seed, jitter=0.03)
         slow = LoopUnit(np.random.default_rng(seed), init_jitter_frac=0.03)
         for unit in (fast, slow):
-            unit.start_session(CHANNEL, now=0.0)
+            unit.start_session(CHANNEL)
         power = ATTACK_OFF
         for kind, value in ops:
             if kind == "power":
                 power = value
                 continue
             if kind == "restart":
-                fast.start_session(CHANNEL, fast._now)
-                slow.start_session(CHANNEL, slow._now)
+                fast.start_session(CHANNEL)
+                slow.start_session(CHANNEL)
             else:
                 channel = None if kind == "lose" else CHANNEL
                 dt = to_boundary(slow) + value if kind == "near" else value
@@ -291,7 +287,7 @@ class TestTickMatchesTheLoop:
         slow = LoopUnit(np.random.default_rng(0), init_time_s=init_time_s,
                         key_interval_s=key_interval_s, init_jitter_frac=0.0)
         for unit in (fast, slow):
-            unit.start_session(CHANNEL, now=0.0)
+            unit.start_session(CHANNEL)
         for dt in ticks:
             assert fast.tick(dt, CHANNEL, ATTACK_OFF) == slow.tick(dt, CHANNEL, ATTACK_OFF)
             assert unit_state(fast) == unit_state(slow)
@@ -332,7 +328,7 @@ class TestTickWhileClean:
         batched, ticked = make_unit(seed=seed, jitter=0.03), make_unit(seed=seed, jitter=0.03)
         looped = LoopUnit(np.random.default_rng(seed), init_jitter_frac=0.03)
         for unit in (batched, ticked, looped):
-            unit.start_session(CHANNEL, now=0.0)
+            unit.start_session(CHANNEL)
             unit.tick(unit._init_remaining + past_init, CHANNEL, ATTACK_OFF)
             assume(unit.state == STATE_GENERATING)
         distilled = []
@@ -340,37 +336,35 @@ class TestTickWhileClean:
         def distill(channel, power, distill=looped._distill):
             block = distill(channel, power)
             distilled.append((looped._last_qber, looped._last_skr, looped._last_key_bits,
-                              looped.state, looped._now))
+                              looped.state))
             return block
 
         looped._distill = distill
         acts = never if qber_max is None else clean(qber_max)
-        reading = ticked.read_monitor(ticked._now)
-        ticks, stopped, block_ticks, times, q, s, bits = batched.tick_while(
-            dts, CHANNEL, power, acts)
-        assert len(block_ticks) == len(times) == len(q) == len(s) == len(bits)
+        reading = ticked.read_monitor(0.0)
+        ticks, stopped, block_ticks, q, s, bits = batched.tick_while(dts, CHANNEL, power, acts)
+        assert len(block_ticks) == len(q) == len(s) == len(bits)
         readouts = [(reading["qber"], reading["skr_bps"], reading["last_key_size_bits"]),
                     *zip(q.tolist(), s.tolist(), bits.tolist())]
         # Every tick taken, the stop tick included, leaves the unit as tick and
         # the reference loop do, and reads the read-out of the blocks before it.
         for i, dt in enumerate(dts[:ticks]):
-            reading = ticked.read_monitor(ticked._now)
+            reading = ticked.read_monitor(0.0)
             blocks = sum(1 for b in block_ticks if b < i)
             assert readouts[blocks] == (
                 reading["qber"], reading["skr_bps"], reading["last_key_size_bits"])
             assert ticked.tick(dt, CHANNEL, power) == looped.tick(dt, CHANNEL, power)
         assert unit_state(batched) == unit_state(ticked) == unit_state(looped)
-        # The blocks kept are the ones the loop distils, at the same times.
+        # The blocks kept are the ones the loop distils.
         assert readouts[1:] == [r[:3] for r in distilled]
-        assert times == [r[4] for r in distilled]
         # Every block before the stop tick keeps the unit Generating and is
         # not flagged; the stop tick distils one that aborts or is flagged.
         stop_tick = ticks - 1 if stopped else ticks
         before = sum(1 for b in block_ticks if b < stop_tick)
         assert all(not acts(q, bits, state) and state == STATE_GENERATING
-                   for q, _, bits, state, _ in distilled[:before])
+                   for q, _, bits, state in distilled[:before])
         assert stopped == any(acts(q, bits, state) or state == STATE_ABORTED
-                              for q, _, bits, state, _ in distilled[before:])
+                              for q, _, bits, state in distilled[before:])
         assert stopped or ticks == len(dts)
 
     def test_an_aborting_first_block_is_taken(self):
@@ -379,7 +373,7 @@ class TestTickWhileClean:
         for acts in (clean(0.08), never):
             batched, ticked = make_unit(seed=4), make_unit(seed=4)
             for unit in (batched, ticked):
-                unit.start_session(CHANNEL, now=0.0)
+                unit.start_session(CHANNEL)
                 unit.tick(150.0, CHANNEL, ATTACK_OFF)
             ticks, stopped, block_ticks, *_ = batched.tick_while(
                 [60.0] * 10, CHANNEL, KILL_POWER, acts)
@@ -410,7 +404,7 @@ class TestTickWhileFixed:
         units = (make_unit(seed=seed, jitter=0.03), make_unit(seed=seed, jitter=0.03),
                  LoopUnit(np.random.default_rng(seed), init_jitter_frac=0.03))
         for unit in units:
-            unit.start_session(CHANNEL, now=0.0)
+            unit.start_session(CHANNEL)
             if aborted:
                 unit.tick(unit._init_remaining + 60.0, CHANNEL, KILL_POWER)
                 assume(unit.state == STATE_ABORTED)
@@ -418,15 +412,15 @@ class TestTickWhileFixed:
         if near_end is not None:
             # Add a tick that ends near_end away from the end of the init.
             probe = make_unit(seed=seed, jitter=0.03)
-            probe.start_session(CHANNEL, now=0.0)
+            probe.start_session(CHANNEL)
             for dt in dts:
                 probe.tick(dt, CHANNEL, ATTACK_OFF)
             if probe.state == STATE_INITIALIZING and probe._init_remaining + near_end > 0:
                 dts = dts + [probe._init_remaining + near_end]
         readout, drawn = ticked.read_monitor(0.0), ticked.rng.bit_generator.state
-        ticks, stopped, block_ticks, times, q, s, bits = batched.tick_while(
+        ticks, stopped, block_ticks, q, s, bits = batched.tick_while(
             dts, CHANNEL, KILL_POWER, never)
-        assert len(block_ticks) == len(times) == len(q) == len(s) == len(bits)
+        assert len(block_ticks) == len(q) == len(s) == len(bits)
         assert all(b == ticks - 1 for b in block_ticks) and len(block_ticks) <= 1
         stop_tick = ticks - 1 if stopped else ticks
         for dt in dts[:stop_tick]:
@@ -447,19 +441,19 @@ class TestTickWhileFixed:
     def test_init_left_is_the_time_to_generating(self):
         unit = make_unit()
         assert unit.init_left() == math.inf
-        unit.start_session(CHANNEL, now=0.0)
+        unit.start_session(CHANNEL)
         assert unit.tick_while([30.0, 30.0], CHANNEL, ATTACK_OFF, never)[:2] == (2, False)
         assert unit.init_left() == 60.0
         assert unit.state == STATE_INITIALIZING
         # The tick that ends the init is taken, and the batch stops after it.
         assert unit.tick_while([59.0, 1.0, 1.0], CHANNEL, ATTACK_OFF, never)[:2] == (2, True)
-        assert (unit.state, unit.init_left(), unit._now) == (STATE_GENERATING, math.inf, 120.0)
+        assert (unit.state, unit.init_left()) == (STATE_GENERATING, math.inf)
 
 
 class TestMonitorReadout:
     def test_reading_is_side_effect_free(self):
         unit = make_unit()
-        unit.start_session(CHANNEL, now=0.0)
+        unit.start_session(CHANNEL)
         unit.tick(200.0, CHANNEL, ATTACK_OFF)
         first = unit.read_monitor(200.0)
         second = unit.read_monitor(200.0)
@@ -469,7 +463,7 @@ class TestMonitorReadout:
         unit = make_unit()
         expected_keys = {"timestamp", "skr_bps", "qber", "last_key_size_bits", "state"}
         assert set(unit.read_monitor(0.0)) == expected_keys
-        unit.start_session(CHANNEL, now=0.0)
+        unit.start_session(CHANNEL)
         reading = unit.read_monitor(1.5)
         assert reading["state"] == STATE_INITIALIZING
         assert reading["skr_bps"] == 0.0 and reading["last_key_size_bits"] == 0
@@ -489,17 +483,14 @@ class TestMonitorReadout:
         with pytest.raises(ValueError):
             unit.tick(0.0, CHANNEL, ATTACK_OFF)
         with pytest.raises(ValueError):
-            unit.start_session(None, 0.0)
-        unit.tick(10.0, CHANNEL if False else None, ATTACK_OFF)
-        with pytest.raises(ValueError):
-            unit.start_session(CHANNEL, now=5.0)  # behind the unit's clock
+            unit.start_session(None)
 
 
 class TestMonitorAgent:
     def test_line_protocol_matches_direct_reads(self):
         clock = SimClock()
         unit = make_unit()
-        unit.start_session(CHANNEL, now=0.0)
+        unit.start_session(CHANNEL)
         unit.tick(200.0, CHANNEL, ATTACK_OFF)
         clock.advance(200.0)
         agent = MonitorAgent(unit, clock)

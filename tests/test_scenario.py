@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -29,7 +28,6 @@ from qkdsim.qpm import (
 from qkdsim.scenario import (
     EXIT_EXHAUSTED,
     EXIT_OK,
-    LocalQkdClient,
     PRIORITY_METRICS,
     Scenario,
     ScenarioError,
@@ -151,19 +149,28 @@ class TestEpisodeExtraction:
         assert episodes[0]["path"] == "link3"
         assert episodes[0]["t_reconfig_done"] == 600.05
 
-    def test_timing_rows_anchor_at_the_latest_onset(self):
+    def test_timing_rows_anchor_at_the_latest_onset(self, reference_topology):
+        """The onset is the latest attack switched on at or before detection
+        on the failed path's link; attacks on other links do not move it."""
         _, episodes = extract_episodes(self.make_events())
+        assert episodes[0]["failed_path"] == "link1"
         scenario = Scenario(duration_s=1200.0, events=(
             ScenarioEvent(580.0, "link1", -40.0),
+            ScenarioEvent(590.0, "link3", -60.0),  # another link, ignored here
             ScenarioEvent(900.0, "link2", -5.0),  # later onset, ignored here
         ))
-        rows = timing_rows(episodes, scenario)
+        rows = timing_rows(episodes, scenario, reference_topology)
         assert rows == ["1,20.000000,0.030000,116.970000,137.000000"]
 
-    def test_timing_rows_without_onset_use_detection_time(self):
+    def test_timing_rows_without_onset_use_detection_time(self, reference_topology):
         _, episodes = extract_episodes(self.make_events())
-        rows = timing_rows(episodes, Scenario(duration_s=1200.0, events=()))
-        assert rows[0].startswith("1,0.000000,")
+        scenario = Scenario(duration_s=1200.0, events=(
+            ScenarioEvent(590.0, "link2", -60.0),
+            ScenarioEvent(595.0, "link1", ATTACK_OFF),
+        ))
+        for scenario in (Scenario(duration_s=1200.0, events=()), scenario):
+            rows = timing_rows(episodes, scenario, reference_topology)
+            assert rows[0].startswith("1,0.000000,")
 
 
 class TestSweep:
@@ -366,12 +373,11 @@ class TestScenarioRun:
         block that falls due during a path move is never drawn."""
         run = ScenarioRun(reference_topology, Scenario(3600.0, ()), seed=1)
         run.controller_client.post_reconfigure({"request_id": "r0", "set_up": "link1"})
-        LocalQkdClient(run).start_session()
+        run.start_session()
         run.clock.advance(300.0)
         run.sync_unit()
         assert run.unit.state == STATE_GENERATING
-        _, channel, power = run.current_circuit()
-        due = copy.deepcopy(run.unit).tick(60.0, channel, power)[0].produced_at
+        due = run._last_sync + run.unit.key_interval_s - run.unit._interval_elapsed
         # Posted 25 ms before the block: bob commits at +20 ms, alice at
         # +24 ms, and the reply lands at +28 ms.
         run.clock.advance(due - 0.025 - run.clock.now())
@@ -412,13 +418,12 @@ def finished_state(run, batches=True):
     unit = run.unit
     return (run.metrics_rows, [e.to_dict() for e in run.qpm.events],
             run.controller_records, run.qpm.zero_key_polls, run.rng.bit_generator.state,
-            (unit.state, unit._init_remaining, unit._interval_elapsed, unit._now,
+            (unit.state, unit._init_remaining, unit._interval_elapsed,
              unit._sequence, unit._last_skr, unit._last_qber, unit._last_key_bits),
             run._last_sync,
             # Times and read-outs stay Python numbers, as the event loop keeps them.
-            [type(x).__name__ for x in (run.clock.now(), run._last_sync, unit._now,
-                                        run.qpm.next_poll_t, unit._last_qber, unit._last_skr,
-                                        unit._last_key_bits)])
+            [type(x).__name__ for x in (run.clock.now(), run._last_sync, run.qpm.next_poll_t,
+                                        unit._last_qber, unit._last_skr, unit._last_key_bits)])
 
 
 periods = st.one_of(st.sampled_from([0.1, 1.0, 59.999999999, 60.0, 60.000000001, 600.0]),

@@ -131,9 +131,10 @@ class TestSwitchSocket:
         assert not switch.query_entries()
         assert capfd.readouterr().err == ""
 
-    def test_a_non_utf8_reply_disconnects_the_link(self):
-        """A stub switch greets, then answers a request with a byte that is
-        not UTF-8: the link marks itself disconnected."""
+    @pytest.mark.parametrize("reply", [b"\xff\n", b"[1,2]\n"], ids=["non-utf8", "non-object"])
+    def test_a_malformed_reply_disconnects_the_link(self, reply):
+        """A stub switch greets, then answers a request with a line that is
+        not UTF-8 or not a JSON object: the link marks itself disconnected."""
         listener = socket.create_server(("127.0.0.1", 0))
 
         def serve():
@@ -141,7 +142,7 @@ class TestSwitchSocket:
             with conn, conn.makefile("rb") as rfile:
                 conn.sendall(b'{"switch":"stub"}\n')
                 rfile.readline()
-                conn.sendall(b"\xff\n")
+                conn.sendall(reply)
 
         server = threading.Thread(target=serve, daemon=True)
         server.start()
@@ -155,13 +156,30 @@ class TestSwitchSocket:
             server.join(timeout=5)
             listener.close()
 
+    def test_a_non_object_hello_raises_connection_error(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.sendall(b"[]\n")
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        try:
+            with pytest.raises(ConnectionError):
+                SocketSwitchLink(*listener.getsockname())
+        finally:
+            server.join(timeout=5)
+            listener.close()
+
 
 class TestMonitorSocket:
     def test_socket_reading_equals_direct_reading(self):
         clock = FrozenClock(321.5)
         unit = QkdUnitPair(np.random.default_rng(0))
         channel = calibrate(CalibrationAnchors(950.0, 0.02, -17.0, -9.0, 45.0))
-        unit.start_session(channel, now=0.0)
+        unit.start_session(channel)
         unit.tick(321.5, channel, ATTACK_OFF)
         server = serve_agent(MonitorAgent(unit, clock))
         try:
@@ -203,10 +221,12 @@ class TestMonitorSocket:
             server.shutdown()
             server.server_close()
 
-    @pytest.mark.parametrize("reply", [b"\xff\n", b"not json\n"], ids=["non-utf8", "non-json"])
+    @pytest.mark.parametrize("reply", [b"\xff\n", b"not json\n", b"[1,2]\n"],
+                             ids=["non-utf8", "non-json", "non-object"])
     def test_a_malformed_reply_raises_connection_error(self, reply):
-        """A stub monitor answers a read with a line that is not UTF-8 or not
-        JSON: the client reports a lost monitor, as for a dropped connection."""
+        """A stub monitor answers a read with a line that is not UTF-8, not
+        JSON or not an object: the client reports a lost monitor, as for a
+        dropped connection."""
         listener = socket.create_server(("127.0.0.1", 0))
 
         def serve():
@@ -316,6 +336,36 @@ class TestHttpNorthbound:
         assert status == 200
         assert [p["status"] for p in body["paths"]] == ["INACTIVE", "ACTIVE", "INACTIVE"]
 
+    def test_concurrent_conflicting_reconfigures_leave_one_winner(self, http_northbound):
+        """Six clients set up link1, link2 and link3 at once on an empty
+        fabric: one succeeds, the fabric and GET /paths agree on it, and no
+        switch is left holding staged mods."""
+        client, switches, topology = http_northbound
+        targets = ["link1", "link2", "link3"] * 2
+        start = threading.Barrier(len(targets))
+        replies = [None] * len(targets)
+
+        def post(index):
+            start.wait(timeout=10)
+            replies[index] = client.post_reconfigure(
+                {"request_id": f"c{index}", "set_up": targets[index]})
+
+        threads = [threading.Thread(target=post, args=(i,)) for i in range(len(targets))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        winners = [targets[i] for i, (status, body) in enumerate(replies)
+                   if status == 200 and body["outcome"] == "SUCCESS"]
+        assert len(winners) == 1
+        states = {sw: s.query_entries() for sw, s in switches.items()}
+        assert resolve_active_path(topology, states) == winners[0]
+        status, body = client.get_paths()
+        assert status == 200
+        assert [p["id"] for p in body["paths"] if p["status"] == "ACTIVE"] == winners
+        assert all(s.pending_count == 0 for s in switches.values())
+
     def test_unknown_routes_are_404(self, http_northbound):
         client, _, _ = http_northbound
         status, _ = HttpControllerClient(client.base_url + "/nowhere").get_paths()
@@ -326,12 +376,15 @@ class TestHttpControllerClient:
     @pytest.mark.parametrize("status, reply, expected", [
         (200, b"\xff", ConnectionError),
         (200, b"not json", ConnectionError),
+        (200, b"[1]", ConnectionError),
         (409, b"\xff", (409, {"error": "\ufffd"})),
-    ], ids=["2xx-non-utf8", "2xx-non-json", "4xx-non-utf8"])
+        (409, b"[1]", (409, {"error": "[1]"})),
+    ], ids=["2xx-non-utf8", "2xx-non-json", "2xx-non-object", "4xx-non-utf8",
+            "4xx-non-object"])
     def test_a_malformed_reply(self, status, reply, expected):
-        """A stub northbound answers with a body that is not UTF-8 or not
-        JSON: a 2xx reply raises ConnectionError, as a malformed line reply
-        does; an error reply keeps its status and carries the text."""
+        """A stub northbound answers with a body that is not UTF-8, not JSON
+        or not an object: a 2xx reply raises ConnectionError, as a malformed
+        line reply does; an error reply keeps its status and carries the text."""
         listener = socket.create_server(("127.0.0.1", 0))
 
         def serve():
