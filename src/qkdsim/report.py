@@ -3,16 +3,17 @@
 One renderer, two sources. render_summary turns a run's metadata,
 metrics, episode timing and monitor events into the summary text.
 run_scenario calls it with what the run has just written, taken from
-memory: the metrics and timing rows go through the same parsers that
-read them back from disk, so the summary shows the values as written.
-summarize(out_dir) loads the same four inputs from the files a run
-leaves behind (metrics.csv, timing.csv, the monitor event log,
-run_info.json), so a run can be summarised again long after it
-finished; a file that cannot be parsed raises RunFileError naming the
-file and line. Steady-state windows span from each re-initialization
-(plus the detection grace period) to the next detection or the end of
-the run; acceptance thresholds live in a JSON file so the expected bands
-are reviewable data rather than code.
+memory, so the summary shows the values as written: the metrics as the
+floats their text reads back as (as_written), computed from the run's
+own numbers without formatting or parsing a row, and the few timing
+rows through the parser that reads timing.csv. summarize(out_dir) loads
+the same four inputs from the files a run leaves behind (metrics.csv,
+timing.csv, the monitor event log, run_info.json), so a run can be
+summarised again long after it finished; a file that cannot be parsed
+raises RunFileError naming the file and line. Steady-state windows span
+from each re-initialization (plus the detection grace period) to the
+next detection or the end of the run; acceptance thresholds live in a
+JSON file so the expected bands are reviewable data rather than code.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import mul
 from typing import Optional
+
+import numpy as np
 
 from .topology import NUMBER, checked, is_number
 
@@ -53,6 +56,30 @@ class Metrics:
     t: list[float]
     skr_bps: list[float]
     qber: list[float]
+
+
+def as_written(values, digits: int) -> list[float]:
+    """float('%.{digits}f' % v) for each of values, without the text.
+
+    With p = v * 10**digits rounded to a float, '%.{digits}f' writes the
+    integer nearest the exact product (ties to even) over 10**digits, and
+    float() reads back the float nearest that quotient, which is what
+    rint(p) / 10**digits gives, sign of zero included, unless the
+    product's rounding can cross a half-integer: where p lies within an
+    ulp of one, or is 2**52 or more in magnitude, or is not finite. Those
+    values go through the text.
+    """
+    v = np.asarray(values, dtype=float)
+    scale = 10.0 ** digits
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = v * scale
+        written = np.rint(p) / scale
+        size = np.abs(p)
+        tie_safe = np.abs(size - np.floor(size) - 0.5) > np.spacing(size)
+        text = np.flatnonzero(~(tie_safe & (size < 2.0 ** 52)))
+    for i in text.tolist():
+        written[i] = float("%.*f" % (digits, v[i]))
+    return written.tolist()
 
 
 def _columns(header: str, wanted, source: str) -> tuple[int, dict[str, int]]:

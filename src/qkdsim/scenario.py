@@ -93,15 +93,24 @@ _SYNC_EPS = 1e-12
 # Poll periods one batch spans at most, which bounds the memory it takes.
 _BATCH_PERIODS = 1024
 
+# Points a sweep lists at most.
+_SWEEP_POINTS_MAX = 10 ** 6
+
 # No polls, samples or attack changes in a batch, and their positions.
 _NO_EVENTS = np.empty(0)
 _NO_POSITIONS = np.empty(0, dtype=np.intp)
+
+# The decimals metrics.csv writes t with, and skr_bps and qber.
+_T_DIGITS = 1
+_VALUE_DIGITS = 6
 
 
 def _row_template(path_id: str, powers_csv: str, mode: str) -> str:
     """A metrics.csv row (t, active_path, skr_bps, qber, the attack powers,
     qpm_state) as a %-template that t, skr_bps and qber fill in."""
-    return "%.1f," + path_id.replace("%", "%%") + ",%.6f,%.6f," + powers_csv + "," + mode
+    value = f"%.{_VALUE_DIGITS}f"
+    return (f"%.{_T_DIGITS}f," + path_id.replace("%", "%%") + f",{value},{value},"
+            + powers_csv + "," + mode)
 
 
 class ScenarioError(ValueError):
@@ -239,7 +248,10 @@ class ScenarioRun:
                        self.clock, self.scheduler)
         self.attack_powers = {link.link_id: ATTACK_OFF for link in topology.links}
         self._powers_csv = self._format_powers()
-        self.metrics_rows: list[str] = []
+        # The metrics rows: their t, skr_bps and qber columns, and runs of
+        # [row template, row count] that render them in order.
+        self._metrics_columns: tuple[list, list, list] = ([], [], [])
+        self._metrics_runs: list[list] = []
         # The pending metrics sample: (k, scheduler entry), None past the end.
         self._next_metrics: Optional[tuple[int, list]] = None
         # The attack changes with their scheduler entries, in the order they
@@ -308,9 +320,38 @@ class ScenarioRun:
         reading = self.read_monitor()
         t = k * self.qpm.config.poll_period_s
         path_id, _, _ = self.current_circuit()
-        self.metrics_rows.append(_row_template(path_id or "none", self._powers_csv, self.qpm.mode)
-                                 % (t, reading["skr_bps"], reading["qber"]))
+        self._add_rows(_row_template(path_id or "none", self._powers_csv, self.qpm.mode),
+                       [t], [reading["skr_bps"]], [reading["qber"]])
         self._schedule_metrics(k + 1)
+
+    def _add_rows(self, template: str, t: list, skr_bps: list, qber: list):
+        """Rows that template renders from t, skr_bps and qber, after the others."""
+        runs = self._metrics_runs
+        if runs and runs[-1][0] == template:
+            runs[-1][1] += len(t)
+        else:
+            runs.append([template, len(t)])
+        for column, values in zip(self._metrics_columns, (t, skr_bps, qber)):
+            column.extend(values)
+
+    def metrics_text(self) -> str:
+        """The metrics.csv rows, each line ended, with one % per run of rows
+        that share a template."""
+        t, skr_bps, qber = self._metrics_columns
+        values = [0.0] * (3 * len(t))
+        values[0::3], values[1::3], values[2::3] = t, skr_bps, qber
+        parts, start = [], 0
+        for template, n in self._metrics_runs:
+            parts.append(((template + "\n") * n) % tuple(values[start:start + 3 * n]))
+            start += 3 * n
+        return "".join(parts)
+
+    def metrics(self) -> report.Metrics:
+        """The metrics columns as metrics_text reads back, with no text made or parsed."""
+        t, skr_bps, qber = self._metrics_columns
+        return report.Metrics(t=report.as_written(t, _T_DIGITS),
+                              skr_bps=report.as_written(skr_bps, _VALUE_DIGITS),
+                              qber=report.as_written(qber, _VALUE_DIGITS))
 
     def _schedule_metrics(self, k: int):
         # Rows run k = 0 .. duration // period, skipping any k * period
@@ -429,9 +470,8 @@ class ScenarioRun:
         start = 0
         for index, stop in enumerate(splits + [samples_kept]):
             if stop > start:
-                row = _row_template(path_id, self._powers_csv, qpm.mode)
-                self.metrics_rows += [row % args for args in
-                                      zip(sample_t[start:stop], ss[start:stop], qs[start:stop])]
+                self._add_rows(_row_template(path_id, self._powers_csv, qpm.mode),
+                               sample_t[start:stop], ss[start:stop], qs[start:stop])
                 start = stop
             if index < len(splits):
                 event, entry = attacks[index]
@@ -586,7 +626,7 @@ def run_scenario(topology_file: str, scenario_file: str, seed: int, out_dir: str
 
         metrics_header = "t,active_path,skr_bps,qber," + ",".join(
             f"attack_{link.link_id}_dbm" for link in topology.links) + ",qpm_state"
-        _overwrite(metrics_fd, _lines([metrics_header, *run.metrics_rows]))
+        _overwrite(metrics_fd, metrics_header + "\n" + run.metrics_text())
         events = [event.to_dict() for event in run.qpm.events]
         _overwrite(log_fd, _lines(map(_ndjson, events)))
         _overwrite(controller_fd, _lines(map(_ndjson, run.controller_records)))
@@ -622,11 +662,12 @@ def run_scenario(topology_file: str, scenario_file: str, seed: int, out_dir: str
             info["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         _overwrite(info_fd, _lines([json.dumps(info, indent=2)]))
 
-        # The summary parses the rows as written, so it reads what summarize
-        # would read back from the files.
+        # The summary reads what summarize would read back from the files: the
+        # metrics as their text reads back, without the text, and the few
+        # timing rows through their parser.
         summary, _ = report.render_summary(
             info,
-            report.parse_metrics(metrics_header, run.metrics_rows, "metrics.csv"),
+            run.metrics(),
             report.parse_timing(timing_header, timing, "timing.csv"),
             events,
             thresholds_path=None, include_timestamp=not deterministic)
@@ -652,15 +693,18 @@ def sweep_attack_power(topology_file: str, link_id: str,
         raise ScenarioError("step_db must be positive")
     if end_dbm < start_dbm:
         raise ScenarioError("end_dbm must be >= start_dbm")
+    # The grid is start + k * step up to end (+ 1e-9), counted before it is built.
+    spans = (end_dbm - start_dbm + 1e-9) / step_db
+    if not spans < _SWEEP_POINTS_MAX:
+        raise ScenarioError(f"step_db {step_db!r} makes more than {_SWEEP_POINTS_MAX} "
+                            "sweep points")
     rows = ["power_dbm,skr_bps,qber"]
-    k = 0
-    while True:
+    for k in range(math.floor(spans) + 2):
         power = start_dbm + k * step_db
         if power > end_dbm + 1e-9:
             break
         rows.append(f"{power:.2f},{skr(link.channel, power):.6f},"
                     f"{qber(link.channel, power):.6f}")
-        k += 1
     os.makedirs(out_dir, exist_ok=True)
     with _opened([os.path.join(out_dir, "sweep.csv")]) as (fd,):
         _overwrite(fd, _lines(rows))

@@ -141,6 +141,15 @@ def _port(raw, switches: Mapping[str, int], where: str) -> Port:
     return (sw, port)
 
 
+def _field_id(entry, where: str) -> str:
+    """entry["id"], checked to be a string that fits in one metrics.csv field:
+    path ids fill its active_path column and link ids its header names."""
+    value = checked(entry, "id", str, where)
+    if "," in value or "".join(value.splitlines()) != value:
+        raise TopologyError(f"{where}: id {value!r} holds a comma or a line break")
+    return value
+
+
 def parse_topology(data: Mapping) -> Topology:
     """Validate a parsed topology document and build the immutable value."""
     switches: dict[str, int] = {}
@@ -160,7 +169,7 @@ def parse_topology(data: Mapping) -> Topology:
 
     links: dict[str, LinkSpec] = {}
     for entry in checked(data, "links", list, "topology"):
-        link_id = checked(entry, "id", str, "link entry")
+        link_id = _field_id(entry, "link entry")
         where = f"link '{link_id}'"
         kind = checked(entry, "kind", str, where)
         hop_count = checked(entry, "hop_count", int, where)
@@ -185,7 +194,7 @@ def parse_topology(data: Mapping) -> Topology:
     if not raw_paths:
         raise TopologyError("topology must define at least one path")
     for entry in raw_paths:
-        path_id = checked(entry, "id", str, "path entry")
+        path_id = _field_id(entry, "path entry")
         where = f"path '{path_id}'"
         link_id = checked(entry, "link", str, where)
         if path_id in paths:

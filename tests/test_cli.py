@@ -82,6 +82,29 @@ class TestRunCommand:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert not fresh.exists()
 
+    @pytest.mark.parametrize("new_id", ["li,nk2", "li\nnk2"])
+    def test_an_id_that_breaks_a_csv_field_is_refused(self, tmp_path, configs, capsys,
+                                                      monkeypatch, new_id):
+        """link2 renamed, as link and as path: exit 2 with one line before
+        the run starts, leaving an earlier run's files as they were."""
+        out = tmp_path / "out"
+        assert main(run_args(configs, out, extra=["--deterministic"])) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        doc = json.loads((configs / "reference_topology.json").read_text(encoding="utf-8"))
+        doc["links"][1]["id"] = doc["paths"][1]["id"] = doc["paths"][1]["link"] = new_id
+        topology = tmp_path / "topology.json"
+        topology.write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.setattr(ScenarioRun, "execute",
+                            lambda self: pytest.fail("the run started"))
+        capsys.readouterr()
+        code = main(["run", "--topology", str(topology),
+                     "--scenario", str(configs / "attack-link1.json"),
+                     "--seed", "42", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: link entry: id") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_a_relative_monitor_log_is_found_from_any_directory(self, tmp_path, configs,
                                                                 capsys, monkeypatch):
         work = tmp_path / "work"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 import statistics
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from qkdsim.qpm import QpmConfig
 from qkdsim.report import (
     Metrics,
+    as_written,
     load_events,
     load_metrics,
     load_timing,
@@ -20,7 +23,7 @@ from qkdsim.report import (
     summarize,
     window_stats,
 )
-from qkdsim.scenario import run_scenario
+from qkdsim.scenario import Scenario, ScenarioEvent, ScenarioRun, run_scenario
 
 
 def ev(t, kind, path="link1"):
@@ -100,14 +103,14 @@ class TestWindowStats:
 
 finite = st.floats(min_value=1e-4, max_value=1e4)
 signed = st.one_of(finite, finite.map(lambda x: -x))
-as_written = st.floats(min_value=0.0, max_value=1e4).map(lambda x: float(f"{x:.6f}"))
+six_decimals = st.floats(min_value=0.0, max_value=1e4).map(lambda x: float(f"{x:.6f}"))
 
 
 class TestPstdev:
     @settings(max_examples=300, deadline=None)
     @given(data=st.one_of(
         st.lists(signed, min_size=1, max_size=60),
-        st.lists(as_written, min_size=1, max_size=60),
+        st.lists(six_decimals, min_size=1, max_size=60),
         st.tuples(signed, st.integers(1, 60)).map(lambda p: [p[0]] * p[1]),
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
     ))
@@ -192,3 +195,58 @@ class TestSummaryFromMemory:
         text = (out / "summary.txt").read_text(encoding="utf-8")
         assert text == summarize(str(out))[0]
         assert "window 2: path=link2" in text
+
+    def test_a_drifting_half_day(self, tmp_path, configs, reference_topology):
+        """link1 falls at t=600 and link2, lit from then on, drifts hourly for
+        12 h in [-45, -22] dBm: batches of many stretches between rows the
+        event loop samples. The summary still equals that of the files, and
+        metrics.csv equals the rows rendered one by one."""
+        draw = random.Random(17)
+        events = [{"t": 600, "link": "link1", "attack_power_dbm": -40}] + [
+            {"t": 3600 * hour, "link": "link2",
+             "attack_power_dbm": round(draw.uniform(-45.0, -22.0), 2)}
+            for hour in range(1, 12)]
+        scenario = tmp_path / "drift.json"
+        scenario.write_text(json.dumps({"duration_s": 43200, "events": events}),
+                            encoding="utf-8")
+        out = tmp_path / "out"
+        topology = str(configs / "reference_topology.json")
+        run_scenario(topology, str(scenario), seed=5, out_dir=str(out), deterministic=True)
+        assert (out / "summary.txt").read_text(encoding="utf-8") == summarize(str(out))[0]
+
+        run = ScenarioRun(reference_topology, Scenario(43200.0, tuple(
+            ScenarioEvent(float(e["t"]), e["link"], float(e["attack_power_dbm"]))
+            for e in events)), seed=5)
+        sampled, sample = [], run._sample_metrics
+        run._sample_metrics = lambda k: (sampled.append(k), sample(k))
+        run.execute()
+        rows = iter(zip(*run._metrics_columns))
+        per_row = "".join(template % next(rows) + "\n"
+                          for template, n in run._metrics_runs for _ in range(n))
+        lines = (out / "metrics.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert "".join(lines[1:]) == per_row
+        assert len(lines) == 1 + 721
+        assert 2 <= len(sampled) < 100 and len(run._metrics_runs) > 10
+
+
+def _written(values, digits):
+    """float('%.*f' % (digits, v)) for each v, with the sign of zero."""
+    return [(x, math.copysign(1.0, x)) for x in
+            (float("%.*f" % (digits, v)) for v in values)]
+
+
+def _around(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12),
+       st.sampled_from([1, 6]))
+@example(_around(7812.5 / 10**6) + _around(-123456.5 / 10**6) + _around(0.25), 6)
+@example(_around(0.25) + _around(-0.35) + _around(12.25) + _around(123456.5 / 10**6), 1)
+@example([0.0, -0.0, 1 / 128, -1 / 128, 5e-324, -5e-324], 6)
+@example([2.0 ** 52 / 10**6, -(2.0 ** 52) / 10**6, 1e300, -1e300], 6)
+@example([2.0 ** 52 / 10, 1e300, -1e300, -0.04, 0.05], 1)
+def test_as_written_equals_the_text_round_trip(values, digits):
+    assert [(x, math.copysign(1.0, x)) for x in as_written(values, digits)] == \
+        _written(values, digits)

@@ -199,6 +199,10 @@ class TestSweep:
         ({"step_db": float("nan")}, "finite"),
         ({"end_dbm": float("inf")}, "finite"),
         ({"start_dbm": float("-inf")}, "finite"),
+        # About 10**13 points, and 10**21 of which the first ~3.5e5 read -50.
+        ({"step_db": 1e-12}, "sweep points"),
+        ({"step_db": 1e-20}, "sweep points"),
+        ({"end_dbm": -50.0, "step_db": 5e-324}, "sweep points"),
     ])
     def test_bad_arguments(self, tmp_path, configs, kwargs, match):
         args = dict(link_id="link1", start_dbm=-50.0, end_dbm=-40.0, step_db=1.0)
@@ -226,8 +230,8 @@ class TestScenarioRun:
     def test_quiet_run_provisions_and_generates(self, reference_topology):
         run = ScenarioRun(reference_topology, Scenario(600.0, ()), seed=3)
         run.execute()
-        assert len(run.metrics_rows) == 11  # samples at 0, 60, ..., 600
-        fields = [row.split(",") for row in run.metrics_rows]
+        fields = [row.split(",") for row in run.metrics_text().splitlines()]
+        assert len(fields) == 11  # samples at 0, 60, ..., 600
         assert all(len(f) == 8 for f in fields)
         assert all(f[1] == "link1" for f in fields)
         assert fields[0][7] == "AWAITING_REINIT"
@@ -264,7 +268,7 @@ class TestScenarioRun:
         for _ in range(2):
             run = ScenarioRun(reference_topology, scenario, seed=5)
             run.execute()
-            outputs.append((list(run.metrics_rows),
+            outputs.append((run.metrics_text(),
                             [e.to_dict() for e in run.qpm.events],
                             run.controller_records))
         assert outputs[0] == outputs[1]
@@ -274,7 +278,7 @@ class TestScenarioRun:
         for seed in (1, 2):
             run = ScenarioRun(reference_topology, Scenario(400.0, ()), seed=seed)
             run.execute()
-            rows.append(run.metrics_rows)
+            rows.append(run.metrics_text())
         assert rows[0] != rows[1]
 
     @pytest.mark.parametrize("duration_s, period_s", [
@@ -315,7 +319,7 @@ class TestScenarioRun:
         expected = [k * period_s for k in range(int(duration_s // period_s) + 1)]
         assert scheduled == sorted(set(scheduled))
         assert set(scheduled) <= set(expected)
-        assert [row.split(",")[0] for row in run.metrics_rows] == \
+        assert [row.split(",")[0] for row in run.metrics_text().splitlines()] == \
             [f"{t:.1f}" for t in expected]
         assert not live and most == 1
 
@@ -416,7 +420,7 @@ def finished_state(run, batches=True):
         run._advance_quiet = lambda: None
     run.execute()
     unit = run.unit
-    return (run.metrics_rows, [e.to_dict() for e in run.qpm.events],
+    return (run.metrics_text(), [e.to_dict() for e in run.qpm.events],
             run.controller_records, run.qpm.zero_key_polls, run.rng.bit_generator.state,
             (unit.state, unit._init_remaining, unit._interval_elapsed,
              unit._sequence, unit._last_skr, unit._last_qber, unit._last_key_bits),
@@ -568,7 +572,8 @@ class TestQuietBatches:
         assert len(applied) <= 1
         assert run._attacks_applied == 24
         assert [e.kind for e in run.qpm.events].count(DETECTED) == 1
-        assert run.metrics_rows[-1].split(",")[4:7] == ["-40.00", f"{powers[-1]:.2f}", "-inf"]
+        last_row = run.metrics_text().splitlines()[-1]
+        assert last_row.split(",")[4:7] == ["-40.00", f"{powers[-1]:.2f}", "-inf"]
 
     def test_events_within_the_sync_tolerance_merge_in_sequence(self, reference_topology):
         """Attack changes 2 ulps after the sample at 1800 s, and 2 and 4 ulps

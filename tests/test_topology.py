@@ -256,6 +256,20 @@ class TestValidation:
         with pytest.raises(TopologyError, match="reuses port"):
             parse_topology(doc)
 
+    @pytest.mark.parametrize("new_id", ["li,nk2", "li\nnk2", "link2\r", "li\u2028nk2"])
+    @pytest.mark.parametrize("field", ["link", "path"])
+    def test_an_id_that_breaks_a_csv_field_is_refused(self, tmp_path, doc, field, new_id):
+        """Path ids fill metrics.csv's active_path column and link ids its
+        header names, so neither may hold a comma or a line break."""
+        if field == "link":
+            doc["links"][1]["id"] = doc["paths"][1]["link"] = new_id
+        else:
+            doc["paths"][1]["id"] = new_id
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(TopologyError, match=f"{field} entry: id .* comma or a line break"):
+            load_topology(str(path))
+
     def test_unparseable_file(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json", encoding="utf-8")
