@@ -6,7 +6,7 @@ units, and a monitoring application close the detect/switch/re-init
 mitigation loop under a deterministic simulated clock.
 """
 
-from .clock import Scheduler, SimClock, WallClock
+from .clock import Scheduler, SimClock
 from .controller import (
     InProcessSwitchLink,
     LocalControllerClient,

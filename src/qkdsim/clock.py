@@ -1,14 +1,13 @@
 """Clock abstraction and a deterministic event scheduler.
 
 Every time-aware component takes a clock object instead of reading wall
-time, so a whole run can execute under a simulated clock (fast,
-reproducible) or a wall clock (real-time demos).
+time, so a whole run executes under one simulated clock, fast and
+reproducible, whether its components talk in process or over sockets.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Callable, Optional
 
 
@@ -29,23 +28,6 @@ class SimClock:
     def advance_to(self, t: float) -> None:
         if t > self._now:
             self._now = t
-
-
-class WallClock:
-    """Wall-clock adapter with the same read interface as SimClock."""
-
-    def __init__(self):
-        self._t0 = time.monotonic()
-
-    def now(self) -> float:
-        return time.monotonic() - self._t0
-
-    def advance(self, dt: float) -> None:
-        # Real time passes on its own; modelled latencies are a no-op here.
-        pass
-
-    def advance_to(self, t: float) -> None:
-        pass
 
 
 class Scheduler:

@@ -36,7 +36,8 @@ from .topology import Topology
 OUTCOME_SUCCESS = "SUCCESS"
 OUTCOME_FAILED = "FAILED"
 
-# Simulated time each direction of an in-process message takes.
+# Simulated time each direction of a control-plane message takes, in
+# process or over a socket.
 LATENCY_S = 0.002
 # Reconfigurations that may wait behind the running one.
 QUEUE_DEPTH = 16
@@ -44,6 +45,16 @@ QUEUE_DEPTH = 16
 
 class SwitchDisconnected(ConnectionError):
     """Southbound link to a switch is down."""
+
+
+def timed_exchange(clock, exchange, *args):
+    """exchange(*args) as one control-plane round trip in simulated time:
+    the request and the reply each advance clock by LATENCY_S, which is
+    how controller time becomes measurable (and small) in a run."""
+    clock.advance(LATENCY_S)
+    reply = exchange(*args)
+    clock.advance(LATENCY_S)
+    return reply
 
 
 @dataclass
@@ -107,12 +118,8 @@ class ReconfigReport:
 
 
 class InProcessSwitchLink:
-    """Deterministic southbound transport to one in-process switch.
-
-    Each direction of every exchange advances the simulated clock by
-    LATENCY_S, which is how controller time becomes measurable (and
-    small) in simulated runs.
-    """
+    """Southbound transport to one in-process switch; each message is a
+    timed_exchange."""
 
     def __init__(self, switch: OpticalSwitch, clock):
         self.switch = switch
@@ -122,10 +129,7 @@ class InProcessSwitchLink:
     def send(self, msg: dict) -> dict:
         if not self.connected:
             raise SwitchDisconnected(self.switch.switch_id)
-        self.clock.advance(LATENCY_S)
-        reply = self.switch.handle_message(msg)
-        self.clock.advance(LATENCY_S)
-        return reply
+        return timed_exchange(self.clock, self.switch.handle_message, msg)
 
 
 class SdnController:
@@ -314,20 +318,14 @@ class Northbound:
 
 
 class LocalControllerClient:
-    """In-process northbound client: each direction takes LATENCY_S."""
+    """In-process northbound client; each request is a timed_exchange."""
 
     def __init__(self, northbound: Northbound, clock):
         self.northbound = northbound
         self.clock = clock
 
     def post_reconfigure(self, body: dict) -> tuple[int, dict]:
-        self.clock.advance(LATENCY_S)
-        status, resp = self.northbound.post_reconfigure(body)
-        self.clock.advance(LATENCY_S)
-        return status, resp
+        return timed_exchange(self.clock, self.northbound.post_reconfigure, body)
 
     def get_paths(self) -> tuple[int, dict]:
-        self.clock.advance(LATENCY_S)
-        status, resp = self.northbound.get_paths()
-        self.clock.advance(LATENCY_S)
-        return status, resp
+        return timed_exchange(self.clock, self.northbound.get_paths)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -218,20 +219,25 @@ class QkdUnitPair:
 
 
 class MonitorAgent:
-    """Line-oriented monitor protocol over one unit pair.
+    """Line-oriented protocol over the monitor's unit client, a ScenarioRun.
 
-    A line carries the unit's read_monitor dictionary, the one the run
-    hands the monitor in process, so the schema is identical in either
-    mode.
-    """
+    A read_monitor line carries the run's read-out dictionary, so the
+    schema is identical in either wiring; start_session replies {} once
+    the session has started. Requests run one at a time: each may tick
+    the unit."""
 
-    def __init__(self, unit: QkdUnitPair, clock):
-        self.unit = unit
-        self.clock = clock
+    def __init__(self, client):
+        self.client = client
+        self._lock = threading.Lock()
 
     def process_line(self, line: str) -> str:
-        request = json.loads(line)
-        if request.get("op") != "read_monitor":
-            raise ValueError(f"unknown monitor op {request.get('op')!r}")
-        reading = self.unit.read_monitor(self.clock.now())
-        return json.dumps(reading, separators=(",", ":")) + "\n"
+        op = json.loads(line).get("op")
+        with self._lock:
+            if op == "read_monitor":
+                reply = self.client.read_monitor()
+            elif op == "start_session":
+                self.client.start_session()
+                reply = {}
+            else:
+                raise ValueError(f"unknown monitor op {op!r}")
+        return json.dumps(reply, separators=(",", ":")) + "\n"

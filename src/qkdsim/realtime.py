@@ -1,12 +1,15 @@
-"""Socket transports for running components as real networked services.
+"""Socket transports: the simulator's control loop over TCP and HTTP.
 
 The deterministic runner wires components together in one process; this
 module provides the alternative wiring where switch agents and the
 monitor serve newline-delimited JSON over TCP and the controller's
 northbound is plain HTTP. Wire schemas are produced by the same agent
 classes as the in-process mode, so the bytes on the socket match the
-in-process dictionaries exactly. Real-time runs are inherently
-non-deterministic and excluded from byte-exact output contracts.
+in-process dictionaries exactly. over_sockets runs a ScenarioRun in
+this wiring under the run's own simulated clock: a southbound or
+northbound exchange takes the same modelled latency as in process
+(controller.timed_exchange) and a monitor exchange takes none, so the
+run's artifacts are the in-process run's, byte for byte.
 """
 
 from __future__ import annotations
@@ -18,8 +21,11 @@ import socketserver
 import threading
 import urllib.error
 import urllib.request
+from contextlib import ExitStack, contextmanager
 
-from .controller import Northbound, SwitchDisconnected
+from .controller import Northbound, SwitchDisconnected, timed_exchange
+from .qkd_unit import MonitorAgent
+from .switch import SwitchAgent
 
 # The longest request line or northbound body a server reads, in bytes; a
 # peer's length or line past it is refused before it is read into memory.
@@ -37,21 +43,24 @@ def _json_object(raw) -> dict:
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self):
         agent = self.server.agent  # type: ignore[attr-defined]
-        greeting = getattr(agent, "greeting_line", None)
-        if greeting is not None:
-            self.wfile.write(greeting().encode("utf-8"))
-        while True:
-            raw = self.rfile.readline(MAX_REQUEST_BYTES + 1)
-            if not raw or len(raw) > MAX_REQUEST_BYTES:
-                break  # closed, or a line too long: drop the connection
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                reply = agent.process_line(line)
-            except Exception:
-                break  # protocol violation: drop the connection
-            self.wfile.write(reply.encode("utf-8"))
+        try:
+            greeting = getattr(agent, "greeting_line", None)
+            if greeting is not None:
+                self.wfile.write(greeting().encode("utf-8"))
+            while True:
+                raw = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+                if not raw or len(raw) > MAX_REQUEST_BYTES:
+                    break  # closed, or a line too long: drop the connection
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    reply = agent.process_line(line)
+                except Exception:
+                    break  # protocol violation: drop the connection
+                self.wfile.write(reply.encode("utf-8"))
+        except OSError:
+            pass  # reset or broken by the peer: drop the connection
 
 
 class LineServer(socketserver.ThreadingTCPServer):
@@ -100,10 +109,12 @@ class _LineClient:
 
 
 class SocketSwitchLink(_LineClient):
-    """Controller-side southbound transport over a real socket."""
+    """Controller-side southbound transport over a real socket; each
+    message is a timed_exchange on clock."""
 
-    def __init__(self, host: str, port: int, timeout: float = 5.0):
+    def __init__(self, host: str, port: int, clock, timeout: float = 5.0):
         super().__init__(host, port, timeout)
+        self.clock = clock
         try:
             self.hello = self._read()
         except OSError:  # closed, timed out or malformed: release the socket
@@ -116,7 +127,7 @@ class SocketSwitchLink(_LineClient):
         if not self.connected:
             raise SwitchDisconnected(self.switch_id)
         try:
-            return self._exchange(msg)
+            return timed_exchange(self.clock, self._exchange, msg)
         except OSError as exc:  # ConnectionError included: a lost or malformed reply
             self.connected = False
             raise SwitchDisconnected(self.switch_id) from exc
@@ -127,10 +138,13 @@ class SocketSwitchLink(_LineClient):
 
 
 class MonitorSocketClient(_LineClient):
-    """QPM-side monitor reader over a real socket."""
+    """QPM-side unit client over a real socket; it takes no simulated time."""
 
     def read_monitor(self) -> dict:
         return self._exchange({"op": "read_monitor"})
+
+    def start_session(self) -> None:
+        self._exchange({"op": "start_session"})
 
 
 class _NorthboundHandler(http.server.BaseHTTPRequestHandler):
@@ -142,10 +156,13 @@ class _NorthboundHandler(http.server.BaseHTTPRequestHandler):
         if not (length.isascii() and length.isdigit()):
             self._respond(400, {"error": "Content-Length must be a non-negative integer"})
             return
-        if int(length) > MAX_REQUEST_BYTES:
+        # Compared by digit count first: int() refuses a string of over 4300 digits.
+        digits = length.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_REQUEST_BYTES)) or int(digits) > MAX_REQUEST_BYTES:
             self._respond(413, {"error": f"body longer than {MAX_REQUEST_BYTES} bytes"})
             return
-        raw = self.rfile.read(int(length)) if int(length) else b"{}"
+        size = int(digits)
+        raw = self.rfile.read(size) if size else b"{}"
         try:
             body = json.loads(raw)
         except ValueError:  # not JSON, or not UTF-8
@@ -183,10 +200,12 @@ def serve_northbound(northbound: Northbound, host: str = "127.0.0.1",
 
 
 class HttpControllerClient:
-    """QPM-side northbound client over real HTTP."""
+    """QPM-side northbound client over real HTTP; each request is a
+    timed_exchange on clock."""
 
-    def __init__(self, base_url: str, timeout: float = 10.0):
+    def __init__(self, base_url: str, clock, timeout: float = 10.0):
         self.base_url = base_url.rstrip("/")
+        self.clock = clock
         self.timeout = timeout
 
     def post_reconfigure(self, body: dict) -> tuple[int, dict]:
@@ -196,11 +215,11 @@ class HttpControllerClient:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        return self._exchange(request)
+        return timed_exchange(self.clock, self._exchange, request)
 
     def get_paths(self) -> tuple[int, dict]:
         request = urllib.request.Request(self.base_url + "/paths", method="GET")
-        return self._exchange(request)
+        return timed_exchange(self.clock, self._exchange, request)
 
     def _exchange(self, request) -> tuple[int, dict]:
         try:
@@ -216,3 +235,56 @@ class HttpControllerClient:
             return status, _json_object(raw)
         except ValueError as exc:  # not UTF-8 JSON of an object
             raise ConnectionError(f"malformed reply: {exc}") from exc
+
+
+def _stop(servers):
+    """Shut servers down together, since each waits out its poll interval,
+    then close them, which joins their handler threads."""
+    stopping = [threading.Thread(target=server.shutdown) for server in servers]
+    for thread in stopping:
+        thread.start()
+    for thread in stopping:
+        thread.join()
+    for server in servers:
+        server.server_close()
+
+
+@contextmanager
+def over_sockets(run):
+    """The control loop of run, a ScenarioRun, over sockets in the block.
+
+    Serves run's switches (SwitchAgent), its Northbound and run itself as
+    the monitor's unit client (MonitorAgent) on 127.0.0.1 ephemeral
+    ports, and points its controller and monitor at them through
+    SocketSwitchLink, HttpControllerClient and MonitorSocketClient under
+    run's clock. Yields each server's (host, port) by name. On exit every
+    client and server is closed and the in-process wiring is put back.
+    """
+    controller, qpm = run.controller, run.qpm
+    in_process = controller.switch_links, qpm.controller_client, qpm.qkd_client
+    try:
+        with ExitStack() as stack:
+            servers: list = []
+            stack.callback(_stop, servers)
+
+            def serve(server):
+                servers.append(server)
+                return server.server_address
+
+            def connect(client):
+                stack.callback(client.close)
+                return client
+
+            addresses = {f"switch {sid}": serve(serve_agent(SwitchAgent(switch)))
+                         for sid, switch in run.switches.items()}
+            addresses["monitor"] = serve(serve_agent(MonitorAgent(run)))
+            addresses["northbound"] = serve(serve_northbound(run.northbound))
+            controller.switch_links = {
+                sid: connect(SocketSwitchLink(*addresses[f"switch {sid}"], run.clock))
+                for sid in run.switches}
+            qpm.controller_client = HttpControllerClient(
+                "http://%s:%d" % addresses["northbound"], run.clock)
+            qpm.qkd_client = connect(MonitorSocketClient(*addresses["monitor"]))
+            yield addresses
+    finally:
+        controller.switch_links, qpm.controller_client, qpm.qkd_client = in_process

@@ -22,6 +22,8 @@ draws occur in timeline order no matter which event triggered the tick.
 The unit keeps no clock: the end of its last tick, _last_sync, is the
 only time it has. The run is also the monitor's in-process unit client:
 its read_monitor and start_session sync the unit to the clock first.
+realtime.over_sockets serves the same run, those two calls included,
+over sockets, where a monitor exchange takes no simulated time either.
 
 Metrics samples are chained the way the monitor chains its polls: the
 sample at k * period schedules the one at (k + 1) * period, so the

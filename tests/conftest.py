@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qkdsim.scenario import run_scenario
+from qkdsim.scenario import Scenario, ScenarioRun, run_scenario
 from qkdsim.topology import load_topology
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -32,6 +32,14 @@ def configs() -> Path:
 @pytest.fixture(scope="session")
 def reference_topology():
     return load_topology(str(CONFIGS / "reference_topology.json"))
+
+
+@pytest.fixture()
+def lit_run(reference_topology):
+    """A run with link1 lit and no session started."""
+    run = ScenarioRun(reference_topology, Scenario(600.0, ()), seed=0)
+    run.controller_client.post_reconfigure({"request_id": "r", "set_up": "link1"})
+    return run
 
 
 def _run(tmp_path_factory, label: str, topology: str, scenario: str, seed: int,

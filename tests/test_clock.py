@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from qkdsim.clock import Scheduler, SimClock, WallClock
+from qkdsim.clock import Scheduler, SimClock
 
 
 class TestSimClock:
@@ -22,16 +22,6 @@ class TestSimClock:
         assert clock.now() == 10.0
         clock.advance_to(12.0)
         assert clock.now() == 12.0
-
-
-class TestWallClock:
-    def test_reads_monotonic_time_and_ignores_advances(self):
-        clock = WallClock()
-        t1 = clock.now()
-        clock.advance(100.0)
-        clock.advance_to(1e9)
-        t2 = clock.now()
-        assert 0.0 <= t1 <= t2 < 10.0
 
 
 class TestScheduler:

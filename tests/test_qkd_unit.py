@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qkdsim.clock import SimClock
 from qkdsim.physics import (
     ATTACK_OFF,
     QBER_SIGMA,
@@ -487,18 +486,16 @@ class TestMonitorReadout:
 
 
 class TestMonitorAgent:
-    def test_line_protocol_matches_direct_reads(self):
-        clock = SimClock()
-        unit = make_unit()
-        unit.start_session(CHANNEL)
-        unit.tick(200.0, CHANNEL, ATTACK_OFF)
-        clock.advance(200.0)
-        agent = MonitorAgent(unit, clock)
+    def test_line_protocol_matches_direct_reads(self, lit_run):
+        agent = MonitorAgent(lit_run)
+        assert agent.process_line('{"op":"start_session"}') == "{}\n"
+        lit_run.clock.advance_to(200.0)
         line = agent.process_line('{"op":"read_monitor"}')
         assert line.endswith("\n")
-        assert json.loads(line) == unit.read_monitor(200.0)
+        assert json.loads(line) == lit_run.read_monitor()
+        assert json.loads(line)["state"] == STATE_GENERATING
 
-    def test_unknown_op_rejected(self):
-        agent = MonitorAgent(make_unit(), SimClock())
+    def test_unknown_op_rejected(self, lit_run):
+        agent = MonitorAgent(lit_run)
         with pytest.raises(ValueError):
             agent.process_line('{"op":"reboot"}')

@@ -52,13 +52,18 @@ def test_rerunning_reference_scenarios_rewrites_the_same_tree(tmp_path, capsys):
 
 
 def test_realtime_demo_reroutes_over_sockets():
-    """The demo serves every agent on 127.0.0.1 ephemeral ports."""
+    """The demo serves every agent on 127.0.0.1 ephemeral ports and closes
+    the loop over them: detection, failover and re-init."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, str(SCRIPTS / "realtime_demo.py")],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert [line for line in lines if line.startswith("fabric resolves to:")] == [
-        "fabric resolves to: link1", "fabric resolves to: link3"]
+    # Four switches, the monitor and the northbound.
+    assert sum(": serving on 127.0.0.1:" in line for line in lines) == 6
+    events = [line.split()[1:3] for line in lines if line.startswith("t=")]
+    assert events[events.index(["DETECTED", "link1"]):] == [
+        ["DETECTED", "link1"], ["RECONFIG_SENT", "link2"], ["RECONFIG_DONE", "link2"],
+        ["REINIT_DONE", "link2"]]
     assert lines[-1] == "demo complete"

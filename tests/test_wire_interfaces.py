@@ -4,37 +4,33 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import socket
+import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from qkdsim.clock import WallClock
-from qkdsim.controller import Northbound, SdnController, SwitchDisconnected
-from qkdsim.physics import ATTACK_OFF, CalibrationAnchors, calibrate
-from qkdsim.qkd_unit import MonitorAgent, QkdUnitPair
+from qkdsim.clock import SimClock
+from qkdsim.controller import LATENCY_S, Northbound, SdnController, SwitchDisconnected
+from qkdsim.qkd_unit import MonitorAgent
 from qkdsim.realtime import (
     MAX_REQUEST_BYTES,
     HttpControllerClient,
     MonitorSocketClient,
     SocketSwitchLink,
+    over_sockets,
     serve_agent,
     serve_northbound,
 )
+from qkdsim.scenario import ScenarioRun, extract_episodes, load_scenario, timing_rows
 from qkdsim.switch import OpticalSwitch, SwitchAgent
-from qkdsim.topology import resolve_active_path
+from qkdsim.topology import load_topology, resolve_active_path
 
-
-class FrozenClock:
-    def __init__(self, t=0.0):
-        self._t = t
-
-    def now(self):
-        return self._t
-
-    def advance(self, dt):
-        pass
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -90,7 +86,8 @@ class TestSwitchSocket:
     def test_switch_link_speaks_to_a_live_switch(self, switch_server):
         switch, server = switch_server
         host, port = server.server_address
-        link = SocketSwitchLink(host, port)
+        clock = SimClock()
+        link = SocketSwitchLink(host, port, clock)
         try:
             assert link.switch_id == "alice"
             ack = link.send({"type": "FLOW_MOD", "xid": 3, "command": "ADD",
@@ -99,13 +96,14 @@ class TestSwitchSocket:
             reply = link.send({"type": "BARRIER_REQUEST", "xid": 4})
             assert reply["committed_xids"] == [3]
             assert dict(switch.query_entries()) == {0: 1}
+            assert clock.now() == 4 * LATENCY_S  # two round trips
         finally:
             link.close()
 
     def test_closed_link_raises_switch_disconnected(self, switch_server):
         _, server = switch_server
         host, port = server.server_address
-        link = SocketSwitchLink(host, port)
+        link = SocketSwitchLink(host, port, SimClock())
         link.close()
         with pytest.raises(SwitchDisconnected):
             link.send({"type": "BARRIER_REQUEST", "xid": 1})
@@ -122,13 +120,32 @@ class TestSwitchSocket:
             assert reader.readline() == b""
         finally:
             sock.close()
-        link = SocketSwitchLink(*server.server_address)
+        link = SocketSwitchLink(*server.server_address, SimClock())
         try:
             reply = link.send({"type": "BARRIER_REQUEST", "xid": 8})
         finally:
             link.close()
         assert reply["committed_xids"] == []
         assert not switch.query_entries()
+        assert capfd.readouterr().err == ""
+
+    def test_a_reset_connection_drops_silently(self, capfd):
+        """Peers that reset their connection (SO_LINGER 0) are dropped with
+        no traceback, and the server still serves the next connection."""
+        server = serve_agent(SwitchAgent(OpticalSwitch("alice", 8)))
+        try:
+            for _ in range(5):
+                sock = socket.create_connection(server.server_address, timeout=5.0)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                sock.close()
+            link = SocketSwitchLink(*server.server_address, SimClock())
+            try:
+                assert link.send({"type": "BARRIER_REQUEST", "xid": 1})["committed_xids"] == []
+            finally:
+                link.close()
+        finally:
+            server.shutdown()
+            server.server_close()  # joins every connection's thread
         assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("reply", [b"\xff\n", b"[1,2]\n"], ids=["non-utf8", "non-object"])
@@ -146,7 +163,7 @@ class TestSwitchSocket:
 
         server = threading.Thread(target=serve, daemon=True)
         server.start()
-        link = SocketSwitchLink(*listener.getsockname())
+        link = SocketSwitchLink(*listener.getsockname(), SimClock())
         try:
             with pytest.raises(SwitchDisconnected):
                 link.send({"type": "BARRIER_REQUEST", "xid": 1})
@@ -168,35 +185,33 @@ class TestSwitchSocket:
         server.start()
         try:
             with pytest.raises(ConnectionError):
-                SocketSwitchLink(*listener.getsockname())
+                SocketSwitchLink(*listener.getsockname(), SimClock())
         finally:
             server.join(timeout=5)
             listener.close()
 
 
 class TestMonitorSocket:
-    def test_socket_reading_equals_direct_reading(self):
-        clock = FrozenClock(321.5)
-        unit = QkdUnitPair(np.random.default_rng(0))
-        channel = calibrate(CalibrationAnchors(950.0, 0.02, -17.0, -9.0, 45.0))
-        unit.start_session(channel)
-        unit.tick(321.5, channel, ATTACK_OFF)
-        server = serve_agent(MonitorAgent(unit, clock))
+    def test_socket_reading_equals_direct_reading(self, lit_run):
+        server = serve_agent(MonitorAgent(lit_run))
         try:
-            host, port = server.server_address
-            client = MonitorSocketClient(host, port)
-            over_socket = client.read_monitor()
-            client.close()
-            assert over_socket == unit.read_monitor(321.5)
+            client = MonitorSocketClient(*server.server_address)
+            try:
+                client.start_session()
+                lit_run.clock.advance_to(321.5)
+                over_socket = client.read_monitor()
+            finally:
+                client.close()
+            assert over_socket == lit_run.read_monitor()
+            assert over_socket["timestamp"] == 321.5
             assert over_socket["state"] == "Generating"
             assert over_socket["skr_bps"] > 0
         finally:
             server.shutdown()
             server.server_close()
 
-    def test_a_non_utf8_line_drops_the_connection_silently(self, capfd):
-        unit = QkdUnitPair(np.random.default_rng(0))
-        server = serve_agent(MonitorAgent(unit, FrozenClock()), "127.0.0.1", 0)
+    def test_a_non_utf8_line_drops_the_connection_silently(self, lit_run, capfd):
+        server = serve_agent(MonitorAgent(lit_run), "127.0.0.1", 0)
         try:
             with socket.create_connection(server.server_address, timeout=5.0) as sock:
                 sock.sendall(b"\xff\n")
@@ -249,7 +264,7 @@ class TestMonitorSocket:
 
 @pytest.fixture()
 def http_northbound(reference_topology):
-    clock = WallClock()
+    clock = SimClock()
     switches = {sw: OpticalSwitch(sw, n) for sw, n in reference_topology.switches.items()}
 
     class DirectLink:
@@ -263,7 +278,7 @@ def http_northbound(reference_topology):
                                {sw: DirectLink(s) for sw, s in switches.items()}, clock)
     server = serve_northbound(Northbound(controller))
     host, port = server.server_address
-    client = HttpControllerClient(f"http://{host}:{port}")
+    client = HttpControllerClient(f"http://{host}:{port}", clock)
     yield client, switches, reference_topology
     server.shutdown()
     server.server_close()
@@ -294,6 +309,7 @@ class TestHttpNorthbound:
         pytest.param(b'{"request_id": "a", "set_up": "link1"}', "abc", id="length-not-a-number"),
         pytest.param(b'{"request_id": "a", "set_up": "link1"}', "-1", id="length-negative"),
         pytest.param(b'{"request_id": "\x80"}', None, id="body-not-utf8"),
+        pytest.param(b"{}", "0" * 5000 + "2", id="length-zero-padded"),
     ])
     def test_malformed_requests_get_one_400(self, http_northbound, body, length):
         client, switches, _ = http_northbound
@@ -314,7 +330,7 @@ class TestHttpNorthbound:
                                                                     capfd):
         client, switches, _ = http_northbound
         host, port = client.base_url.rsplit("/", 1)[1].split(":")
-        for length in (MAX_REQUEST_BYTES + 1, 99999999999999):
+        for length in (MAX_REQUEST_BYTES + 1, 99999999999999, "1" * 5000):
             conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
             try:
                 conn.putrequest("POST", "/reconfigure")
@@ -368,7 +384,7 @@ class TestHttpNorthbound:
 
     def test_unknown_routes_are_404(self, http_northbound):
         client, _, _ = http_northbound
-        status, _ = HttpControllerClient(client.base_url + "/nowhere").get_paths()
+        status, _ = HttpControllerClient(client.base_url + "/nowhere", SimClock()).get_paths()
         assert status == 404
 
 
@@ -398,7 +414,7 @@ class TestHttpControllerClient:
         server = threading.Thread(target=serve, daemon=True)
         server.start()
         host, port = listener.getsockname()
-        client = HttpControllerClient(f"http://{host}:{port}")
+        client = HttpControllerClient(f"http://{host}:{port}", SimClock())
         try:
             if expected is ConnectionError:
                 with pytest.raises(ConnectionError):
@@ -409,3 +425,61 @@ class TestHttpControllerClient:
             server.join(timeout=5)
             assert not server.is_alive()
             listener.close()
+
+
+def _artifacts(run) -> tuple:
+    """The run's metrics.csv body, monitor and controller log lines, and
+    timing.csv rows, as run_scenario writes them."""
+    events = run.qpm.events
+    return (run.metrics_text(),
+            [json.dumps(event.to_dict(), separators=(",", ":")) for event in events],
+            [json.dumps(record, separators=(",", ":")) for record in run.controller_records],
+            timing_rows(extract_episodes(events)[1], run.scenario, run.topology))
+
+
+class TestScenarioOverSockets:
+    @pytest.mark.parametrize("topology, scenario, seed", [
+        ("reference_topology.json", "attack-link1.json", 42),
+        ("reference_topology.json", "attack-link1-then-link2.json", 7),
+        ("reference_topology.json", "attack-all-links.json", 11),
+        ("reference_topology_link2_first.json", "steadystate-link2.json", 42),
+    ])
+    def test_the_run_over_sockets_is_the_in_process_run(self, configs, topology, scenario,
+                                                        seed):
+        """The reference runs wired over 127.0.0.1 write the in-process
+        run's artifacts byte for byte, and leave no server, socket or
+        thread behind."""
+        def build():
+            return ScenarioRun(load_topology(str(configs / topology)),
+                               load_scenario(str(configs / scenario)), seed)
+
+        in_process = build()
+        in_process.execute()
+        run = build()
+        threads = set(threading.enumerate())
+        with over_sockets(run) as addresses:
+            assert len(addresses) == len(run.switches) + 2
+            assert all(host == "127.0.0.1" and port for host, port in addresses.values())
+            run.execute()
+        started = set(threading.enumerate()) - threads
+        for thread in started:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in started)
+        assert _artifacts(run) == _artifacts(in_process)
+        assert run.controller.switch_links is run.links
+        assert run.qpm.controller_client is run.controller_client
+        assert run.qpm.qkd_client is run
+
+
+def test_the_run_never_imports_the_socket_wiring():
+    """The CLI and the runner import neither realtime nor the stdlib
+    servers and clients it is built on."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    modules = ("qkdsim.realtime", "http.server", "socketserver", "urllib.request")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, qkdsim.cli, qkdsim.scenario; "
+         f"print([m for m in {modules!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
