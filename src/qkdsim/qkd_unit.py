@@ -41,6 +41,8 @@ STATE_INITIALIZING = "Initializing"
 STATE_GENERATING = "Generating"
 STATE_ABORTED = "Aborted"
 
+# A tick of at most this long is no time and changes nothing. It is the
+# only time tolerance: callers tick over any time that has passed.
 _EPS = 1e-9
 # The read-outs of a tick_while that keeps no block.
 _NO_BLOCKS = np.empty(0)
@@ -118,7 +120,8 @@ class QkdUnitPair:
         first tick that ends the init or distils a block that aborts or whose
         read-out (qber, key_bits, state) acts flags, elementwise on numpy
         arrays. That stop tick is taken whole unless a block in it aborts:
-        the session ends there and the rest of the tick passes.
+        the session ends there and the rest of the tick passes. A tick of at
+        most _EPS is no time.
 
         Returns the ticks taken, whether the last one was a stop, the tick
         distilling each kept block, and their read-outs as arrays: qber,
@@ -166,7 +169,8 @@ class QkdUnitPair:
         """The interval arithmetic over dts on a lit circuit, up to and including
         the tick that ends the init: the ticks taken, whether the init ended,
         each block's tick, and the init left and elapsed interval after them.
-        Outside Initializing and Generating the ticks change nothing."""
+        A tick of at most _EPS is no time and changes nothing; outside
+        Initializing and Generating no tick does."""
         init_left, elapsed = self._init_remaining, self._interval_elapsed
         block_ticks: list[int] = []
         ticks, ended, first = len(dts), False, 0

@@ -34,7 +34,10 @@ MAX_REQUEST_BYTES = 64 * 1024
 
 def _json_object(raw) -> dict:
     """raw parsed as JSON; ValueError unless it is UTF-8 JSON of an object."""
-    obj = json.loads(raw)
+    try:
+        obj = json.loads(raw)
+    except RecursionError as exc:  # nested too deeply
+        raise ValueError(str(exc)) from None
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     return obj
@@ -165,7 +168,7 @@ class _NorthboundHandler(http.server.BaseHTTPRequestHandler):
         raw = self.rfile.read(size) if size else b"{}"
         try:
             body = json.loads(raw)
-        except ValueError:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deeply
             self._respond(400, {"error": "body is not valid JSON"})
             return
         status, resp = self.server.northbound.post_reconfigure(body)  # type: ignore[attr-defined]

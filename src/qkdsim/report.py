@@ -164,7 +164,7 @@ def load_events(path: str) -> list[dict]:
             where = f"{path} line {line}"
             try:
                 event = json.loads(text)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise RunFileError(f"{where}: {exc}") from None
             checked(event, "kind", str, where, RunFileError)
             checked(event, "t", NUMBER, where, RunFileError)
@@ -179,7 +179,7 @@ def load_info(out_dir: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             info = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise RunFileError(f"{path}: {exc}") from None
     for key, kind in _INFO_FIELDS.items():
         checked(info, key, kind, path, RunFileError)
@@ -195,7 +195,7 @@ def load_thresholds(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             thresholds = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise RunFileError(f"{path}: {exc}") from None
     for key in ("steady_state_skr_bps", "steady_state_qber"):
         band = checked(thresholds, key, list, path, RunFileError, default=[0, 0])

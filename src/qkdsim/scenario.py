@@ -42,10 +42,12 @@ run on the event loop, on a unit already synced to them.
 
 The batch relies on attack changes, polls and samples being the only
 scheduled events, and on none of them taking simulated time. It lists
-them on numpy arrays in the order the event loop runs them: at one
-time, attack changes in file order, then the poll, then the sample.
-Each syncs the unit as sync_unit does, merging events within _SYNC_EPS
-of the last tick's end. The ticks run in stretches of constant attack
+their times on numpy arrays and sorts them once: sync_unit ticks
+whenever the clock has moved, so the ticks end at the distinct event
+times, and the unit alone decides that a tick too short to count is no
+time. Where events share a time, the event loop runs the attack changes
+first, then the poll, then the sample, and one searchsorted side per
+question settles each tie. The ticks run in stretches of constant attack
 powers, one tick_while per stretch, since a change on the lit link
 changes the power its blocks are sampled at; the batch stops at the
 first stretch that stops. An attack change the batch takes over is
@@ -90,17 +92,14 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 
-# The unit is ticked only over more than this much simulated time.
-_SYNC_EPS = 1e-12
 # Poll periods one batch spans at most, which bounds the memory it takes.
 _BATCH_PERIODS = 1024
 
-# Points a sweep lists at most.
-_SWEEP_POINTS_MAX = 10 ** 6
+# Rows a run's metrics.csv or a sweep.csv holds at most.
+_ROWS_MAX = 10 ** 6
 
-# No polls, samples or attack changes in a batch, and their positions.
+# No events or blocks in a batch.
 _NO_EVENTS = np.empty(0)
-_NO_POSITIONS = np.empty(0, dtype=np.intp)
 
 # The decimals metrics.csv writes t with, and skr_bps and qber.
 _T_DIGITS = 1
@@ -117,44 +116,6 @@ def _row_template(path_id: str, powers_csv: str, mode: str) -> str:
 
 class ScenarioError(ValueError):
     """Malformed scenario file or inconsistent run inputs."""
-
-
-def _run_order(polls: np.ndarray, samples: np.ndarray, attack_t: np.ndarray):
-    """Each event's place when the sorted polls, samples and attack changes
-    run as the event loop runs them: at one time, the attack changes (in
-    the order given), then the poll, then the sample."""
-    at_poll = np.arange(len(polls)) + samples.searchsorted(polls)
-    at_sample = np.arange(len(samples)) + polls.searchsorted(samples, "right")
-    at_attack = _NO_POSITIONS
-    if len(attack_t):
-        at_poll += attack_t.searchsorted(polls, "right")
-        at_sample += attack_t.searchsorted(samples, "right")
-        at_attack = (np.arange(len(attack_t)) + polls.searchsorted(attack_t)
-                     + samples.searchsorted(attack_t))
-    return at_poll, at_sample, at_attack
-
-
-def _sync_ticks(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ticks that syncing the unit at each of grid[1:] takes when the last
-    tick ended at grid[0]: the ticks ended up to each event, and their lengths.
-
-    As sync_unit does, an event ends a tick when it falls more than
-    _SYNC_EPS after the last tick's end. Events within _SYNC_EPS of each
-    other are merged in sequence, one after another.
-    """
-    times = grid[1:]
-    gaps = times - grid[:-1]
-    ends = gaps > _SYNC_EPS
-    if np.count_nonzero(gaps) == np.count_nonzero(ends):
-        return np.cumsum(ends), gaps[ends]  # each merged event is a tick's end
-    # An event merged into a tick ends past it: decide each in sequence.
-    last, ends = float(grid[0]), []
-    for t in times.tolist():
-        ends.append(t - last > _SYNC_EPS)
-        if ends[-1]:
-            last = t
-    ticks = times[ends]
-    return np.cumsum(ends), ticks - np.concatenate((grid[:1], ticks[:-1]))
 
 
 @dataclass(frozen=True)
@@ -174,7 +135,7 @@ def load_scenario(file_path: str) -> Scenario:
     with open(file_path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ScenarioError(f"cannot parse {file_path}: {exc}") from exc
     duration = checked(data, "duration_s", NUMBER, "scenario", ScenarioError)
     if duration <= 0:
@@ -223,6 +184,10 @@ class ScenarioRun:
             if not math.ulp(scenario.duration_s) / 2 < getattr(qpm_config, name):
                 raise ScenarioError(f"{name} must be large enough to advance the clock "
                                     f"over duration_s {scenario.duration_s!r}")
+        if scenario.duration_s // qpm_config.poll_period_s + 1 > _ROWS_MAX:
+            raise ScenarioError(f"duration_s {scenario.duration_s!r} at poll_period_s "
+                                f"{qpm_config.poll_period_s!r} makes more than {_ROWS_MAX} "
+                                "metrics rows")
         self.topology = topology
         self.scenario = scenario
         self.seed = seed
@@ -256,9 +221,10 @@ class ScenarioRun:
         self._metrics_runs: list[list] = []
         # The pending metrics sample: (k, scheduler entry), None past the end.
         self._next_metrics: Optional[tuple[int, list]] = None
-        # The attack changes with their scheduler entries, in the order they
-        # run; the first _attacks_applied of them have run.
+        # The attack changes with their scheduler entries, and their times, in
+        # the order they run; the first _attacks_applied of them have run.
         self._attacks: list[tuple[ScenarioEvent, list]] = []
+        self._attack_t = _NO_EVENTS
         self._attacks_applied = 0
         self._last_sync = 0.0
 
@@ -280,7 +246,7 @@ class ScenarioRun:
     def sync_unit(self):
         now = self.clock.now()
         dt = now - self._last_sync
-        if dt > _SYNC_EPS:
+        if dt > 0:
             _, channel, power = self.current_circuit()
             self.unit.tick(dt, channel, power)
             self._last_sync = now
@@ -371,9 +337,10 @@ class ScenarioRun:
         """If the monitor could not act on the unit's read-out, run the attack
         changes, polls and samples ahead in one batch, up to the end of the
         tick that changes the unit's state or gives a read-out the monitor
-        could act on (see the module docstring). The polls it takes over
-        leave only the next poll behind (Qpm.skip_polls), so only the
-        samples need read-outs."""
+        could act on (see the module docstring). Their times are sorted
+        once: a tick ends at each distinct one, and each other question is
+        a searchsorted on them. The polls it takes over leave only the next
+        poll behind (Qpm.skip_polls), so only the samples need read-outs."""
         qpm, unit = self.qpm, self.unit
         path_id, link = self._circuit
         if link is None:
@@ -384,8 +351,9 @@ class ScenarioRun:
         period = qpm.config.poll_period_s
         poll_period = qpm.poll_period()
         now, duration, last = self.clock.now(), self.scenario.duration_s, self._last_sync
-        attacks = self._attacks[self._attacks_applied:]
-        if (now > qpm.next_poll_t or (attacks and now > attacks[0][0].t)
+        applied = self._attacks_applied
+        attack_t = self._attack_t[applied:]
+        if (now > qpm.next_poll_t or (len(attack_t) and now > attack_t[0])
                 or (self._next_metrics is not None and now > self._next_metrics[0] * period)):
             return  # an event runs late: leave it to the event loop
         end = min(duration, qpm.next_poll_t + _BATCH_PERIODS * min(period, poll_period),
@@ -404,33 +372,29 @@ class ScenarioRun:
             samples = np.arange(self._next_metrics[0],
                                 int(min(duration // period, end // period + 1)) + 1) * period
             samples = samples[:samples.searchsorted(end, "right")]
-        n_attacks = 0
-        while n_attacks < len(attacks) and attacks[n_attacks][0].t <= end:
-            n_attacks += 1
-        attacks = attacks[:n_attacks]
-        attack_t = np.array([event.t for event, _ in attacks]) if attacks else _NO_EVENTS
-        if not len(polls) + len(samples) + n_attacks:
+        attack_t = attack_t[:attack_t.searchsorted(end, "right")]
+        times = np.concatenate((polls, samples, attack_t))
+        if not len(times):
             return
 
-        # grid[0] is the last tick's end and grid[1:] the events in run order.
-        at_poll, at_sample, at_attack = _run_order(polls, samples, attack_t)
-        grid = np.empty(1 + len(polls) + len(samples) + n_attacks)
-        grid[0] = last
-        times = grid[1:]
-        times[at_poll] = polls
-        times[at_sample] = samples
-        times[at_attack] = attack_t
-        ticks_at, dts = _sync_ticks(grid)
+        # A tick ends at each distinct event time after the last tick's end.
+        times.sort()
+        gaps = np.diff(times, prepend=last)
+        ticked = gaps > 0
+        tick_end, dts = times[ticked], gaps[ticked]
 
-        # Ticks in stretches of constant attack powers, each up to the next
-        # attack change; the batch stops at the first stretch that stops.
+        # Ticks in stretches of constant attack powers: an attack change
+        # applies after the tick that ends at its time. The batch stops at
+        # the first stretch that stops.
         _, channel, power = self.current_circuit()
-        bounds, powers = ticks_at[at_attack].tolist(), [power]
+        attacks = self._attacks[applied:applied + len(attack_t)]
+        bounds, powers = tick_end.searchsorted(attack_t, "right").tolist(), [power]
         for event, _ in attacks:
             powers.append(event.attack_power_dbm if event.link_id == link.link_id else powers[-1])
         bounds.append(len(dts))
         taken, stopped = 0, False
-        kept = []  # per stretch with blocks kept: their ticks, qber and skr_bps
+        # The kept blocks' times, qber and skr_bps, after the current read-out's.
+        block_t, qs, ss = [_NO_EVENTS], [[current["qber"]]], [[current["skr_bps"]]]
         for stop, power in zip(bounds, powers):
             if stop > taken:
                 start = taken
@@ -438,39 +402,32 @@ class ScenarioRun:
                     dts[start:stop].tolist(), channel, power, qpm.could_act)
                 taken += ticks
                 if block_ticks:
-                    kept.append((np.add(block_ticks, start), q, s))
+                    block_t.append(tick_end[np.add(block_ticks, start)])
+                    qs.append(q)
+                    ss.append(s)
                 if stopped:
                     break
 
         # Take over every event, or those before the stop tick's end: the events
         # at its end run on the event loop, and their sync_unit finds nothing to tick.
         if taken:
-            self._last_sync = float(times[ticks_at.searchsorted(taken)])
-        cut = int(ticks_at.searchsorted(taken - 1, "right")) if stopped else len(times)
-        if not cut:
-            return
-        self.clock.advance_to(float(times[cut - 1]))
-        polls_kept = int(at_poll.searchsorted(cut))
+            self._last_sync = float(tick_end[taken - 1])
+        stop_t = self._last_sync if stopped else math.inf
+        self.clock.advance_to(float(times[:times.searchsorted(stop_t)].max(initial=now)))
+        polls_kept = int(polls.searchsorted(stop_t))
         if polls_kept:
             qpm.skip_polls(float(polls[polls_kept - 1]))
 
-        # The samples' read-outs: read-out b is the one after b blocks, the
-        # current one, then each kept.
-        samples_kept = int(at_sample.searchsorted(cut))
-        sample_t = samples[:samples_kept].tolist()
-        if kept:
-            done = np.concatenate([part[0] for part in kept]).searchsorted(
-                ticks_at[at_sample[:samples_kept]])
-            qs, ss = (np.concatenate([[current[key]], *(part[i] for part in kept)])[done].tolist()
-                      for i, key in ((1, "qber"), (2, "skr_bps")))
-        else:
-            qs, ss = [current["qber"]] * samples_kept, [current["skr_bps"]] * samples_kept
+        # A sample reads the blocks of the ticks up to the one ending at its time.
+        sample_t = samples[:samples.searchsorted(stop_t)]
+        done = np.concatenate(block_t).searchsorted(sample_t, "right")
+        qs, ss = (np.concatenate(values)[done].tolist() for values in (qs, ss))
 
-        # Rows from one template per stretch; each attack change taken over
-        # applies between two stretches.
-        splits = at_sample.searchsorted(at_attack[at_attack < cut]).tolist()
-        start = 0
-        for index, stop in enumerate(splits + [samples_kept]):
+        # Rows from one template per stretch; at one time an attack change
+        # applies before the sample's row.
+        splits = sample_t.searchsorted(attack_t[:attack_t.searchsorted(stop_t)]).tolist()
+        sample_t, start = sample_t.tolist(), 0
+        for index, stop in enumerate(splits + [len(sample_t)]):
             if stop > start:
                 self._add_rows(_row_template(path_id, self._powers_csv, qpm.mode),
                                sample_t[start:stop], ss[start:stop], qs[start:stop])
@@ -479,9 +436,9 @@ class ScenarioRun:
                 event, entry = attacks[index]
                 self.scheduler.cancel(entry)
                 self._set_attack(event)
-        if samples_kept:
+        if sample_t:
             self.scheduler.cancel(self._next_metrics[1])
-            self._schedule_metrics(self._next_metrics[0] + samples_kept)
+            self._schedule_metrics(self._next_metrics[0] + len(sample_t))
 
     # -- execution ---------------------------------------------------------------
 
@@ -490,6 +447,7 @@ class ScenarioRun:
         for event in sorted(self.scenario.events, key=lambda event: event.t):
             self._attacks.append((event, self.scheduler.at(
                 event.t, lambda ev=event: self._apply_attack(ev), priority=PRIORITY_ATTACK)))
+        self._attack_t = np.array([event.t for event, _ in self._attacks], dtype=float)
         self.scheduler.at(0.0, lambda: self.qpm.startup(0.0), priority=PRIORITY_QPM)
         self._schedule_metrics(0)
         self.scheduler.run_until(self.scenario.duration_s, after=self._advance_quiet)
@@ -697,8 +655,8 @@ def sweep_attack_power(topology_file: str, link_id: str,
         raise ScenarioError("end_dbm must be >= start_dbm")
     # The grid is start + k * step up to end (+ 1e-9), counted before it is built.
     spans = (end_dbm - start_dbm + 1e-9) / step_db
-    if not spans < _SWEEP_POINTS_MAX:
-        raise ScenarioError(f"step_db {step_db!r} makes more than {_SWEEP_POINTS_MAX} "
+    if not spans < _ROWS_MAX:
+        raise ScenarioError(f"step_db {step_db!r} makes more than {_ROWS_MAX} "
                             "sweep points")
     rows = ["power_dbm,skr_bps,qber"]
     for k in range(math.floor(spans) + 2):

@@ -269,7 +269,7 @@ def load_topology(file_path: str) -> Topology:
     with open(file_path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TopologyError(f"cannot parse {file_path}: {exc}") from exc
     return parse_topology(data)
 

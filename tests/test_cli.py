@@ -17,6 +17,14 @@ from qkdsim.scenario import EXIT_USAGE, ScenarioRun
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def python_m_qkdsim(*args, **env) -> subprocess.CompletedProcess:
+    """`python -m qkdsim args` in a fresh process, with env added to its environment."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "qkdsim", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def run_args(configs, out, scenario="attack-link1.json", extra=()):
     return ["run",
             "--topology", str(configs / "reference_topology.json"),
@@ -170,6 +178,19 @@ class TestRunCommand:
         info = json.loads((tmp_path / "out" / "run_info.json").read_text())
         assert (info["episodes"], info["final_active_path"]) == (1, "link2")
 
+    def test_a_run_over_the_row_bound_is_refused_before_any_file(self, tmp_path, configs,
+                                                                  capsys):
+        """10**6 metrics rows at most: 60 s polls over 60,000,000 s make one more."""
+        (tmp_path / "s.json").write_text('{"duration_s": 6e7}', encoding="utf-8")
+        code = main(["run", "--topology", str(configs / "reference_topology.json"),
+                     "--scenario", str(tmp_path / "s.json"), "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "metrics rows" in err
+        assert not (tmp_path / "out").exists()
+
     def test_topology_directory_is_a_usage_error(self, tmp_path, configs, capsys):
         code = main(["run", "--topology", str(tmp_path),
                      "--scenario", str(configs / "attack-link1.json"),
@@ -254,11 +275,7 @@ class TestSummarizeCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_python_dash_m_runs_the_cli(self, run_link1):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run(
-            [sys.executable, "-m", "qkdsim", "summarize", "--out", str(run_link1["out"])],
-            env=env, capture_output=True, text=True, timeout=60)
+        done = python_m_qkdsim("summarize", "--out", str(run_link1["out"]))
         assert done.returncode == 0, done.stderr
         assert done.stdout == (run_link1["out"] / "summary.txt").read_text(encoding="utf-8")
 
@@ -390,14 +407,34 @@ def test_runs_are_byte_identical_across_processes(tmp_path, configs):
     outputs = []
     for hash_seed in ("1", "2"):
         out = tmp_path / f"hashseed-{hash_seed}"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
-            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run(
-            [sys.executable, "-m", "qkdsim", *run_args(
-                configs, out, scenario="attack-link1-then-link2.json", extra=["--deterministic"])],
-            env=env, capture_output=True, text=True, timeout=120)
+        done = python_m_qkdsim(*run_args(configs, out, scenario="attack-link1-then-link2.json",
+                                         extra=["--deterministic"]),
+                               PYTHONHASHSEED=hash_seed)
         assert done.returncode == 0, done.stderr
         outputs.append({name: (out / name).read_bytes() for name in (
             "metrics.csv", "qpm_log.ndjson", "controller_log.ndjson", "timing.csv",
             "summary.txt")})
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("deep", ["topology", "scenario", "run_info"])
+def test_deeply_nested_json_is_a_usage_error(run_link1, configs, tmp_path, deep):
+    """Python's JSON parser gives up on deep nesting with a RecursionError,
+    which reads as any other file that cannot be parsed: one line, exit 2."""
+    nested = "[" * 100000
+    if deep == "run_info":
+        run_dir = tmp_path / "run"
+        shutil.copytree(run_link1["out"], run_dir)
+        (run_dir / "run_info.json").write_text(nested, encoding="utf-8")
+        args = ["summarize", "--out", str(run_dir)]
+    else:
+        files = {"topology": configs / "reference_topology.json",
+                 "scenario": configs / "attack-link1.json",
+                 deep: tmp_path / "deep.json"}
+        files[deep].write_text(nested, encoding="utf-8")
+        args = ["run", "--topology", str(files["topology"]), "--scenario",
+                str(files["scenario"]), "--seed", "1", "--out", str(tmp_path / "out")]
+    done = python_m_qkdsim(*args)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr

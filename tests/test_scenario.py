@@ -227,6 +227,13 @@ class TestScenarioRun:
             ScenarioRun(reference_topology, Scenario(600.0, ()), 1,
                         qpm_config=QpmConfig(**{period: 1e-300}))
 
+    def test_more_metrics_rows_than_the_bound_are_refused(self, reference_topology):
+        """A run writes 10**6 metrics rows at most: 60 s polls fill them by
+        59,999,940 s, and one more poll period is refused."""
+        ScenarioRun(reference_topology, Scenario(59_999_940.0, ()), 1)
+        with pytest.raises(ScenarioError, match="metrics rows"):
+            ScenarioRun(reference_topology, Scenario(60_000_000.0, ()), 1)
+
     def test_quiet_run_provisions_and_generates(self, reference_topology):
         run = ScenarioRun(reference_topology, Scenario(600.0, ()), seed=3)
         run.execute()
@@ -393,6 +400,29 @@ class TestScenarioRun:
         assert run.unit.state == STATE_IDLE
         assert run.rng.bit_generator.state == rng_state
 
+    @pytest.mark.parametrize("elapsed", [60.0, 300.0], ids=["initializing", "generating"])
+    def test_a_sync_one_ulp_on_ticks_no_time(self, reference_topology, elapsed):
+        """sync_unit ticks whenever the clock has moved, however little; the
+        unit counts a tick of at most _EPS as no time, so only the end of
+        its last tick moves."""
+        run = ScenarioRun(reference_topology, Scenario(3600.0, ()), seed=1)
+        run.controller_client.post_reconfigure({"request_id": "r0", "set_up": "link1"})
+        run.start_session()
+        run.clock.advance(elapsed)
+        run.sync_unit()
+        unit = run.unit
+
+        def fields():
+            return (unit.state, unit._init_remaining, unit._interval_elapsed, unit._sequence,
+                    unit._last_skr, unit._last_qber, unit._last_key_bits,
+                    run.rng.bit_generator.state)
+
+        before, later = fields(), run._last_sync + math.ulp(run._last_sync)
+        run.clock.advance_to(later)
+        run.sync_unit()
+        assert run._last_sync == later
+        assert fields() == before
+
 
 # Each link's death power in the reference topology: offsets from it
 # reach below the knee (-8 or -10 dB), the abort point and past it.
@@ -501,6 +531,13 @@ class TestQuietBatches:
     # its first block (DETECTED at t=152, 301 and 448).
     @example(seed=0, period=30.0, grace=60.0, debounce=2, threshold=0.08,
              duration=7200.0, attacks=[], reinit=1.0)
+    # One batch takes over the attack changes at 1800 s and 3600 s, each at
+    # the time of a poll and a sample, and stops at the tick ending at 3660 s
+    # whose block reads link1's attack: the change at 3660 s falls exactly
+    # at the stop tick's end and runs on the event loop.
+    @example(seed=8, period=60.0, grace=240.0, debounce=2, threshold=0.08,
+             duration=7200.0, attacks=[(0.25, "link3", -8.0), (0.5, "link1", -0.3),
+                                       (0.50834, "link2", -10.0)], reinit=60.0)
     def test_batches_leave_the_run_as_the_event_loop_does(
             self, reference_topology, seed, period, grace, debounce, threshold, duration,
             attacks, reinit):
@@ -575,17 +612,18 @@ class TestQuietBatches:
         last_row = run.metrics_text().splitlines()[-1]
         assert last_row.split(",")[4:7] == ["-40.00", f"{powers[-1]:.2f}", "-inf"]
 
-    def test_events_within_the_sync_tolerance_merge_in_sequence(self, reference_topology):
-        """Attack changes 2 ulps after the sample at 1800 s, and 2 and 4 ulps
-        after the one at 3600 s. Each is within _SYNC_EPS of the event before
-        it and ends no tick, so the next tick is timed from the sample; but
-        the one 4 ulps after 3600 s is not within _SYNC_EPS of the sample, so
-        it ends a tick of its own."""
+    def test_events_ulps_apart_tick_as_on_the_event_loop(self, reference_topology):
+        """Attack changes 2 ulps after the sample at 1800 s, 2, 4 and 5 ulps
+        after the one at 3600 s, and 1 ulp after the one at 5400 s on the lit
+        link. Each ends a tick of its own, however short, which the unit
+        counts as no time; the next tick is timed from it, in a batch as on
+        the event loop."""
         ulp = math.ulp(3600.0)
-        assert 2 * ulp <= 1e-12 < 4 * ulp
         events = (ScenarioEvent(1800.0 + 2 * math.ulp(1800.0), "link3", -40.0),
                   ScenarioEvent(3600.0 + 2 * ulp, "link3", -30.0),
-                  ScenarioEvent(3600.0 + 4 * ulp, "link2", -30.0))
+                  ScenarioEvent(3600.0 + 4 * ulp, "link2", -30.0),
+                  ScenarioEvent(3600.0 + 5 * ulp, "link3", -25.0),
+                  ScenarioEvent(5400.0 + math.ulp(5400.0), "link1", -70.0))
 
         def state(batches):
             return finished_state(ScenarioRun(reference_topology, Scenario(7200.0, events),

@@ -148,10 +148,12 @@ class TestSwitchSocket:
             server.server_close()  # joins every connection's thread
         assert capfd.readouterr().err == ""
 
-    @pytest.mark.parametrize("reply", [b"\xff\n", b"[1,2]\n"], ids=["non-utf8", "non-object"])
+    @pytest.mark.parametrize("reply", [b"\xff\n", b"[1,2]\n", b"[" * 60000 + b"\n"],
+                             ids=["non-utf8", "non-object", "nested-too-deeply"])
     def test_a_malformed_reply_disconnects_the_link(self, reply):
         """A stub switch greets, then answers a request with a line that is
-        not UTF-8 or not a JSON object: the link marks itself disconnected."""
+        not UTF-8, not a JSON object or nested too deeply to parse: the link
+        marks itself disconnected."""
         listener = socket.create_server(("127.0.0.1", 0))
 
         def serve():
@@ -236,12 +238,13 @@ class TestMonitorSocket:
             server.shutdown()
             server.server_close()
 
-    @pytest.mark.parametrize("reply", [b"\xff\n", b"not json\n", b"[1,2]\n"],
-                             ids=["non-utf8", "non-json", "non-object"])
+    @pytest.mark.parametrize("reply", [b"\xff\n", b"not json\n", b"[1,2]\n",
+                                       b"[" * 60000 + b"\n"],
+                             ids=["non-utf8", "non-json", "non-object", "nested-too-deeply"])
     def test_a_malformed_reply_raises_connection_error(self, reply):
         """A stub monitor answers a read with a line that is not UTF-8, not
-        JSON or not an object: the client reports a lost monitor, as for a
-        dropped connection."""
+        JSON, not an object or nested too deeply to parse: the client reports
+        a lost monitor, as for a dropped connection."""
         listener = socket.create_server(("127.0.0.1", 0))
 
         def serve():
@@ -310,6 +313,7 @@ class TestHttpNorthbound:
         pytest.param(b'{"request_id": "a", "set_up": "link1"}', "-1", id="length-negative"),
         pytest.param(b'{"request_id": "\x80"}', None, id="body-not-utf8"),
         pytest.param(b"{}", "0" * 5000 + "2", id="length-zero-padded"),
+        pytest.param(b"[" * 60000, None, id="body-nested-too-deeply"),
     ])
     def test_malformed_requests_get_one_400(self, http_northbound, body, length):
         client, switches, _ = http_northbound
@@ -395,11 +399,12 @@ class TestHttpControllerClient:
         (200, b"[1]", ConnectionError),
         (409, b"\xff", (409, {"error": "\ufffd"})),
         (409, b"[1]", (409, {"error": "[1]"})),
+        (200, b"[" * 60000, ConnectionError),
     ], ids=["2xx-non-utf8", "2xx-non-json", "2xx-non-object", "4xx-non-utf8",
-            "4xx-non-object"])
+            "4xx-non-object", "2xx-nested-too-deeply"])
     def test_a_malformed_reply(self, status, reply, expected):
-        """A stub northbound answers with a body that is not UTF-8, not JSON
-        or not an object: a 2xx reply raises ConnectionError, as a malformed
+        """A stub northbound answers with a body that is not UTF-8, not JSON,
+        not an object or nested too deeply to parse: a 2xx reply raises ConnectionError, as a malformed
         line reply does; an error reply keeps its status and carries the text."""
         listener = socket.create_server(("127.0.0.1", 0))
 
