@@ -29,7 +29,7 @@ from .physics import (
     sample,
     skr,
 )
-from .qkd_unit import KeyBlock, MonitorAgent, QkdUnitPair
+from .qkd_unit import KeyBlock, QkdUnitPair
 from .qpm import (
     MitigationEvent,
     Qpm,
@@ -45,7 +45,7 @@ from .scenario import (
     run_scenario,
     sweep_attack_power,
 )
-from .switch import OpticalSwitch, SwitchAgent
+from .switch import OpticalSwitch
 from .topology import (
     CrossConnect,
     LinkSpec,

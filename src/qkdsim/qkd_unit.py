@@ -25,9 +25,7 @@ by block would leave.
 
 from __future__ import annotations
 
-import json
 import math
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -221,27 +219,3 @@ class QkdUnitPair:
             "state": self.state,
         }
 
-
-class MonitorAgent:
-    """Line-oriented protocol over the monitor's unit client, a ScenarioRun.
-
-    A read_monitor line carries the run's read-out dictionary, so the
-    schema is identical in either wiring; start_session replies {} once
-    the session has started. Requests run one at a time: each may tick
-    the unit."""
-
-    def __init__(self, client):
-        self.client = client
-        self._lock = threading.Lock()
-
-    def process_line(self, line: str) -> str:
-        op = json.loads(line).get("op")
-        with self._lock:
-            if op == "read_monitor":
-                reply = self.client.read_monitor()
-            elif op == "start_session":
-                self.client.start_session()
-                reply = {}
-            else:
-                raise ValueError(f"unknown monitor op {op!r}")
-        return json.dumps(reply, separators=(",", ":")) + "\n"

@@ -1,10 +1,10 @@
 """Socket transports: the simulator's control loop over TCP and HTTP.
 
 The deterministic runner wires components together in one process; this
-module provides the alternative wiring where switch agents and the
-monitor serve newline-delimited JSON over TCP and the controller's
-northbound is plain HTTP. Wire schemas are produced by the same agent
-classes as the in-process mode, so the bytes on the socket match the
+module provides the alternative wiring where switches and the monitor
+serve newline-delimited JSON over TCP and the controller's northbound
+is plain HTTP. Each server answers through the same entry point that
+the in-process wiring calls, so the bytes on the socket match the
 in-process dictionaries exactly. over_sockets runs a ScenarioRun in
 this wiring under the run's own simulated clock: a southbound or
 northbound exchange takes the same modelled latency as in process
@@ -22,10 +22,9 @@ import threading
 import urllib.error
 import urllib.request
 from contextlib import ExitStack, contextmanager
+from typing import Callable
 
 from .controller import Northbound, SwitchDisconnected, timed_exchange
-from .qkd_unit import MonitorAgent
-from .switch import SwitchAgent
 
 # The longest request line or northbound body a server reads, in bytes; a
 # peer's length or line past it is refused before it is read into memory.
@@ -43,13 +42,16 @@ def _json_object(raw) -> dict:
     return obj
 
 
+def _line(obj: dict) -> bytes:
+    return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
+
+
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self):
-        agent = self.server.agent  # type: ignore[attr-defined]
+        server: LineServer = self.server  # type: ignore[assignment]
         try:
-            greeting = getattr(agent, "greeting_line", None)
-            if greeting is not None:
-                self.wfile.write(greeting().encode("utf-8"))
+            if server.greeting is not None:
+                self.wfile.write(_line(server.greeting))
             while True:
                 raw = self.rfile.readline(MAX_REQUEST_BYTES + 1)
                 if not raw or len(raw) > MAX_REQUEST_BYTES:
@@ -58,10 +60,12 @@ class _LineHandler(socketserver.StreamRequestHandler):
                     line = raw.decode("utf-8").strip()
                     if not line:
                         continue
-                    reply = agent.process_line(line)
+                    msg = json.loads(line)
+                    with server.lock:
+                        reply = _line(server.reply_to(msg))
                 except Exception:
                     break  # protocol violation: drop the connection
-                self.wfile.write(reply.encode("utf-8"))
+                self.wfile.write(reply)
         except OSError:
             pass  # reset or broken by the peer: drop the connection
 
@@ -69,15 +73,41 @@ class _LineHandler(socketserver.StreamRequestHandler):
 class LineServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+    reply_to: Callable[[dict], dict]
+    greeting: dict | None
+    lock: threading.Lock
 
 
-def serve_agent(agent, host: str = "127.0.0.1", port: int = 0) -> LineServer:
-    """Serve one line-protocol agent on a TCP socket in a daemon thread."""
+def serve_agent(handle: Callable[[dict], dict], greeting: dict | None = None,
+                host: str = "127.0.0.1", port: int = 0) -> LineServer:
+    """Serve handle, one request dict in and one reply dict out, as
+    newline-delimited JSON on a TCP socket in a daemon thread. greeting,
+    if given, is the first line of every connection. A request that is
+    not JSON, or that handle raises on, drops its connection."""
     server = LineServer((host, port), _LineHandler)
-    server.agent = agent  # type: ignore[attr-defined]
+    server.reply_to, server.greeting = handle, greeting
+    # Each connection has its own thread, but requests run one at a time:
+    # staging is check-then-write on one switch's table, and a monitor
+    # request may tick the run's unit.
+    server.lock = threading.Lock()
     threading.Thread(target=lambda: server.serve_forever(poll_interval=0.05),
                      daemon=True).start()
     return server
+
+
+def _monitor(run):
+    """The monitor's entry point over run, its unit client: read_monitor
+    replies with the run's read-out, and start_session replies {} once the
+    session has started. Any other op raises."""
+    def handle(msg: dict) -> dict:
+        op = msg.get("op")
+        if op == "read_monitor":
+            return run.read_monitor()
+        if op == "start_session":
+            run.start_session()
+            return {}
+        raise ValueError(f"unknown monitor op {op!r}")
+    return handle
 
 
 class _LineClient:
@@ -256,12 +286,13 @@ def _stop(servers):
 def over_sockets(run):
     """The control loop of run, a ScenarioRun, over sockets in the block.
 
-    Serves run's switches (SwitchAgent), its Northbound and run itself as
-    the monitor's unit client (MonitorAgent) on 127.0.0.1 ephemeral
-    ports, and points its controller and monitor at them through
-    SocketSwitchLink, HttpControllerClient and MonitorSocketClient under
-    run's clock. Yields each server's (host, port) by name. On exit every
-    client and server is closed and the in-process wiring is put back.
+    Serves each of run's switches through OpticalSwitch.handle_message,
+    the entry point InProcessSwitchLink calls, after a HELLO greeting; its
+    Northbound over HTTP; and run itself as the monitor's unit client, on
+    127.0.0.1 ephemeral ports. Points its controller and monitor at them
+    through SocketSwitchLink, HttpControllerClient and MonitorSocketClient
+    under run's clock. Yields each server's (host, port) by name. On exit
+    every client and server is closed and the in-process wiring is put back.
     """
     controller, qpm = run.controller, run.qpm
     in_process = controller.switch_links, qpm.controller_client, qpm.qkd_client
@@ -278,9 +309,10 @@ def over_sockets(run):
                 stack.callback(client.close)
                 return client
 
-            addresses = {f"switch {sid}": serve(serve_agent(SwitchAgent(switch)))
-                         for sid, switch in run.switches.items()}
-            addresses["monitor"] = serve(serve_agent(MonitorAgent(run)))
+            addresses = {f"switch {sid}": serve(serve_agent(
+                switch.handle_message, {"type": "HELLO", "switch": switch.switch_id}))
+                for sid, switch in run.switches.items()}
+            addresses["monitor"] = serve(serve_agent(_monitor(run)))
             addresses["northbound"] = serve(serve_northbound(run.northbound))
             controller.switch_links = {
                 sid: connect(SocketSwitchLink(*addresses[f"switch {sid}"], run.clock))

@@ -367,25 +367,18 @@ def _checks(thresholds: dict, windows: list[dict], timing: list[dict],
         return "PASS" if ok else "FAIL"
 
     populated = [(i, w) for i, w in enumerate(windows, start=1) if w["n"] > 0]
-    if "steady_state_skr_bps" in thresholds or "steady_state_qber" in thresholds:
+    for key, stat, digits in (("steady_state_skr_bps", "skr_mean", 3),
+                              ("steady_state_qber", "qber_mean", 6)):
+        if key not in thresholds:
+            continue
         if not populated:
             lines.append("SKIPPED steady_state checks: no populated window")
-        else:
-            index, final = populated[-1]
-            if "steady_state_skr_bps" in thresholds:
-                lo, hi = thresholds["steady_state_skr_bps"]
-                ok = lo <= final["skr_mean"] <= hi
-                lines.append(
-                    f"{verdict(ok)} steady_state_skr_bps window={index} "
-                    f"mean={final['skr_mean']:.3f} in [{lo},{hi}]"
-                )
-            if "steady_state_qber" in thresholds:
-                lo, hi = thresholds["steady_state_qber"]
-                ok = lo <= final["qber_mean"] <= hi
-                lines.append(
-                    f"{verdict(ok)} steady_state_qber window={index} "
-                    f"mean={final['qber_mean']:.6f} in [{lo},{hi}]"
-                )
+            break
+        index, final = populated[-1]
+        lo, hi = thresholds[key]
+        ok = lo <= final[stat] <= hi
+        lines.append(f"{verdict(ok)} {key} window={index} "
+                     f"mean={final[stat]:.{digits}f} in [{lo},{hi}]")
 
     if "controller_reinit_ratio_max" in thresholds:
         limit = thresholds["controller_reinit_ratio_max"]

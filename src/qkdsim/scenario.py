@@ -409,11 +409,11 @@ class ScenarioRun:
                     break
 
         # Take over every event, or those before the stop tick's end: the events
-        # at its end run on the event loop, and their sync_unit finds nothing to tick.
+        # at its end run on the event loop, and their sync_unit finds nothing to
+        # tick. The event loop moves the clock to each event's time as it runs it.
         if taken:
             self._last_sync = float(tick_end[taken - 1])
         stop_t = self._last_sync if stopped else math.inf
-        self.clock.advance_to(float(times[:times.searchsorted(stop_t)].max(initial=now)))
         polls_kept = int(polls.searchsorted(stop_t))
         if polls_kept:
             qpm.skip_polls(float(polls[polls_kept - 1]))

@@ -12,8 +12,6 @@ announces the commit once through on_commit.
 
 from __future__ import annotations
 
-import json
-import threading
 from typing import Callable, Optional
 
 STATUS_STAGED = "STAGED"
@@ -47,9 +45,6 @@ class OpticalSwitch:
         self.on_commit: Optional[Callable[["OpticalSwitch"], None]] = None
 
     # -- protocol handlers ------------------------------------------------
-
-    def hello(self) -> dict:
-        return {"type": "HELLO", "switch": self.switch_id}
 
     def handle_message(self, msg: dict) -> dict:
         mtype = msg.get("type")
@@ -118,25 +113,3 @@ class OpticalSwitch:
                 f"switch {self.switch_id}: committed table reuses a port: {table}"
             )
 
-
-class SwitchAgent:
-    """Line-oriented protocol shim over one OpticalSwitch.
-
-    Turns NDJSON request lines into NDJSON reply lines for the socket
-    server. Messages are handled one at a time: the server serves each
-    connection on its own thread, and staging is check-then-write on the
-    switch's staged table.
-    """
-
-    def __init__(self, switch: OpticalSwitch):
-        self.switch = switch
-        self._lock = threading.Lock()
-
-    def greeting_line(self) -> str:
-        return json.dumps(self.switch.hello(), separators=(",", ":")) + "\n"
-
-    def process_line(self, line: str) -> str:
-        msg = json.loads(line)
-        with self._lock:
-            reply = self.switch.handle_message(msg)
-        return json.dumps(reply, separators=(",", ":")) + "\n"

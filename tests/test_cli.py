@@ -331,6 +331,15 @@ MALFORMED_RUNS = [
      "qpm_log.ndjson line 8:"),
     ("info-grace-is-a-string", _edit_info(lambda info: {**info, "init_grace_s": "240"}),
      "init_grace_s must be a number"),
+    ("metrics-qber-not-a-number",
+     _edit("metrics.csv", lambda text: text.replace(",0.000000,-inf", ",low,-inf", 1)),
+     "metrics.csv line 2: could not convert string to float: 'low'"),
+    ("timing-field-not-a-number",
+     _edit("timing.csv", lambda text: text.replace("\n1,2.000000,", "\n1,soon,", 1)),
+     "timing.csv line 2: could not convert string to float: 'soon'"),
+    ("event-without-path",
+     _edit("qpm_log.ndjson", lambda text: text.replace('"path":"link1",', "", 1)),
+     "qpm_log.ndjson line 1: missing required field 'path'"),
 ]
 
 

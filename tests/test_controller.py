@@ -331,6 +331,7 @@ class TestNorthbound:
         {"request_id": "a", "set_up": {"id": "link1"}},
         {"request_id": "a", "set_up": "link1", "tear_down": []},
         {"request_id": "a", "set_up": "link1", "tear_down": {}},
+        [],
     ])
     def test_invalid_requests_get_400_and_touch_nothing(self, fabric, body):
         northbound = Northbound(fabric["controller"])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -27,7 +26,6 @@ from qkdsim.qkd_unit import (
     STATE_IDLE,
     STATE_INITIALIZING,
     KeyBlock,
-    MonitorAgent,
     QkdUnitPair,
 )
 
@@ -484,18 +482,3 @@ class TestMonitorReadout:
         with pytest.raises(ValueError):
             unit.start_session(None)
 
-
-class TestMonitorAgent:
-    def test_line_protocol_matches_direct_reads(self, lit_run):
-        agent = MonitorAgent(lit_run)
-        assert agent.process_line('{"op":"start_session"}') == "{}\n"
-        lit_run.clock.advance_to(200.0)
-        line = agent.process_line('{"op":"read_monitor"}')
-        assert line.endswith("\n")
-        assert json.loads(line) == lit_run.read_monitor()
-        assert json.loads(line)["state"] == STATE_GENERATING
-
-    def test_unknown_op_rejected(self, lit_run):
-        agent = MonitorAgent(lit_run)
-        with pytest.raises(ValueError):
-            agent.process_line('{"op":"reboot"}')

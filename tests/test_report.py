@@ -167,6 +167,21 @@ class TestLoadersAndSummary:
         assert "SKIPPED reinit_parity" in text
         assert "PASS steady_state_skr_bps" in text
 
+    def test_a_run_with_no_populated_window_skips_steady_state_checks(self, tmp_path,
+                                                                      configs):
+        """A run that ends inside the first init has no steady window: both
+        band checks give way to one SKIPPED line, which does not fail it."""
+        scenario = tmp_path / "short.json"
+        scenario.write_text(json.dumps({"duration_s": 60, "events": []}), encoding="utf-8")
+        out = tmp_path / "out"
+        run_scenario(str(configs / "reference_topology.json"), str(scenario), seed=1,
+                     out_dir=str(out), deterministic=True)
+        text, all_pass = summarize(str(out), thresholds_path=str(configs / "thresholds.json"))
+        assert all_pass
+        checks = text[text.index("acceptance checks"):]
+        assert checks.count("steady_state") == 1
+        assert "SKIPPED steady_state checks: no populated window" in checks
+
     def test_summary_without_thresholds_has_no_checks_section(self, run_link1):
         text, all_pass = summarize(str(run_link1["out"]))
         assert all_pass

@@ -1,10 +1,6 @@
-"""Optical switch agent: staging, barrier commit, exclusivity, wire shim."""
+"""Optical switch agent: staging, barrier commit, exclusivity."""
 
 from __future__ import annotations
-
-import json
-import threading
-import time
 
 import pytest
 from hypothesis import given
@@ -19,7 +15,6 @@ from qkdsim.switch import (
     STATUS_STAGED,
     OpticalSwitch,
     ProtocolError,
-    SwitchAgent,
 )
 
 
@@ -214,54 +209,3 @@ class TestExclusivityProperty:
         for in_port, out_port in entries:
             assert 0 <= in_port < 6 and 0 <= out_port < 6 and in_port != out_port
 
-
-class TestSwitchAgent:
-    def test_greeting_line(self, sw):
-        agent = SwitchAgent(sw)
-        assert agent.greeting_line() == '{"type":"HELLO","switch":"sw"}\n'
-
-    def test_flow_mod_line_round_trip(self, sw):
-        agent = SwitchAgent(sw)
-        line = json.dumps({"type": "FLOW_MOD", "xid": 7, "command": "ADD",
-                           "in_port": 0, "out_port": 1})
-        assert agent.process_line(line) == '{"type":"FLOW_MOD_ACK","xid":7,"status":"STAGED"}\n'
-
-    def test_barrier_line_round_trip(self, sw):
-        agent = SwitchAgent(sw)
-        agent.process_line('{"type":"FLOW_MOD","xid":1,"command":"ADD","in_port":2,"out_port":3}')
-        reply = agent.process_line('{"type":"BARRIER_REQUEST","xid":2}')
-        assert reply == '{"type":"BARRIER_REPLY","xid":2,"committed_xids":[1]}\n'
-
-    def test_malformed_line_raises(self, sw):
-        agent = SwitchAgent(sw)
-        with pytest.raises(json.JSONDecodeError):
-            agent.process_line("not json\n")
-
-    def test_concurrent_connections_cannot_stage_a_conflict(self, sw, monkeypatch):
-        """Two threads racing conflicting ADDs: exactly one is staged."""
-        check = sw._stage_status
-
-        def slow_check(*args):
-            status = check(*args)
-            time.sleep(0.05)  # widen the gap between the check and the write
-            return status
-
-        monkeypatch.setattr(sw, "_stage_status", slow_check)
-        agent = SwitchAgent(sw)
-        acks = []
-
-        def send(xid, in_port):
-            line = json.dumps({"type": "FLOW_MOD", "xid": xid, "command": CMD_ADD,
-                               "in_port": in_port, "out_port": 1})
-            acks.append(json.loads(agent.process_line(line))["status"])
-
-        threads = [threading.Thread(target=send, args=(xid, in_port))
-                   for xid, in_port in ((1, 0), (2, 2))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=5)
-            assert not thread.is_alive()
-        assert sorted(acks) == [STATUS_PORT_IN_USE, STATUS_STAGED]
-        agent.process_line('{"type":"BARRIER_REQUEST","xid":3}')
-        assert len(sw.query_entries()) == 1

@@ -10,47 +10,53 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from qkdsim.clock import SimClock
 from qkdsim.controller import LATENCY_S, Northbound, SdnController, SwitchDisconnected
-from qkdsim.qkd_unit import MonitorAgent
 from qkdsim.realtime import (
     MAX_REQUEST_BYTES,
     HttpControllerClient,
     MonitorSocketClient,
     SocketSwitchLink,
+    _monitor,
     over_sockets,
     serve_agent,
     serve_northbound,
 )
-from qkdsim.scenario import ScenarioRun, extract_episodes, load_scenario, timing_rows
-from qkdsim.switch import OpticalSwitch, SwitchAgent
+from qkdsim.scenario import Scenario, ScenarioRun, extract_episodes, load_scenario, timing_rows
+from qkdsim.switch import CMD_ADD, STATUS_PORT_IN_USE, STATUS_STAGED, OpticalSwitch
 from qkdsim.topology import load_topology, resolve_active_path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def serve_switch(switch):
+    """switch served as over_sockets serves it."""
+    return serve_agent(switch.handle_message, {"type": "HELLO", "switch": switch.switch_id})
+
+
+def raw_connection(server):
+    sock = socket.create_connection(server.server_address, timeout=5.0)
+    return sock, sock.makefile("rb")
+
+
 @pytest.fixture()
 def switch_server():
     switch = OpticalSwitch("alice", 8)
-    server = serve_agent(SwitchAgent(switch))
+    server = serve_switch(switch)
     yield switch, server
     server.shutdown()
     server.server_close()
 
 
 class TestSwitchSocket:
-    def raw_connection(self, server):
-        host, port = server.server_address
-        sock = socket.create_connection((host, port), timeout=5.0)
-        return sock, sock.makefile("rb")
-
     def test_greeting_and_ack_bytes(self, switch_server):
         _, server = switch_server
-        sock, reader = self.raw_connection(server)
+        sock, reader = raw_connection(server)
         try:
             assert reader.readline() == b'{"type":"HELLO","switch":"alice"}\n'
             sock.sendall(b'{"type":"FLOW_MOD","xid":7,"command":"ADD","in_port":0,"out_port":1}\n')
@@ -62,7 +68,7 @@ class TestSwitchSocket:
 
     def test_two_messages_in_one_segment_get_two_replies(self, switch_server):
         _, server = switch_server
-        sock, reader = self.raw_connection(server)
+        sock, reader = raw_connection(server)
         try:
             reader.readline()  # greeting
             sock.sendall(
@@ -73,12 +79,14 @@ class TestSwitchSocket:
         finally:
             sock.close()
 
-    def test_protocol_violation_drops_the_connection(self, switch_server):
+    @pytest.mark.parametrize("line", [b'{"type":"REBOOT","xid":1}\n', b"not json\n"],
+                             ids=["unknown-type", "not-json"])
+    def test_protocol_violation_drops_the_connection(self, switch_server, line):
         _, server = switch_server
-        sock, reader = self.raw_connection(server)
+        sock, reader = raw_connection(server)
         try:
             reader.readline()
-            sock.sendall(b'{"type":"REBOOT","xid":1}\n')
+            sock.sendall(line)
             assert reader.readline() == b""  # server closed on us
         finally:
             sock.close()
@@ -112,7 +120,7 @@ class TestSwitchSocket:
         """A request line past MAX_REQUEST_BYTES is not read to its end: the
         server drops that connection and still serves the next one."""
         switch, server = switch_server
-        sock, reader = self.raw_connection(server)
+        sock, reader = raw_connection(server)
         try:
             reader.readline()  # greeting
             sock.sendall(b" " * MAX_REQUEST_BYTES
@@ -132,7 +140,7 @@ class TestSwitchSocket:
     def test_a_reset_connection_drops_silently(self, capfd):
         """Peers that reset their connection (SO_LINGER 0) are dropped with
         no traceback, and the server still serves the next connection."""
-        server = serve_agent(SwitchAgent(OpticalSwitch("alice", 8)))
+        server = serve_switch(OpticalSwitch("alice", 8))
         try:
             for _ in range(5):
                 sock = socket.create_connection(server.server_address, timeout=5.0)
@@ -147,6 +155,44 @@ class TestSwitchSocket:
             server.shutdown()
             server.server_close()  # joins every connection's thread
         assert capfd.readouterr().err == ""
+
+    def test_concurrent_connections_cannot_stage_a_conflict(self, switch_server,
+                                                            monkeypatch):
+        """Two links race conflicting ADDs on one served switch: exactly one
+        is staged, and the barrier commits it alone."""
+        switch, server = switch_server
+        check = switch._stage_status
+
+        def slow_check(*args):
+            status = check(*args)
+            time.sleep(0.05)  # widen the gap between the check and the write
+            return status
+
+        monkeypatch.setattr(switch, "_stage_status", slow_check)
+        links = [SocketSwitchLink(*server.server_address, SimClock()) for _ in range(2)]
+        start = threading.Barrier(len(links))
+        acks = []
+
+        def send(link, xid, in_port):
+            start.wait(timeout=5)
+            acks.append(link.send({"type": "FLOW_MOD", "xid": xid, "command": CMD_ADD,
+                                   "in_port": in_port, "out_port": 1})["status"])
+
+        threads = [threading.Thread(target=send, args=(link, xid, in_port))
+                   for link, xid, in_port in zip(links, (1, 2), (0, 2))]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=5)
+                assert not thread.is_alive()
+            assert sorted(acks) == [STATUS_PORT_IN_USE, STATUS_STAGED]
+            barrier = links[0].send({"type": "BARRIER_REQUEST", "xid": 3})
+            assert len(barrier["committed_xids"]) == 1
+        finally:
+            for link in links:
+                link.close()
+        assert len(switch.query_entries()) == 1
 
     @pytest.mark.parametrize("reply", [b"\xff\n", b"[1,2]\n", b"[" * 60000 + b"\n"],
                              ids=["non-utf8", "non-object", "nested-too-deeply"])
@@ -193,42 +239,77 @@ class TestSwitchSocket:
             listener.close()
 
 
-class TestMonitorSocket:
-    def test_socket_reading_equals_direct_reading(self, lit_run):
-        server = serve_agent(MonitorAgent(lit_run))
-        try:
-            client = MonitorSocketClient(*server.server_address)
-            try:
-                client.start_session()
-                lit_run.clock.advance_to(321.5)
-                over_socket = client.read_monitor()
-            finally:
-                client.close()
-            assert over_socket == lit_run.read_monitor()
-            assert over_socket["timestamp"] == 321.5
-            assert over_socket["state"] == "Generating"
-            assert over_socket["skr_bps"] > 0
-        finally:
-            server.shutdown()
-            server.server_close()
+@pytest.fixture()
+def monitor_server(lit_run):
+    server = serve_agent(_monitor(lit_run))
+    yield lit_run, server
+    server.shutdown()
+    server.server_close()
 
-    def test_a_non_utf8_line_drops_the_connection_silently(self, lit_run, capfd):
-        server = serve_agent(MonitorAgent(lit_run), "127.0.0.1", 0)
+
+class TestMonitorSocket:
+    def test_socket_reading_equals_direct_reading(self, monitor_server):
+        lit_run, server = monitor_server
+        client = MonitorSocketClient(*server.server_address)
         try:
-            with socket.create_connection(server.server_address, timeout=5.0) as sock:
-                sock.sendall(b"\xff\n")
-                assert sock.makefile("rb").readline() == b""  # server closed on us
+            client.start_session()
+            lit_run.clock.advance_to(321.5)
+            over_socket = client.read_monitor()
         finally:
-            server.shutdown()
-            server.server_close()
+            client.close()
+        assert over_socket == lit_run.read_monitor()
+        assert over_socket["timestamp"] == 321.5
+        assert over_socket["state"] == "Generating"
+        assert over_socket["skr_bps"] > 0
+
+    def test_request_and_reply_bytes(self, monitor_server):
+        lit_run, server = monitor_server
+        sock, reader = raw_connection(server)
+        try:
+            sock.sendall(b'{"op":"start_session"}\n')
+            assert reader.readline() == b"{}\n"
+            lit_run.clock.advance_to(200.0)
+            sock.sendall(b'{"op":"read_monitor"}\n')
+            line = reader.readline()
+        finally:
+            sock.close()
+        reading = lit_run.read_monitor()
+        assert reading["state"] == "Generating"
+        assert line == json.dumps(reading, separators=(",", ":")).encode("utf-8") + b"\n"
+
+    @pytest.mark.parametrize("line", [b'{"op":"reboot"}\n', b"\xff\n"],
+                             ids=["unknown-op", "non-utf8"])
+    def test_a_bad_request_drops_the_connection_silently(self, monitor_server, line, capfd):
+        lit_run, server = monitor_server
+        sock, reader = raw_connection(server)
+        try:
+            sock.sendall(line)
+            assert reader.readline() == b""  # server closed on us
+        finally:
+            sock.close()
+        assert lit_run.unit.state == "Idle"
         assert capfd.readouterr().err == ""
 
-    def test_a_dropped_connection_raises_connection_error(self):
-        class BrokenAgent:
-            def process_line(self, line):
-                raise RuntimeError("agent fault")
+    def test_start_session_on_an_unlit_run_raises_connection_error(self, reference_topology):
+        """The run refuses a session with no circuit lit: the server drops
+        the connection, and the client reports a lost monitor."""
+        run = ScenarioRun(reference_topology, Scenario(600.0, ()), seed=0)
+        server = serve_agent(_monitor(run))
+        client = MonitorSocketClient(*server.server_address)
+        try:
+            with pytest.raises(ConnectionError):
+                client.start_session()
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+        assert run.unit.state == "Idle"
 
-        server = serve_agent(BrokenAgent())
+    def test_a_dropped_connection_raises_connection_error(self):
+        def broken(msg):
+            raise RuntimeError("handler fault")
+
+        server = serve_agent(broken)
         try:
             client = MonitorSocketClient(*server.server_address)
             with pytest.raises(ConnectionError):
@@ -314,6 +395,7 @@ class TestHttpNorthbound:
         pytest.param(b'{"request_id": "\x80"}', None, id="body-not-utf8"),
         pytest.param(b"{}", "0" * 5000 + "2", id="length-zero-padded"),
         pytest.param(b"[" * 60000, None, id="body-nested-too-deeply"),
+        pytest.param(b"[1]", None, id="body-not-an-object"),
     ])
     def test_malformed_requests_get_one_400(self, http_northbound, body, length):
         client, switches, _ = http_northbound
@@ -390,6 +472,13 @@ class TestHttpNorthbound:
         client, _, _ = http_northbound
         status, _ = HttpControllerClient(client.base_url + "/nowhere", SimClock()).get_paths()
         assert status == 404
+
+    def test_a_post_to_an_unknown_path_is_404(self, http_northbound):
+        client, switches, _ = http_northbound
+        nowhere = HttpControllerClient(client.base_url + "/nowhere", SimClock())
+        status, body = nowhere.post_reconfigure({"request_id": "r", "set_up": "link1"})
+        assert (status, body) == (404, {"error": "unknown path"})
+        assert all(not s.query_entries() for s in switches.values())
 
 
 class TestHttpControllerClient:
