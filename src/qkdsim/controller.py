@@ -10,13 +10,13 @@ complete paths (or a half-built one) to an observer. Every southbound
 message goes through one of two steps: the flow-mod step `_flow_mod`
 stages and records one mod, the barrier step `_barrier` commits one switch.
 
-On a staging failure the controller reverses its own staged mods and
-commits the net-zero batch, so the request leaves neither committed
-changes nor staged residue on the switches it can reach. A barrier
-failure is not undone: the switches that already committed keep the new
-cross-connects, only the others have their staged mods reversed, a
-switch that cannot be reached keeps what it staged, and active_path
-still names the old path.
+A failed request, at staging or at a barrier, is rolled back by one
+rule: every mod a switch acked is reversed, newest first, whether its
+switch has committed it or only staged it, and each switch that takes a
+reversal gets one barrier. So the request leaves neither changed tables
+nor staged residue on the switches it can reach, and active_path still
+names the old path. A switch that cannot be reached keeps what it
+staged.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ class SdnController:
         for cc in self.topology.path(request.set_up).cross_connects:
             plan.append((cc.switch, CMD_ADD, cc.in_port, cc.out_port))
 
-        # Each uncommitted switch's acked xids, in first-touched order.
+        # Each switch's acked xids, in first-touched order.
         acked: dict[str, list[int]] = {}
         for mod in plan:
             reply, report.error = self._flow_mod(report, *mod)
@@ -191,7 +191,7 @@ class SdnController:
             alice_switch = self.topology.alice_port[0]
             if alice_switch in acked:
                 acked[alice_switch] = acked.pop(alice_switch)
-            for switch_id, xids in list(acked.items()):
+            for switch_id, xids in acked.items():
                 committed_xids = self._barrier(report, switch_id)
                 if committed_xids is None:
                     report.error = f"switch {switch_id} disconnected at barrier"
@@ -199,19 +199,18 @@ class SdnController:
                 if committed_xids != xids:
                     report.error = f"barrier on {switch_id} committed unexpected xids"
                     break
-                del acked[switch_id]
 
         if report.error is None:
             self.active_path = request.set_up
         else:
-            self._compensate(report, acked)
+            self._compensate(report)
         report.completed_at = self.clock.now()
         return report
 
-    def _compensate(self, report: ReconfigReport, uncommitted: dict[str, list[int]]):
-        """Reverse staged-but-uncommitted mods and flush them with a barrier."""
-        undo = [t for t in report.transactions
-                if t.status == "ACKED" and t.switch in uncommitted]
+    def _compensate(self, report: ReconfigReport):
+        """Reverse every acked mod, newest first, and commit the reversals
+        with one barrier per switch they reach."""
+        undo = [t for t in report.transactions if t.status == "ACKED"]
         reached: list[str] = []
         for t in reversed(undo):
             reverse = CMD_DELETE if t.command == CMD_ADD else CMD_ADD
@@ -326,6 +325,3 @@ class LocalControllerClient:
 
     def post_reconfigure(self, body: dict) -> tuple[int, dict]:
         return timed_exchange(self.clock, self.northbound.post_reconfigure, body)
-
-    def get_paths(self) -> tuple[int, dict]:
-        return timed_exchange(self.clock, self.northbound.get_paths)

@@ -250,10 +250,6 @@ class HttpControllerClient:
         )
         return timed_exchange(self.clock, self._exchange, request)
 
-    def get_paths(self) -> tuple[int, dict]:
-        request = urllib.request.Request(self.base_url + "/paths", method="GET")
-        return timed_exchange(self.clock, self._exchange, request)
-
     def _exchange(self, request) -> tuple[int, dict]:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:

@@ -18,10 +18,8 @@ JSON file so the expected bands are reviewable data rather than code.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import mul
@@ -29,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .topology import NUMBER, checked, is_number
+from .topology import NUMBER, checked, is_number, parse_json, read_json, read_text
 
 # A float square root needs 2 * 53 + 3 bits of the radicand to round
 # correctly through round-to-odd (the width statistics.pstdev uses).
@@ -39,7 +37,8 @@ _SQRT_BITS = 109
 _INFO_FIELDS = {"topology": object, "scenario": object, "seed": object,
                 "duration_s": NUMBER, "qpm_log": str, "init_grace_s": NUMBER,
                 "episodes": object, "exhausted": object, "final_active_path": object}
-_TIMING_FLOATS = ("detect_s", "controller_s", "reinit_s", "total_s")
+_TIMING_COLUMNS = {"episode": int, "detect_s": float, "controller_s": float,
+                   "reinit_s": float, "total_s": float}
 
 
 class RunFileError(ValueError):
@@ -82,36 +81,31 @@ def as_written(values, digits: int) -> list[float]:
     return written.tolist()
 
 
-def _columns(header: str, wanted, source: str) -> tuple[int, dict[str, int]]:
-    """Field count of the header line, and the index of each wanted column."""
-    names = header.split(",")
-    for name in wanted:
-        if name not in names:
+def _table(header: str, rows: list[str], source: str, names: dict) -> list[list]:
+    """The named columns of a CSV table, each field converted by the type
+    (int or float) that names maps its column to."""
+    fields = header.split(",")
+    for name in names:
+        if name not in fields:
             raise RunFileError(f"{source} line 1: missing column '{name}'")
-    return len(names), {name: names.index(name) for name in wanted}
-
-
-def _width_error(source: str, line: int, width: int, parts: list[str]) -> RunFileError:
-    return RunFileError(f"{source} line {line}: expected {width} fields, got {len(parts)}")
+    picks = [(fields.index(name), kind) for name, kind in names.items()]
+    columns: list[list] = [[] for _ in picks]
+    for line, row in enumerate(rows, start=2):
+        parts = row.split(",")
+        if len(parts) != len(fields):
+            raise RunFileError(f"{source} line {line}: expected {len(fields)} fields, "
+                               f"got {len(parts)}")
+        try:
+            for column, (index, kind) in zip(columns, picks):
+                column.append(kind(parts[index]))
+        except ValueError as exc:
+            raise RunFileError(f"{source} line {line}: {exc}") from None
+    return columns
 
 
 def parse_metrics(header: str, rows: list[str], source: str) -> Metrics:
     """Metrics from the header and row lines of metrics.csv, by column."""
-    width, index = _columns(header, ("t", "skr_bps", "qber"), source)
-    i_t, i_skr, i_qber = index.values()
-    t: list[float] = []
-    skr: list[float] = []
-    qber: list[float] = []
-    for line, row in enumerate(rows, start=2):
-        parts = row.split(",")
-        if len(parts) != width:
-            raise _width_error(source, line, width, parts)
-        try:
-            t.append(float(parts[i_t]))
-            skr.append(float(parts[i_skr]))
-            qber.append(float(parts[i_qber]))
-        except ValueError as exc:
-            raise RunFileError(f"{source} line {line}: {exc}") from None
+    t, skr, qber = _table(header, rows, source, {"t": float, "skr_bps": float, "qber": float})
     for name, column in (("t", t), ("skr_bps", skr), ("qber", qber)):
         if not all(map(math.isfinite, column)):
             line = next(i for i, x in enumerate(column, start=2) if not math.isfinite(x))
@@ -124,24 +118,12 @@ def parse_metrics(header: str, rows: list[str], source: str) -> Metrics:
 
 def parse_timing(header: str, rows: list[str], source: str) -> list[dict]:
     """Episode dicts from the header and row lines of timing.csv."""
-    width, index = _columns(header, ("episode",) + _TIMING_FLOATS, source)
-    episodes = []
-    for line, text in enumerate(rows, start=2):
-        parts = text.split(",")
-        if len(parts) != width:
-            raise _width_error(source, line, width, parts)
-        try:
-            row = {"episode": int(parts[index["episode"]])}
-            row.update((name, float(parts[index[name]])) for name in _TIMING_FLOATS)
-        except ValueError as exc:
-            raise RunFileError(f"{source} line {line}: {exc}") from None
-        episodes.append(row)
-    return episodes
+    columns = _table(header, rows, source, _TIMING_COLUMNS)
+    return [dict(zip(_TIMING_COLUMNS, row)) for row in zip(*columns)]
 
 
 def _read_csv(path: str, parse):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, RunFileError).splitlines()
     if not lines:
         raise RunFileError(f"{path}: empty, expected a header line")
     return parse(lines[0], lines[1:], path)
@@ -157,30 +139,24 @@ def load_timing(path: str) -> list[dict]:
 
 def load_events(path: str) -> list[dict]:
     events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line, text in enumerate(fh, start=1):
-            if not text.strip():
-                continue
-            where = f"{path} line {line}"
-            try:
-                event = json.loads(text)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise RunFileError(f"{where}: {exc}") from None
-            checked(event, "kind", str, where, RunFileError)
-            checked(event, "t", NUMBER, where, RunFileError)
-            if "path" not in event:
-                raise RunFileError(f"{where}: missing required field 'path'")
-            events.append(event)
+    # At "\n" only: a JSON string may hold a raw U+2028, which splitlines
+    # would split at.
+    for line, text in enumerate(read_text(path, RunFileError).split("\n"), start=1):
+        if not text.strip():
+            continue
+        where = f"{path} line {line}"
+        event = parse_json(text, where, RunFileError)
+        checked(event, "kind", str, where, RunFileError)
+        checked(event, "t", NUMBER, where, RunFileError)
+        if "path" not in event:
+            raise RunFileError(f"{where}: missing required field 'path'")
+        events.append(event)
     return events
 
 
 def load_info(out_dir: str) -> dict:
     path = os.path.join(out_dir, "run_info.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            info = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise RunFileError(f"{path}: {exc}") from None
+    info = read_json(path, RunFileError)
     for key, kind in _INFO_FIELDS.items():
         checked(info, key, kind, path, RunFileError)
     if info.get("first_init_s") is not None:
@@ -192,11 +168,7 @@ def load_info(out_dir: str) -> dict:
 
 def load_thresholds(path: str) -> dict:
     """A thresholds file: bands are [low, high] pairs of numbers, limits are numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            thresholds = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise RunFileError(f"{path}: {exc}") from None
+    thresholds = read_json(path, RunFileError)
     for key in ("steady_state_skr_bps", "steady_state_qber"):
         band = checked(thresholds, key, list, path, RunFileError, default=[0, 0])
         if len(band) != 2 or not all(map(is_number, band)):
@@ -292,21 +264,18 @@ def summarize(out_dir: str, thresholds_path: Optional[str] = None) -> tuple[str,
 
 
 def render_summary(info: dict, metrics: Metrics, timing: list[dict], events: list[dict],
-                   thresholds_path: Optional[str] = None,
-                   include_timestamp: bool = False) -> tuple[str, bool]:
+                   thresholds_path: Optional[str] = None) -> tuple[str, bool]:
     """The summary text of one run; the flag reports whether all checks passed."""
     windows = [
         window_stats(w, metrics)
         for w in steady_windows(events, info["init_grace_s"], info["duration_s"])
     ]
 
-    lines = ["run summary"]
-    if include_timestamp:
-        lines.append("generated " + time.strftime("%Y-%m-%dT%H:%M:%S%z"))
-    lines.append(
+    lines = [
+        "run summary",
         f"topology: {info['topology']}  scenario: {info['scenario']}  "
-        f"seed={info['seed']}  duration_s={info['duration_s']}"
-    )
+        f"seed={info['seed']}  duration_s={info['duration_s']}",
+    ]
     first_init = info.get("first_init_s")
     lines.append(
         f"first_init_s={first_init}  episodes={info['episodes']}  "

@@ -82,7 +82,7 @@ from .qkd_unit import QkdUnitPair
 from .qpm import DETECTED, EXHAUSTED, RECONFIG_DONE, REINIT_DONE, Qpm, QpmConfig
 from .switch import OpticalSwitch
 from .topology import (NUMBER, Topology, checked, is_number, load_topology,
-                       resolve_active_path)
+                       read_json, resolve_active_path)
 
 PRIORITY_ATTACK = 0
 PRIORITY_QPM = Qpm.PRIORITY
@@ -132,11 +132,7 @@ class Scenario:
 
 
 def load_scenario(file_path: str) -> Scenario:
-    with open(file_path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ScenarioError(f"cannot parse {file_path}: {exc}") from exc
+    data = read_json(file_path, ScenarioError)
     duration = checked(data, "duration_s", NUMBER, "scenario", ScenarioError)
     if duration <= 0:
         raise ScenarioError("duration_s must be a positive number")
@@ -626,11 +622,8 @@ def run_scenario(topology_file: str, scenario_file: str, seed: int, out_dir: str
         # metrics as their text reads back, without the text, and the few
         # timing rows through their parser.
         summary, _ = report.render_summary(
-            info,
-            run.metrics(),
-            report.parse_timing(timing_header, timing, "timing.csv"),
-            events,
-            thresholds_path=None, include_timestamp=not deterministic)
+            info, run.metrics(), report.parse_timing(timing_header, timing, "timing.csv"),
+            events)
         _overwrite(summary_fd, summary)
 
     if exhausted and not allow_exhaustion:

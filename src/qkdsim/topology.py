@@ -8,6 +8,10 @@ resolve_active_path answers the one question the rest of the system
 asks: which pre-computed path, if any, do the installed switch tables
 light? A path is lit when each of its cross-connects is installed, in
 either orientation, and is the only entry on either of its ports.
+The module also holds what every loader shares: the validators checked
+and is_number, and the one reader of input files (read_text,
+parse_json, read_json), which refuses a file that is not UTF-8 or not
+JSON with the caller's error, naming the file.
 """
 
 from __future__ import annotations
@@ -114,6 +118,30 @@ def is_number(value, kind=NUMBER) -> bool:
     """value is of kind (int or NUMBER), not a bool, and finite as a float."""
     return (isinstance(value, kind) and not isinstance(value, bool)
             and -_FLOAT_MAX <= value <= _FLOAT_MAX)
+
+
+def read_text(path: str, error: type) -> str:
+    """The file at path read as UTF-8 with universal newlines; a file that
+    is not UTF-8 raises error naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"cannot parse {path}: {exc}") from None
+
+
+def parse_json(text: str, where: str, error: type):
+    """text parsed as JSON; text that is not JSON, or is nested too deeply
+    to parse, raises error naming where."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"cannot parse {where}: {exc}") from None
+
+
+def read_json(path: str, error: type):
+    """The JSON file at path, refused as read_text and parse_json refuse it."""
+    return parse_json(read_text(path, error), path, error)
 
 
 def _numbers(cls, data, where: str) -> dict:
@@ -266,12 +294,7 @@ def parse_topology(data: Mapping) -> Topology:
 
 def load_topology(file_path: str) -> Topology:
     """Load and validate a topology JSON file."""
-    with open(file_path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise TopologyError(f"cannot parse {file_path}: {exc}") from exc
-    return parse_topology(data)
+    return parse_topology(read_json(file_path, TopologyError))
 
 
 def resolve_active_path(

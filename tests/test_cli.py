@@ -337,6 +337,9 @@ MALFORMED_RUNS = [
     ("timing-field-not-a-number",
      _edit("timing.csv", lambda text: text.replace("\n1,2.000000,", "\n1,soon,", 1)),
      "timing.csv line 2: could not convert string to float: 'soon'"),
+    ("timing-episode-not-an-integer",
+     _edit("timing.csv", lambda text: text.replace("\n1,", "\n1.5,", 1)),
+     "timing.csv line 2: invalid literal for int() with base 10: '1.5'"),
     ("event-without-path",
      _edit("qpm_log.ndjson", lambda text: text.replace('"path":"link1",', "", 1)),
      "qpm_log.ndjson line 1: missing required field 'path'"),
@@ -355,6 +358,33 @@ def test_malformed_run_directory_is_a_usage_error(run_link1, tmp_path, capsys,
     assert code == EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1
     assert expected in err
+
+
+@pytest.mark.parametrize("name", ["topology", "scenario", "thresholds", "run_info.json",
+                                  "qpm_log.ndjson", "metrics.csv", "timing.csv"])
+def test_an_input_that_is_not_utf8_is_a_usage_error(run_link1, configs, tmp_path, capsys,
+                                                    name):
+    """Each file run or summarize reads, with a byte that is not UTF-8 in
+    front: one line, exit 2, and the line names the file."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(run_link1["out"], run_dir)
+    files = {"topology": configs / "reference_topology.json",
+             "scenario": configs / "attack-link1.json",
+             "thresholds": configs / "thresholds.json"}
+    source = files.get(name, run_dir / name)
+    bad = tmp_path / f"bad-{name}" if name in files else source
+    bad.write_bytes(b"\xff" + source.read_bytes())
+    files[name] = bad
+    if name in ("topology", "scenario"):
+        args = ["run", "--topology", str(files["topology"]), "--scenario",
+                str(files["scenario"]), "--seed", "1", "--out", str(tmp_path / "out")]
+    else:
+        args = ["summarize", "--out", str(run_dir), "--thresholds", str(files["thresholds"])]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err
 
 
 @pytest.mark.parametrize("link,anchor,value", [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import pytest
@@ -34,17 +35,15 @@ class RecordingLink(InProcessSwitchLink):
         return super().send(msg)
 
 
-@pytest.fixture()
-def fabric(reference_topology):
+def build_fabric(topology) -> dict:
     clock = SimClock()
     journal: list = []
-    switches = {sw: OpticalSwitch(sw, ports)
-                for sw, ports in reference_topology.switches.items()}
+    switches = {sw: OpticalSwitch(sw, ports) for sw, ports in topology.switches.items()}
     links = {sw: RecordingLink(switches[sw], clock, journal) for sw in switches}
     records: list = []
-    controller = SdnController(reference_topology, links, clock, log=records.append)
+    controller = SdnController(topology, links, clock, log=records.append)
     return {
-        "topology": reference_topology,
+        "topology": topology,
         "clock": clock,
         "switches": switches,
         "links": links,
@@ -52,6 +51,11 @@ def fabric(reference_topology):
         "journal": journal,
         "records": records,
     }
+
+
+@pytest.fixture()
+def fabric(reference_topology):
+    return build_fabric(reference_topology)
 
 
 def lose_after(link, sent: int):
@@ -63,6 +67,18 @@ def lose_after(link, sent: int):
         return forward(msg)
 
     link.send = send
+
+
+def drop_one(links, index: int):
+    """Drop the index-th message sent through any of links from now on,
+    before it reaches its switch; every other message goes through."""
+    sent = itertools.count()
+    for link in links.values():
+        def send(msg, link=link, forward=link.send):
+            if next(sent) == index:
+                raise SwitchDisconnected(link.switch.switch_id)
+            return forward(msg)
+        link.send = send
 
 
 def messages(journal) -> list:
@@ -229,28 +245,34 @@ class TestFailureHandling:
         report = establish(fabric, "link2", tear_down="link1")
         assert report.outcome == OUTCOME_FAILED
         assert report.error == "switch alice disconnected at barrier"
-        # Bob's commit stands; alice's reversals cannot reach her, so she
-        # gets no compensation barrier.
+        # Bob's committed mods are reversed too, newest first, and he gets a
+        # barrier; alice's reversals cannot reach her, so she gets none.
         assert messages(fabric["journal"]) == [
             ("alice", "FLOW_MOD", 5), ("bob", "FLOW_MOD", 6),
             ("alice", "FLOW_MOD", 7), ("bob", "FLOW_MOD", 8),
             ("bob", "BARRIER_REQUEST", 9), ("alice", "BARRIER_REQUEST", 10),
-            ("alice", "FLOW_MOD", 11), ("alice", "FLOW_MOD", 12),
+            ("bob", "FLOW_MOD", 11), ("alice", "FLOW_MOD", 12),
+            ("bob", "FLOW_MOD", 13), ("alice", "FLOW_MOD", 14),
+            ("bob", "BARRIER_REQUEST", 15),
         ]
         assert transactions(report) == [
             (5, "alice", "DELETE", 0, 1, "ACKED"),
             (6, "bob", "DELETE", 1, 0, "ACKED"),
             (7, "alice", "ADD", 0, 2, "ACKED"),
             (8, "bob", "ADD", 2, 0, "ACKED"),
-            (11, "alice", "DELETE", 0, 2, "FAILED"),
-            (12, "alice", "ADD", 0, 1, "FAILED"),
+            (11, "bob", "DELETE", 2, 0, "ACKED"),
+            (12, "alice", "DELETE", 0, 2, "FAILED"),
+            (13, "bob", "ADD", 1, 0, "ACKED"),
+            (14, "alice", "ADD", 0, 1, "FAILED"),
         ]
-        assert report.barrier_xids == [9]
+        assert report.barrier_xids == [9, 15]
         bob, alice = fabric["switches"]["bob"], fabric["switches"]["alice"]
-        assert bob.query_entries() == {(2, 0)}
+        assert bob.query_entries() == {(1, 0)}
         assert bob.pending_count == 0
+        # Alice, lost for good, keeps what she staged.
         assert alice.query_entries() == {(0, 1)}
         assert alice.pending_count == 2
+        assert fabric["controller"].active_path == "link1"
 
     def test_a_foreign_staged_mod_fails_a_barrier(self, fabric):
         establish(fabric, "link1")
@@ -284,6 +306,38 @@ class TestFailureHandling:
         assert switch_states(fabric["switches"]) == {
             "alice": {(0, 1)}, "bob": {(1, 0), (5, 6)}, "int1": set(), "int2": set()}
         assert all(s.pending_count == 0 for s in fabric["switches"].values())
+
+    @pytest.mark.parametrize("start,target", [
+        (None, "link1"), (None, "link2"), (None, "link3"),
+        ("link1", "link2"), ("link1", "link3"), ("link2", "link1"),
+        ("link2", "link3"), ("link3", "link1"), ("link3", "link2"),
+    ])
+    def test_one_dropped_message_leaves_the_fabric_as_it_was(self, reference_topology,
+                                                             start, target):
+        """Whichever message of the request is dropped, flow-mod or barrier,
+        the request fails and leaves the tables as they were, no staged
+        mod, an active_path that names the lit path, and a fabric on which
+        the same request then succeeds."""
+        clean = build_fabric(reference_topology)
+        if start is not None:
+            establish(clean, start)
+        clean["journal"].clear()
+        establish(clean, target, tear_down=start)
+        sent = len(clean["journal"])
+        for index in range(sent):
+            fabric = build_fabric(reference_topology)
+            if start is not None:
+                establish(fabric, start)
+            before = switch_states(fabric["switches"])
+            drop_one(fabric["links"], index)
+            report = establish(fabric, target, tear_down=start)
+            assert report.outcome == OUTCOME_FAILED, index
+            after = switch_states(fabric["switches"])
+            assert after == before, index
+            assert all(s.pending_count == 0 for s in fabric["switches"].values()), index
+            assert fabric["controller"].active_path == resolve_active_path(
+                fabric["topology"], after) == start, index
+            assert establish(fabric, target, tear_down=start).outcome == OUTCOME_SUCCESS
 
     def test_missing_link_treated_as_disconnected(self, fabric):
         del fabric["links"]["int1"]
@@ -374,7 +428,7 @@ class TestNorthbound:
         northbound = Northbound(fabric["controller"])
         client = LocalControllerClient(northbound, fabric["clock"])
         client.post_reconfigure({"request_id": "r", "set_up": "link2"})
-        status, listing = client.get_paths()
+        status, listing = northbound.get_paths()
         assert status == 200
         assert listing == {"paths": [
             {"id": "link1", "link": "link1", "status": "INACTIVE"},

@@ -14,17 +14,20 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from qkdsim.controller import SwitchDisconnected
 from qkdsim.physics import ATTACK_OFF, CalibrationError
 from qkdsim.qkd_unit import STATE_GENERATING, STATE_IDLE
 from qkdsim.qpm import (
     DETECTED,
     EXHAUSTED,
+    MONITORING,
     MitigationEvent,
     QpmConfig,
     RECONFIG_DONE,
     RECONFIG_SENT,
     REINIT_DONE,
 )
+from qkdsim.report import summarize
 from qkdsim.scenario import (
     EXIT_EXHAUSTED,
     EXIT_OK,
@@ -233,6 +236,33 @@ class TestScenarioRun:
         ScenarioRun(reference_topology, Scenario(59_999_940.0, ()), 1)
         with pytest.raises(ScenarioError, match="metrics rows"):
             ScenarioRun(reference_topology, Scenario(60_000_000.0, ()), 1)
+
+    def test_a_dropped_failover_barrier_costs_a_path_not_the_run(self, reference_topology,
+                                                                  configs):
+        """attack-link1 with alice's barrier of the link1->link2 failover lost
+        once: the request is rolled back on both switches, the monitor moves
+        on to link3, and the run ends monitoring on the path both the fabric
+        and the controller name."""
+        run = ScenarioRun(reference_topology,
+                          load_scenario(str(configs / "attack-link1.json")), seed=42)
+        alice = run.controller.switch_links["alice"]
+        barriers, forward = iter(range(2)), alice.send
+
+        def send(msg):
+            if msg["type"] == "BARRIER_REQUEST" and next(barriers, None) == 1:
+                raise SwitchDisconnected("alice")
+            return forward(msg)
+
+        alice.send = send
+        run.execute()
+        kinds = [(ev.kind, ev.path) for ev in run.qpm.events if ev.t >= 602.0]
+        assert kinds == [(DETECTED, "link1"), (RECONFIG_SENT, "link2"),
+                         (RECONFIG_SENT, "link3"), (RECONFIG_DONE, "link3"),
+                         (REINIT_DONE, "link3")]
+        states = {sw: s.query_entries() for sw, s in run.switches.items()}
+        assert resolve_active_path(reference_topology, states) == "link3"
+        assert run.controller.active_path == "link3"
+        assert run.qpm.mode == MONITORING
 
     def test_quiet_run_provisions_and_generates(self, reference_topology):
         run = ScenarioRun(reference_topology, Scenario(600.0, ()), seed=3)
@@ -758,12 +788,14 @@ class TestRunScenarioArtifacts:
         assert "generated" not in text  # deterministic: no timestamp line
 
     def test_nondeterministic_run_records_a_timestamp(self, tmp_path, configs):
+        """The timestamp goes into run_info.json only: summary.txt is the
+        text summarize prints."""
         scenario = write_json(tmp_path / "s.json", {"duration_s": 120})
         run_scenario(str(configs / "reference_topology.json"), scenario,
                      seed=1, out_dir=str(tmp_path), deterministic=False)
         info = json.loads((tmp_path / "run_info.json").read_text())
         assert "generated_at" in info
-        assert "generated" in (tmp_path / "summary.txt").read_text()
+        assert (tmp_path / "summary.txt").read_text() == summarize(str(tmp_path))[0]
 
     def test_custom_qpm_log_path(self, tmp_path, configs):
         scenario = write_json(tmp_path / "s.json", {"duration_s": 120})
@@ -842,7 +874,7 @@ class TestRerunIntoAUsedDirectory:
         run_scenario(topology, short, seed=5, out_dir=str(tmp_path), deterministic=False)
         stale = tree(tmp_path)
         assert len(stale["run_info.json"]) > len(fresh["run_info.json"])
-        assert len(stale["summary.txt"]) > len(fresh["summary.txt"])
+        assert stale["summary.txt"].decode() == summarize(str(tmp_path))[0]
         run_scenario(topology, short, seed=5, out_dir=str(tmp_path), deterministic=True)
         assert tree(tmp_path) == fresh
 

@@ -11,6 +11,8 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def serve_switch(switch):
     """switch served as over_sockets serves it."""
     return serve_agent(switch.handle_message, {"type": "HELLO", "switch": switch.switch_id})
+
+
+def http_get(url: str) -> tuple[int, dict]:
+    """GET url: the reply's status and JSON body, an error status included."""
+    try:
+        with urllib.request.urlopen(url, timeout=5.0) as resp:
+            return resp.status, json.loads(resp.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
 
 
 def raw_connection(server):
@@ -428,13 +439,13 @@ class TestHttpNorthbound:
             finally:
                 conn.close()
         assert all(not s.query_entries() for s in switches.values())
-        assert client.get_paths()[0] == 200
+        assert http_get(client.base_url + "/paths")[0] == 200
         assert capfd.readouterr().err == ""
 
     def test_get_paths(self, http_northbound):
         client, _, _ = http_northbound
         client.post_reconfigure({"request_id": "r", "set_up": "link2"})
-        status, body = client.get_paths()
+        status, body = http_get(client.base_url + "/paths")
         assert status == 200
         assert [p["status"] for p in body["paths"]] == ["INACTIVE", "ACTIVE", "INACTIVE"]
 
@@ -463,14 +474,14 @@ class TestHttpNorthbound:
         assert len(winners) == 1
         states = {sw: s.query_entries() for sw, s in switches.items()}
         assert resolve_active_path(topology, states) == winners[0]
-        status, body = client.get_paths()
+        status, body = http_get(client.base_url + "/paths")
         assert status == 200
         assert [p["id"] for p in body["paths"] if p["status"] == "ACTIVE"] == winners
         assert all(s.pending_count == 0 for s in switches.values())
 
     def test_unknown_routes_are_404(self, http_northbound):
         client, _, _ = http_northbound
-        status, _ = HttpControllerClient(client.base_url + "/nowhere", SimClock()).get_paths()
+        status, _ = http_get(client.base_url + "/nowhere/paths")
         assert status == 404
 
     def test_a_post_to_an_unknown_path_is_404(self, http_northbound):
@@ -500,8 +511,12 @@ class TestHttpControllerClient:
         def serve():
             conn, _ = listener.accept()
             with conn, conn.makefile("rb") as rfile:
-                while rfile.readline() not in (b"\r\n", b""):
-                    pass  # request line and headers; a GET has no body
+                length = 0
+                while (line := rfile.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                rfile.read(length)
                 conn.sendall(b"HTTP/1.0 %d X\r\nContent-Length: %d\r\n\r\n%s"
                              % (status, len(reply), reply))
 
@@ -510,11 +525,12 @@ class TestHttpControllerClient:
         host, port = listener.getsockname()
         client = HttpControllerClient(f"http://{host}:{port}", SimClock())
         try:
+            body = {"request_id": "r", "set_up": "link1"}
             if expected is ConnectionError:
                 with pytest.raises(ConnectionError):
-                    client.get_paths()
+                    client.post_reconfigure(body)
             else:
-                assert client.get_paths() == expected
+                assert client.post_reconfigure(body) == expected
         finally:
             server.join(timeout=5)
             assert not server.is_alive()
