@@ -12,7 +12,6 @@ from .controller import (
     LocalControllerClient,
     Northbound,
     ReconfigReport,
-    ReconfigRequest,
     SdnController,
     SwitchDisconnected,
 )

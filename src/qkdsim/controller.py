@@ -16,7 +16,8 @@ switch has committed it or only staged it, and each switch that takes a
 reversal gets one barrier. So the request leaves neither changed tables
 nor staged residue on the switches it can reach, and active_path still
 names the old path. A switch that cannot be reached keeps what it
-staged.
+staged until the next request's first flow-mod to it, which is marked
+fresh: the switch drops its staged mods before it stages that one.
 """
 
 from __future__ import annotations
@@ -55,13 +56,6 @@ def timed_exchange(clock, exchange, *args):
     reply = exchange(*args)
     clock.advance(LATENCY_S)
     return reply
-
-
-@dataclass
-class ReconfigRequest:
-    request_id: str
-    tear_down: Optional[str]
-    set_up: str
 
 
 @dataclass
@@ -124,11 +118,8 @@ class InProcessSwitchLink:
     def __init__(self, switch: OpticalSwitch, clock):
         self.switch = switch
         self.clock = clock
-        self.connected = True
 
     def send(self, msg: dict) -> dict:
-        if not self.connected:
-            raise SwitchDisconnected(self.switch.switch_id)
         return timed_exchange(self.clock, self.switch.handle_message, msg)
 
 
@@ -151,16 +142,17 @@ class SdnController:
             self._xid += 1
             return self._xid
 
-    def handle_reconfigure(self, request: ReconfigRequest) -> ReconfigReport:
+    def handle_reconfigure(self, request_id: str, tear_down: Optional[str],
+                           set_up: str) -> ReconfigReport:
         with self._serial:
-            report = self._execute(request)
+            report = self._execute(request_id, tear_down, set_up)
         if self.log is not None:
             self.log({
                 "t_start": round(report.started_at, 6),
                 "t_end": round(report.completed_at, 6),
                 "request_id": report.request_id,
-                "tear_down": request.tear_down,
-                "set_up": request.set_up,
+                "tear_down": tear_down,
+                "set_up": set_up,
                 "outcome": report.outcome,
                 "error": report.error,
                 "barrier_xids": report.barrier_xids,
@@ -170,19 +162,20 @@ class SdnController:
 
     # -- internals ---------------------------------------------------------
 
-    def _execute(self, request: ReconfigRequest) -> ReconfigReport:
-        report = ReconfigReport(request.request_id, started_at=self.clock.now())
+    def _execute(self, request_id: str, tear_down: Optional[str], set_up: str) -> ReconfigReport:
+        report = ReconfigReport(request_id, started_at=self.clock.now())
         plan: list[tuple[str, str, int, int]] = []
-        if request.tear_down is not None:
-            for cc in self.topology.path(request.tear_down).cross_connects:
+        if tear_down is not None:
+            for cc in self.topology.path(tear_down).cross_connects:
                 plan.append((cc.switch, CMD_DELETE, cc.in_port, cc.out_port))
-        for cc in self.topology.path(request.set_up).cross_connects:
+        for cc in self.topology.path(set_up).cross_connects:
             plan.append((cc.switch, CMD_ADD, cc.in_port, cc.out_port))
 
         # Each switch's acked xids, in first-touched order.
         acked: dict[str, list[int]] = {}
         for mod in plan:
-            reply, report.error = self._flow_mod(report, *mod)
+            # A switch's first mod of a request drops what it still stages.
+            reply, report.error = self._flow_mod(report, *mod, fresh=mod[0] not in acked)
             if report.error is not None:
                 break
             acked.setdefault(mod[0], []).append(reply["xid"])
@@ -201,7 +194,7 @@ class SdnController:
                     break
 
         if report.error is None:
-            self.active_path = request.set_up
+            self.active_path = set_up
         else:
             self._compensate(report)
         report.completed_at = self.clock.now()
@@ -221,7 +214,8 @@ class SdnController:
             self._barrier(report, switch_id)
 
     def _flow_mod(self, report: ReconfigReport, switch_id: str, command: str,
-                  in_port: int, out_port: int) -> tuple[Optional[dict], Optional[str]]:
+                  in_port: int, out_port: int,
+                  fresh: bool = False) -> tuple[Optional[dict], Optional[str]]:
         """Stage one mod and record it as ACKED or FAILED.
 
         Returns the switch's reply, None if the switch is unreachable, and
@@ -231,9 +225,9 @@ class SdnController:
         record = TransactionRecord(xid, switch_id, command, in_port, out_port, "FAILED")
         report.transactions.append(record)
         try:
-            reply = self._send(switch_id, {
+            reply = self.switch_links[switch_id].send({
                 "type": "FLOW_MOD", "xid": xid, "command": command,
-                "in_port": in_port, "out_port": out_port,
+                "in_port": in_port, "out_port": out_port, "fresh": fresh,
             })
         except SwitchDisconnected:
             return None, f"switch {switch_id} disconnected"
@@ -246,17 +240,11 @@ class SdnController:
         """Commit one switch: the xids it committed, or None if it is unreachable."""
         xid = self.next_xid()
         try:
-            reply = self._send(switch_id, {"type": "BARRIER_REQUEST", "xid": xid})
+            reply = self.switch_links[switch_id].send({"type": "BARRIER_REQUEST", "xid": xid})
         except SwitchDisconnected:
             return None
         report.barrier_xids.append(xid)
         return reply.get("committed_xids") or []
-
-    def _send(self, switch_id: str, msg: dict) -> dict:
-        link = self.switch_links.get(switch_id)
-        if link is None:
-            raise SwitchDisconnected(switch_id)
-        return link.send(msg)
 
 
 class Northbound:
@@ -281,12 +269,8 @@ class Northbound:
                 return 409, {"error": "reconfiguration queue full"}
             self._in_system += 1
         try:
-            request = ReconfigRequest(
-                request_id=body["request_id"],
-                tear_down=body.get("tear_down"),
-                set_up=body["set_up"],
-            )
-            report = self.controller.handle_reconfigure(request)
+            report = self.controller.handle_reconfigure(
+                body["request_id"], body.get("tear_down"), body["set_up"])
         finally:
             with self._admission:
                 self._in_system -= 1

@@ -53,7 +53,6 @@ def _never(qber, key_bits, state):
 
 @dataclass(frozen=True)
 class KeyBlock:
-    sequence_no: int
     size_bits: int
 
 
@@ -82,7 +81,6 @@ class QkdUnitPair:
         self.state = STATE_IDLE
         self._init_remaining = 0.0
         self._interval_elapsed = 0.0
-        self._sequence = 0
         self._last_skr = 0.0
         self._last_qber = 0.0
         self._last_key_bits = 0
@@ -94,7 +92,6 @@ class QkdUnitPair:
         jitter = 1.0 + self.init_jitter_frac * (2.0 * self.rng.random() - 1.0)
         self._init_remaining = self.init_time_s * jitter
         self._interval_elapsed = 0.0
-        self._sequence = 0
         self._last_skr = 0.0
         self._last_qber = 0.0
         self._last_key_bits = 0
@@ -108,10 +105,8 @@ class QkdUnitPair:
         if active_channel is None:
             self.state = STATE_IDLE
             return []
-        first = self._sequence + 1
         bits = self.tick_while([dt], active_channel, attack_power_dbm, _never)[-1]
-        keyed = [size for size in bits.tolist() if size > 0]
-        return [KeyBlock(n, size) for n, size in enumerate(keyed, first)]
+        return [KeyBlock(size) for size in bits.tolist() if size > 0]
 
     def tick_while(self, dts, active_channel, attack_power_dbm: float, acts):
         """Advance over each of dts on a lit circuit, up to and including the
@@ -153,7 +148,6 @@ class QkdUnitPair:
                 stopped = True
             self._last_qber, self._last_skr = float(q[-1]), float(s[-1])
             self._last_key_bits = int(bits[-1])
-            self._sequence += int(np.count_nonzero(bits))
         if stopped:
             self.state = STATE_ABORTED if aborted else STATE_GENERATING
         self._init_remaining, self._interval_elapsed = init_left, elapsed

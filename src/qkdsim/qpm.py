@@ -25,7 +25,6 @@ from typing import Mapping, Optional
 from .topology import is_number
 
 AVAILABLE = "AVAILABLE"
-ACTIVE = "ACTIVE"
 FAILED = "FAILED"
 
 MONITORING = "MONITORING"
@@ -114,6 +113,7 @@ class Qpm:
         self.qkd_client = qkd_client
         self.clock = clock
         self.scheduler = scheduler
+        # AVAILABLE or FAILED; active_path is the one record of the lit path.
         self.statuses: dict[str, str] = {p: AVAILABLE for p in topology.path_ids()}
         self.mode = MONITORING
         self.active_path: Optional[str] = None
@@ -212,7 +212,6 @@ class Qpm:
                 "set_up": target,
             })
             if status == 200 and body.get("outcome") == "SUCCESS":
-                self.statuses[target] = ACTIVE
                 self.active_path = target
                 xids = [tx["xid"] for tx in body["transactions"]]
                 self._emit(RECONFIG_DONE, path=target, detail=detail, xids=xids)

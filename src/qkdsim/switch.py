@@ -7,7 +7,9 @@ staged table (the committed table plus every accepted mod), so conflicts
 are rejected up front and a barrier can never fail. The barrier swaps
 the staged table in as a single reference assignment, which is what
 makes concurrent table queries see all-or-nothing batches, and then
-announces the commit once through on_commit.
+announces the commit once through on_commit. A flow-mod marked fresh,
+the first of a controller request, first drops every mod staged since
+the last barrier, as an OpenFlow 1.4 bundle open would.
 """
 
 from __future__ import annotations
@@ -49,17 +51,21 @@ class OpticalSwitch:
     def handle_message(self, msg: dict) -> dict:
         mtype = msg.get("type")
         if mtype == "FLOW_MOD":
-            return self.handle_flow_mod(
-                msg["xid"], msg["command"], msg["in_port"], msg["out_port"]
-            )
+            return self.handle_flow_mod(msg["xid"], msg["command"], msg["in_port"],
+                                        msg["out_port"], msg.get("fresh", False))
         if mtype == "BARRIER_REQUEST":
             return self.handle_barrier(msg["xid"])
         raise ProtocolError(f"switch {self.switch_id}: unknown message type {mtype!r}")
 
-    def handle_flow_mod(self, xid: int, command: str, in_port: int, out_port: int) -> dict:
-        """Stage one change; the committed table is untouched until a barrier."""
+    def handle_flow_mod(self, xid: int, command: str, in_port: int, out_port: int,
+                        fresh: bool = False) -> dict:
+        """Stage one change; the committed table is untouched until a barrier.
+        A fresh mod first drops every mod staged since the last barrier."""
         if command not in (CMD_ADD, CMD_DELETE):
             raise ProtocolError(f"unknown flow-mod command {command!r}")
+        if fresh and self._pending:
+            self._staged = dict(self._table)
+            self._pending = []
         status = self._stage_status(command, in_port, out_port)
         if status == STATUS_STAGED:
             self._pending.append(xid)

@@ -1,12 +1,16 @@
-"""Shared fixtures: bundled configs and session-scoped scenario runs."""
+"""Shared fixtures: bundled configs and session-scoped scenario runs, and
+LinkFaults, the one way a test injects a southbound fault."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from pathlib import Path
 
 import pytest
 
+from qkdsim.controller import SwitchDisconnected
 from qkdsim.scenario import Scenario, ScenarioRun, run_scenario
 from qkdsim.topology import load_topology
 
@@ -22,6 +26,49 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(set(ACCEPTANCE_LINES)):
             terminalreporter.write_line(line)
+
+
+class LinkFaults:
+    """Faults on a dict of switch links, injected by wrapping each link's send.
+
+    Each switch's messages are counted from the call that sets its fault:
+    drop(sid, n) loses its n-th message (0 is the next one); down_after(sid, n)
+    lets n through and loses every later one until restore(sid); after(sid, n,
+    action) loses none and calls action once the n-th is answered. A lost
+    message never reaches its switch and takes no time: send raises
+    SwitchDisconnected, as SocketSwitchLink does on a socket error.
+    """
+
+    def __init__(self, links: dict):
+        self._faults: dict = {}  # switch id -> (message counter, lose(i), then(i))
+        for sid, link in links.items():
+            link.send = functools.partial(self._send, sid, link.send)
+
+    def drop(self, switch_id: str, n: int):
+        self._set(switch_id, lambda i: i == n)
+
+    def down_after(self, switch_id: str, n: int):
+        self._set(switch_id, lambda i: i >= n)
+
+    def after(self, switch_id: str, n: int, action):
+        self._set(switch_id, lambda i: False, lambda i: i == n and action())
+
+    def restore(self, switch_id: str):
+        self._faults.pop(switch_id, None)
+
+    def _set(self, switch_id, lose, then=lambda i: None):
+        self._faults[switch_id] = (itertools.count(), lose, then)
+
+    def _send(self, switch_id, forward, msg):
+        if switch_id not in self._faults:
+            return forward(msg)
+        counter, lose, then = self._faults[switch_id]
+        index = next(counter)
+        if lose(index):
+            raise SwitchDisconnected(switch_id)
+        reply = forward(msg)
+        then(index)
+        return reply
 
 
 @pytest.fixture(scope="session")

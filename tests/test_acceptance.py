@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 import conftest
-from qkdsim.controller import ReconfigRequest, SdnController
+from qkdsim.controller import SdnController
 from qkdsim.physics import abort_qber, binary_entropy, qber, skr
 from qkdsim.report import load_events, load_metrics, load_timing, steady_windows
 from qkdsim.scenario import EXIT_EXHAUSTED, EXIT_OK, run_scenario, sweep_attack_power
@@ -185,7 +185,7 @@ class TestControlPlaneGuarantees:
                     for sw, n in reference_topology.switches.items()}
         links = {sw: InProcessSwitchLink(s, clock) for sw, s in switches.items()}
         controller = SdnController(reference_topology, links, clock)
-        controller.handle_reconfigure(ReconfigRequest("r0", None, "link1"))
+        controller.handle_reconfigure("r0", None, "link1")
 
         observed: list = []
 
@@ -195,7 +195,7 @@ class TestControlPlaneGuarantees:
 
         for s in switches.values():
             s.on_commit = observe
-        report = controller.handle_reconfigure(ReconfigRequest("r1", "link1", "link2"))
+        report = controller.handle_reconfigure("r1", "link1", "link2")
         residue = sum(s.pending_count for s in switches.values())
         # Bob commits first and breaks link1; Alice's commit lights link2.
         ok = (report.outcome == "SUCCESS" and observed == [None, "link2"]

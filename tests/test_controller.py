@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 import threading
 
 import pytest
 
+from conftest import LinkFaults
 from qkdsim.clock import SimClock
 from qkdsim.controller import (
     InProcessSwitchLink,
@@ -15,31 +15,26 @@ from qkdsim.controller import (
     OUTCOME_FAILED,
     OUTCOME_SUCCESS,
     QUEUE_DEPTH,
-    ReconfigRequest,
     SdnController,
-    SwitchDisconnected,
 )
 from qkdsim.switch import OpticalSwitch
 from qkdsim.topology import resolve_active_path
 
 
-class RecordingLink(InProcessSwitchLink):
-    """Southbound link that appends every message to a shared journal."""
-
-    def __init__(self, switch, clock, journal):
-        super().__init__(switch, clock)
-        self.journal = journal
-
-    def send(self, msg: dict) -> dict:
-        self.journal.append((self.switch.switch_id, msg))
-        return super().send(msg)
-
-
 def build_fabric(topology) -> dict:
+    """In-process switches and controller; "faults" injects southbound
+    faults, and "journal" records every message the controller sends,
+    lost ones included."""
     clock = SimClock()
     journal: list = []
     switches = {sw: OpticalSwitch(sw, ports) for sw, ports in topology.switches.items()}
-    links = {sw: RecordingLink(switches[sw], clock, journal) for sw in switches}
+    links = {sw: InProcessSwitchLink(switches[sw], clock) for sw in switches}
+    faults = LinkFaults(links)
+    for sw, link in links.items():
+        def send(msg, sw=sw, forward=link.send):
+            journal.append((sw, msg))
+            return forward(msg)
+        link.send = send
     records: list = []
     controller = SdnController(topology, links, clock, log=records.append)
     return {
@@ -47,6 +42,7 @@ def build_fabric(topology) -> dict:
         "clock": clock,
         "switches": switches,
         "links": links,
+        "faults": faults,
         "controller": controller,
         "journal": journal,
         "records": records,
@@ -56,29 +52,6 @@ def build_fabric(topology) -> dict:
 @pytest.fixture()
 def fabric(reference_topology):
     return build_fabric(reference_topology)
-
-
-def lose_after(link, sent: int):
-    """Let `sent` more messages through `link`, then take it down for good."""
-    budget, forward = iter(range(sent)), link.send
-
-    def send(msg):
-        link.connected = next(budget, None) is not None
-        return forward(msg)
-
-    link.send = send
-
-
-def drop_one(links, index: int):
-    """Drop the index-th message sent through any of links from now on,
-    before it reaches its switch; every other message goes through."""
-    sent = itertools.count()
-    for link in links.values():
-        def send(msg, link=link, forward=link.send):
-            if next(sent) == index:
-                raise SwitchDisconnected(link.switch.switch_id)
-            return forward(msg)
-        link.send = send
 
 
 def messages(journal) -> list:
@@ -95,8 +68,7 @@ def switch_states(switches) -> dict:
 
 
 def establish(fabric, path_id, tear_down=None) -> object:
-    request = ReconfigRequest(f"req-{path_id}", tear_down, path_id)
-    return fabric["controller"].handle_reconfigure(request)
+    return fabric["controller"].handle_reconfigure(f"req-{path_id}", tear_down, path_id)
 
 
 class TestReconfigurePlans:
@@ -227,21 +199,21 @@ class TestFailureHandling:
 
     def test_disconnected_switch_fails_the_request(self, fabric):
         establish(fabric, "link1")
-        fabric["links"]["bob"].connected = False
+        fabric["faults"].down_after("bob", 0)
         report = establish(fabric, "link2", tear_down="link1")
         assert report.outcome == OUTCOME_FAILED
         assert "disconnected" in report.error
         assert fabric["switches"]["alice"].pending_count == 0
         assert fabric["controller"].active_path == "link1"
         # Reconnect: the fabric is still consistent and usable.
-        fabric["links"]["bob"].connected = True
+        fabric["faults"].restore("bob")
         report = establish(fabric, "link2", tear_down="link1")
         assert report.outcome == OUTCOME_SUCCESS
 
     def test_alice_lost_at_her_barrier_after_bob_committed(self, fabric):
         establish(fabric, "link1")
         fabric["journal"].clear()
-        lose_after(fabric["links"]["alice"], 2)
+        fabric["faults"].down_after("alice", 2)
         report = establish(fabric, "link2", tear_down="link1")
         assert report.outcome == OUTCOME_FAILED
         assert report.error == "switch alice disconnected at barrier"
@@ -277,8 +249,10 @@ class TestFailureHandling:
     def test_a_foreign_staged_mod_fails_a_barrier(self, fabric):
         establish(fabric, "link1")
         fabric["journal"].clear()
-        # Staged on bob outside the controller: bob's barrier commits it too.
-        fabric["switches"]["bob"].handle_flow_mod(90001, "ADD", 5, 6)
+        # Staged on bob outside the controller once he acks his first mod:
+        # bob's barrier commits it too.
+        bob = fabric["switches"]["bob"]
+        fabric["faults"].after("bob", 0, lambda: bob.handle_flow_mod(90001, "ADD", 5, 6))
         report = establish(fabric, "link2", tear_down="link1")
         assert report.outcome == OUTCOME_FAILED
         assert report.error == "barrier on bob committed unexpected xids"
@@ -307,6 +281,34 @@ class TestFailureHandling:
             "alice": {(0, 1)}, "bob": {(1, 0), (5, 6)}, "int1": set(), "int2": set()}
         assert all(s.pending_count == 0 for s in fabric["switches"].values())
 
+    def test_a_foreign_mod_staged_before_a_request_is_dropped(self, fabric):
+        """The request's first mod to bob is fresh: bob drops what he staged
+        since his last barrier, so his barrier commits the request's mods only."""
+        establish(fabric, "link1")
+        fabric["switches"]["bob"].handle_flow_mod(90001, "ADD", 5, 6)
+        report = establish(fabric, "link2", tear_down="link1")
+        assert report.outcome == OUTCOME_SUCCESS
+        assert switch_states(fabric["switches"]) == {
+            "alice": {(0, 2)}, "bob": {(2, 0)}, "int1": set(), "int2": set()}
+        assert all(s.pending_count == 0 for s in fabric["switches"].values())
+
+    @pytest.mark.parametrize("target", ["link1", "link2", "link3"])
+    def test_a_switch_back_after_a_lost_barrier_takes_the_next_request(self, fabric,
+                                                                      target):
+        """Alice, lost at her barrier, keeps 2 staged mods; once she is back,
+        the next request's first mod to her drops them, so any move from the
+        lit path succeeds and lights its target."""
+        establish(fabric, "link1")
+        fabric["faults"].down_after("alice", 2)
+        assert establish(fabric, "link2", tear_down="link1").outcome == OUTCOME_FAILED
+        assert fabric["switches"]["alice"].pending_count == 2
+        fabric["faults"].restore("alice")
+        report = establish(fabric, target, tear_down="link1")
+        assert report.outcome == OUTCOME_SUCCESS, report.error
+        assert resolve_active_path(fabric["topology"], switch_states(fabric["switches"])) \
+            == fabric["controller"].active_path == target
+        assert all(s.pending_count == 0 for s in fabric["switches"].values())
+
     @pytest.mark.parametrize("start,target", [
         (None, "link1"), (None, "link2"), (None, "link3"),
         ("link1", "link2"), ("link1", "link3"), ("link2", "link1"),
@@ -323,13 +325,13 @@ class TestFailureHandling:
             establish(clean, start)
         clean["journal"].clear()
         establish(clean, target, tear_down=start)
-        sent = len(clean["journal"])
-        for index in range(sent):
+        sent = [sw for sw, _ in clean["journal"]]
+        for index, switch_id in enumerate(sent):
             fabric = build_fabric(reference_topology)
             if start is not None:
                 establish(fabric, start)
             before = switch_states(fabric["switches"])
-            drop_one(fabric["links"], index)
+            fabric["faults"].drop(switch_id, sent[:index].count(switch_id))
             report = establish(fabric, target, tear_down=start)
             assert report.outcome == OUTCOME_FAILED, index
             after = switch_states(fabric["switches"])
@@ -339,15 +341,6 @@ class TestFailureHandling:
                 fabric["topology"], after) == start, index
             assert establish(fabric, target, tear_down=start).outcome == OUTCOME_SUCCESS
 
-    def test_missing_link_treated_as_disconnected(self, fabric):
-        del fabric["links"]["int1"]
-        report = establish(fabric, "link3")
-        assert report.outcome == OUTCOME_FAILED
-
-    def test_send_raises_for_down_link(self, fabric):
-        fabric["links"]["alice"].connected = False
-        with pytest.raises(SwitchDisconnected):
-            fabric["links"]["alice"].send({"type": "BARRIER_REQUEST", "xid": 1})
 
 
 class TestNorthbound:
@@ -363,7 +356,7 @@ class TestNorthbound:
         assert body["duration_ms"] > 0.0
 
     def test_failed_body_says_why(self, fabric):
-        fabric["links"]["alice"].connected = False
+        fabric["faults"].down_after("alice", 0)
         northbound = Northbound(fabric["controller"])
         status, body = northbound.post_reconfigure(
             {"request_id": "r1", "tear_down": None, "set_up": "link1"})

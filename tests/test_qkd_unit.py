@@ -52,7 +52,7 @@ class TestLifecycle:
         unit = make_unit()
         unit.start_session(CHANNEL)
         blocks = unit.tick(120.0 + 3 * 60.0, CHANNEL, ATTACK_OFF)
-        assert [b.sequence_no for b in blocks] == [1, 2, 3]
+        assert len(blocks) == 3
         for b in blocks:
             # Size is rate times interval with ~3% jitter around 950 b/s.
             assert 950 * 60 * 0.85 < b.size_bits < 950 * 60 * 1.15
@@ -62,11 +62,11 @@ class TestLifecycle:
         timed.tick(120.0, CHANNEL, ATTACK_OFF)
         assert timed.tick_while([30.0] * 6, CHANNEL, ATTACK_OFF, never)[2] == [1, 3, 5]
 
-    def test_sequence_numbers_are_gapless_over_a_long_run(self):
+    def test_one_block_per_interval_over_a_long_run(self):
         unit = make_unit()
         unit.start_session(CHANNEL)
         blocks = unit.tick(120.0 + 200 * 60.0, CHANNEL, ATTACK_OFF)
-        assert [b.sequence_no for b in blocks] == list(range(1, 201))
+        assert len(blocks) == 200
 
     def test_attack_aborts_at_the_first_distillation(self):
         unit = make_unit()
@@ -110,7 +110,7 @@ class TestLifecycle:
         unit.start_session(CHANNEL)
         assert unit.state == STATE_INITIALIZING
         blocks = unit.tick(120.0 + 60.0, CHANNEL, ATTACK_OFF)
-        assert [b.sequence_no for b in blocks] == [1]  # fresh session numbering
+        assert len(blocks) == 1  # a fresh init, then one interval
 
     def test_reinit_duration_matches_first_init_without_jitter(self):
         durations = []
@@ -217,12 +217,11 @@ class LoopUnit(QkdUnitPair):
         self._last_key_bits = round(self._last_skr * self.key_interval_s)
         if self._last_key_bits <= 0:
             return None
-        self._sequence += 1
-        return KeyBlock(self._sequence, self._last_key_bits)
+        return KeyBlock(self._last_key_bits)
 
 
 def unit_state(unit: QkdUnitPair):
-    return (unit.state, unit._init_remaining, unit._interval_elapsed, unit._sequence, unit._last_skr, unit._last_qber, unit._last_key_bits,
+    return (unit.state, unit._init_remaining, unit._interval_elapsed, unit._last_skr, unit._last_qber, unit._last_key_bits,
             unit.rng.bit_generator.state)
 
 
@@ -272,23 +271,26 @@ class TestTickMatchesTheLoop:
                 assert fast.tick(dt, channel, power) == slow.tick(dt, channel, power)
             assert unit_state(fast) == unit_state(slow)
 
-    @pytest.mark.parametrize("init_time_s, key_interval_s, ticks, state, sequence", [
+    @pytest.mark.parametrize("init_time_s, key_interval_s, ticks, state, blocks", [
         # 2.001e-9 - 1.001e-9 == _EPS exactly: init ends on this tick.
         pytest.param(2.001e-9, 60.0, [1.001e-9], STATE_GENERATING, 0, id="init"),
         # 0.0 + (1.0 - _EPS) == 1.0 - _EPS exactly: a block is distilled.
         pytest.param(1.0, 1.0, [1.0, 1.0 - 1e-9], STATE_GENERATING, 1, id="interval"),
     ])
     def test_a_tick_ending_exactly_eps_early_reaches_the_boundary(
-            self, init_time_s, key_interval_s, ticks, state, sequence):
+            self, init_time_s, key_interval_s, ticks, state, blocks):
         fast = make_unit(init_time_s=init_time_s, key_interval_s=key_interval_s)
         slow = LoopUnit(np.random.default_rng(0), init_time_s=init_time_s,
                         key_interval_s=key_interval_s, init_jitter_frac=0.0)
         for unit in (fast, slow):
             unit.start_session(CHANNEL)
+        distilled = 0
         for dt in ticks:
-            assert fast.tick(dt, CHANNEL, ATTACK_OFF) == slow.tick(dt, CHANNEL, ATTACK_OFF)
+            block_list = fast.tick(dt, CHANNEL, ATTACK_OFF)
+            assert block_list == slow.tick(dt, CHANNEL, ATTACK_OFF)
             assert unit_state(fast) == unit_state(slow)
-        assert (fast.state, fast._sequence) == (state, sequence)
+            distilled += len(block_list)
+        assert (fast.state, distilled) == (state, blocks)
 
 
 tick_lengths = st.one_of(
@@ -317,7 +319,7 @@ class TestTickWhileClean:
     # block that is not clean distils clean blocks before it.
     @example(1, 5.0, [313.0] * 6, ATTACK_OFF, 0.021)
     # No stop rule: at the death power blocks without key bits are kept
-    # (no sequence number) until one aborts.
+    # (tick returns no KeyBlock for them) until one aborts.
     @example(3, 5.0, [60.0] * 12, -9.0, None)
     def test_the_kept_prefix_equals_ticking(self, seed, past_init, dts, power, qber_max):
         """qber_max None stands for a rule that never stops the batch: only an

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qkdsim.clock import Scheduler, SimClock
 from qkdsim.qpm import (
-    ACTIVE,
     ALARM,
     AVAILABLE,
     AWAITING_REINIT,
@@ -95,9 +94,6 @@ class TestSelectNextPath:
 
     def test_all_failed(self):
         assert select_next_path({"a": FAILED, "b": FAILED}) is None
-
-    def test_active_is_not_a_candidate(self):
-        assert select_next_path({"a": ACTIVE, "b": AVAILABLE}) == "b"
 
     def test_empty(self):
         assert select_next_path({}) is None
@@ -194,7 +190,7 @@ class TestMitigationLoop:
         scheduler.at(0.0, lambda: qpm.startup(0.0), priority=Qpm.PRIORITY)
         scheduler.run_until(10.0)
         assert [e.kind for e in qpm.events] == [RECONFIG_SENT, RECONFIG_DONE]
-        assert qpm.statuses == {"link1": ACTIVE, "link2": AVAILABLE, "link3": AVAILABLE}
+        assert qpm.statuses == {"link1": AVAILABLE, "link2": AVAILABLE, "link3": AVAILABLE}
         assert qpm.active_path == "link1"
         assert qpm.mode == AWAITING_REINIT
         assert qkd.sessions == [0.0]
@@ -222,7 +218,8 @@ class TestMitigationLoop:
         detected = qpm.events[3]
         assert detected.path == "link1"
         assert "qber=0.300000" in detected.detail
-        assert qpm.statuses == {"link1": FAILED, "link2": ACTIVE, "link3": AVAILABLE}
+        assert qpm.statuses == {"link1": FAILED, "link2": AVAILABLE, "link3": AVAILABLE}
+        assert qpm.active_path == "link2"
         assert controller.calls[1]["tear_down"] == "link1"
         assert controller.calls[1]["set_up"] == "link2"
         # Detection waited out the grace window after the initial provisioning.
@@ -253,7 +250,8 @@ class TestMitigationLoop:
         # link2 tried exactly once, then link3 wins; no retry of link2.
         set_ups = [c["set_up"] for c in controller.calls]
         assert set_ups == ["link1", "link2", "link3"]
-        assert qpm.statuses == {"link1": FAILED, "link2": FAILED, "link3": ACTIVE}
+        assert qpm.statuses == {"link1": FAILED, "link2": FAILED, "link3": AVAILABLE}
+        assert qpm.active_path == "link3"
         sent_paths = [e.path for e in qpm.events if e.kind == RECONFIG_SENT]
         assert sent_paths == ["link1", "link2", "link3"]
 
@@ -276,7 +274,10 @@ class TestMitigationLoop:
         assert qpm.events[-1].kind == EXHAUSTED
         assert all(s == FAILED for s in qpm.statuses.values())
 
-    def test_at_most_one_active_path_at_all_times(self):
+    def test_the_lit_path_is_failed_before_a_failover_selects(self):
+        """statuses holds no ACTIVE: the lit path stays AVAILABLE until
+        detection marks it FAILED, before any failover selects a target,
+        so no request sets up the path it tears down."""
         script = {
             0.0: reading(state="Initializing", key_bits=0),
             100.0: reading(),
@@ -284,18 +285,23 @@ class TestMitigationLoop:
             641.0: reading(state="Initializing", key_bits=0),
             760.0: reading(),
         }
-        qpm, scheduler, _, _ = build_qpm(script)
+        qpm, scheduler, controller, _ = build_qpm(script)
         observed = []
-        original = qpm._emit
+        post = controller.post_reconfigure
 
-        def spying_emit(*args, **kwargs):
-            original(*args, **kwargs)
-            observed.append(sum(1 for s in qpm.statuses.values() if s == ACTIVE))
+        def spying_post(body):
+            observed.append((body["tear_down"], body["set_up"], dict(qpm.statuses)))
+            return post(body)
 
-        qpm._emit = spying_emit
+        controller.post_reconfigure = spying_post
         scheduler.at(0.0, lambda: qpm.startup(0.0), priority=Qpm.PRIORITY)
         scheduler.run_until(1200.0)
-        assert set(observed) <= {0, 1}
+        assert observed == [
+            (None, "link1", {"link1": AVAILABLE, "link2": AVAILABLE, "link3": AVAILABLE}),
+            ("link1", "link2", {"link1": FAILED, "link2": AVAILABLE, "link3": AVAILABLE}),
+        ]
+        assert set(qpm.statuses.values()) <= {AVAILABLE, FAILED}
+        assert qpm.active_path == "link2"
 
     def test_awaiting_reinit_accepts_an_aborted_first_sample(self):
         # If the new path is also under attack, the session lands in

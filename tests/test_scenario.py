@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qkdsim.controller import SwitchDisconnected
+from conftest import LinkFaults
 from qkdsim.physics import ATTACK_OFF, CalibrationError
 from qkdsim.qkd_unit import STATE_GENERATING, STATE_IDLE
 from qkdsim.qpm import (
@@ -245,20 +245,42 @@ class TestScenarioRun:
         and the controller name."""
         run = ScenarioRun(reference_topology,
                           load_scenario(str(configs / "attack-link1.json")), seed=42)
-        alice = run.controller.switch_links["alice"]
-        barriers, forward = iter(range(2)), alice.send
-
-        def send(msg):
-            if msg["type"] == "BARRIER_REQUEST" and next(barriers, None) == 1:
-                raise SwitchDisconnected("alice")
-            return forward(msg)
-
-        alice.send = send
+        # Alice's messages: 2 to provision link1, then 2 mods and the barrier.
+        LinkFaults(run.links).drop("alice", 4)
         run.execute()
         kinds = [(ev.kind, ev.path) for ev in run.qpm.events if ev.t >= 602.0]
         assert kinds == [(DETECTED, "link1"), (RECONFIG_SENT, "link2"),
                          (RECONFIG_SENT, "link3"), (RECONFIG_DONE, "link3"),
                          (REINIT_DONE, "link3")]
+        states = {sw: s.query_entries() for sw, s in run.switches.items()}
+        assert resolve_active_path(reference_topology, states) == "link3"
+        assert run.controller.active_path == "link3"
+        assert run.qpm.mode == MONITORING
+
+    def test_a_switch_lost_for_the_rest_of_a_failover_costs_a_path_not_the_run(
+            self, reference_topology, configs):
+        """attack-link1 with alice lost from her link1->link2 barrier to the end
+        of that request, so she keeps her 2 staged mods: the link1->link3
+        request's first mod to her drops them, and the run ends monitoring on
+        link3."""
+        run = ScenarioRun(reference_topology,
+                          load_scenario(str(configs / "attack-link1.json")), seed=42)
+        faults = LinkFaults(run.links)
+        faults.down_after("alice", 4)
+        log = run.controller.log
+
+        def restore_after_the_failover(record):
+            log(record)
+            if record["set_up"] == "link2":
+                faults.restore("alice")
+
+        run.controller.log = restore_after_the_failover
+        run.execute()
+        events = [(ev.kind, ev.path, ev.t) for ev in run.qpm.events if ev.t >= 602.0]
+        assert [(kind, path) for kind, path, _ in events] == [
+            (DETECTED, "link1"), (RECONFIG_SENT, "link2"), (RECONFIG_SENT, "link3"),
+            (RECONFIG_DONE, "link3"), (REINIT_DONE, "link3")]
+        assert [t for *_, t in events[3:]] == pytest.approx([602.080, 719.0])
         states = {sw: s.query_entries() for sw, s in run.switches.items()}
         assert resolve_active_path(reference_topology, states) == "link3"
         assert run.controller.active_path == "link3"
@@ -292,7 +314,7 @@ class TestScenarioRun:
         # Poll cadence is 60s: the first poll that can see the attack is
         # within one period plus the sampling interval of the onset.
         assert 600.0 < detected.t <= 600.0 + 2 * 60.0 + 1.0
-        assert run.qpm.statuses == {"link1": "FAILED", "link2": "ACTIVE",
+        assert run.qpm.statuses == {"link1": "FAILED", "link2": "AVAILABLE",
                                     "link3": "AVAILABLE"}
         assert run.qpm.active_path == "link2"
         # Times in the event stream never go backwards.
@@ -381,33 +403,49 @@ class TestScenarioRun:
                               st.sampled_from([None, "alice", "bob", "int1", "int2"]),
                               st.integers(0, 4)),
                     max_size=12))
-    # Bob commits, then Alice is lost at her barrier: link1 is broken.
+    # Bob commits, then Alice is lost at her barrier: she keeps 2 staged mods.
     @example(requests=[(None, "link1", None, 0), ("link1", "link2", "alice", 2)])
+    # Back, she drops them at the next request's first mod to her, so its
+    # compensation barrier cannot commit them and darken the fabric.
+    @example(requests=[(None, "link1", None, 0), ("link1", "link2", "alice", 2),
+                       ("link2", "link2", None, 0)])
     def test_current_circuit_tracks_the_fabric(self, reference_topology, requests):
-        """After every reconfigure, failed or not, the circuit is the lit path.
+        """After every reconfigure, failed or not, the circuit and the
+        controller's active_path are the lit path; afterwards, with every
+        switch up, a move from active_path to each path in turn succeeds.
 
         A request may lose one switch after that switch's first `sent`
         messages, so it can fail at a flow-mod, at a barrier (leaving
-        other switches committed) or during compensation.
+        other switches committed) or during compensation. The switch is
+        back for the next request.
         """
         run = ScenarioRun(reference_topology, Scenario(60.0, ()), seed=1)
+        faults = LinkFaults(run.links)
+
+        def lit_path():
+            states = {sid: sw.query_entries() for sid, sw in run.switches.items()}
+            return resolve_active_path(reference_topology, states)
+
         for index, (tear_down, set_up, down, sent) in enumerate(requests):
             if down is not None:
-                link, forward, budget = run.links[down], run.links[down].send, iter(range(sent))
-
-                def send(msg):
-                    link.connected = next(budget, None) is not None
-                    return forward(msg)
-
-                link.send = send
-            status, _ = run.northbound.post_reconfigure(
+                faults.down_after(down, sent)
+            status, body = run.northbound.post_reconfigure(
                 {"request_id": f"r{index}", "tear_down": tear_down, "set_up": set_up})
             assert status == 200
             if down is not None:
-                del link.send
-                link.connected = True
-            states = {sid: sw.query_entries() for sid, sw in run.switches.items()}
-            assert run.current_circuit()[0] == resolve_active_path(reference_topology, states)
+                faults.restore(down)
+                # More flow-mods to the lost switch than it took: one was lost.
+                record = run.controller_records[-1]
+                mods = sum(t["switch"] == down for t in record["transactions"])
+                assert mods <= sent or body["outcome"] == "FAILED"
+            assert run.current_circuit()[0] == run.controller.active_path == lit_path()
+        for index, set_up in enumerate(["link1", "link2", "link3"]):
+            status, body = run.northbound.post_reconfigure(
+                {"request_id": f"after{index}", "tear_down": run.controller.active_path,
+                 "set_up": set_up})
+            assert (status, body["outcome"]) == (200, "SUCCESS"), body.get("error")
+            assert run.current_circuit()[0] == run.controller.active_path == lit_path() \
+                == set_up
 
     def test_a_commit_syncs_the_unit_under_the_old_circuit(self, reference_topology):
         """The unit goes Idle at the commit that breaks its circuit, so a
@@ -443,7 +481,7 @@ class TestScenarioRun:
         unit = run.unit
 
         def fields():
-            return (unit.state, unit._init_remaining, unit._interval_elapsed, unit._sequence,
+            return (unit.state, unit._init_remaining, unit._interval_elapsed,
                     unit._last_skr, unit._last_qber, unit._last_key_bits,
                     run.rng.bit_generator.state)
 
@@ -483,7 +521,7 @@ def finished_state(run, batches=True):
     return (run.metrics_text(), [e.to_dict() for e in run.qpm.events],
             run.controller_records, run.qpm.zero_key_polls, run.rng.bit_generator.state,
             (unit.state, unit._init_remaining, unit._interval_elapsed,
-             unit._sequence, unit._last_skr, unit._last_qber, unit._last_key_bits),
+             unit._last_skr, unit._last_qber, unit._last_key_bits),
             run._last_sync,
             # Times and read-outs stay Python numbers, as the event loop keeps them.
             [type(x).__name__ for x in (run.clock.now(), run._last_sync, run.qpm.next_poll_t,

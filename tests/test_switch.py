@@ -104,6 +104,18 @@ class TestStaging:
             assert ack["type"] == "FLOW_MOD_ACK"
             assert ack["xid"] == xid
 
+    def test_a_fresh_mod_drops_what_was_staged_since_the_barrier(self, sw):
+        sw.handle_flow_mod(1, CMD_ADD, 0, 1)
+        sw.handle_barrier(2)
+        sw.handle_flow_mod(3, CMD_DELETE, 0, 1)
+        sw.handle_flow_mod(4, CMD_ADD, 0, 2)
+        ack = sw.handle_message({"type": "FLOW_MOD", "xid": 5, "command": CMD_ADD,
+                                 "in_port": 4, "out_port": 5, "fresh": True})
+        assert ack["status"] == STATUS_STAGED
+        assert sw.pending_count == 1
+        assert sw.handle_barrier(6)["committed_xids"] == [5]
+        assert dict(sw.query_entries()) == {0: 1, 4: 5}
+
 
 class TestBarrierAtomicity:
     def test_commit_is_invisible_until_the_swap(self, sw):
@@ -143,7 +155,7 @@ class TestProtocolErrors:
 
 
 commands = st.one_of(
-    st.tuples(st.just("MOD"), st.sampled_from([CMD_ADD, CMD_DELETE]),
+    st.tuples(st.sampled_from(["MOD", "FRESH"]), st.sampled_from([CMD_ADD, CMD_DELETE]),
               st.integers(-1, 6), st.integers(-1, 6)),
     st.tuples(st.just("BARRIER"), st.none(), st.none(), st.none()),
 )
@@ -164,7 +176,9 @@ class ReplayModel:
                 del table[i]
         return table
 
-    def flow_mod(self, xid, cmd, i, o) -> str:
+    def flow_mod(self, xid, cmd, i, o, fresh=False) -> str:
+        if fresh:
+            self.pending = []
         table = self.projected()
         if not all(0 <= p < self.port_count for p in (i, o)):
             status = STATUS_NO_SUCH_PORT
@@ -198,9 +212,10 @@ class TestExclusivityProperty:
                 assert reply["committed_xids"] == model.barrier()
                 assert dict(sw.query_entries()) == model.table
             else:
-                ack = sw.handle_flow_mod(xid, cmd, in_port, out_port)
+                fresh = kind == "FRESH"
+                ack = sw.handle_flow_mod(xid, cmd, in_port, out_port, fresh)
                 assert ack["xid"] == xid
-                assert ack["status"] == model.flow_mod(xid, cmd, in_port, out_port)
+                assert ack["status"] == model.flow_mod(xid, cmd, in_port, out_port, fresh)
         assert sw.handle_barrier(xid + 1)["committed_xids"] == model.barrier()
         assert dict(sw.query_entries()) == model.table
         entries = sw.query_entries()
