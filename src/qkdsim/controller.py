@@ -18,6 +18,9 @@ nor staged residue on the switches it can reach, and active_path still
 names the old path. A switch that cannot be reached keeps what it
 staged until the next request's first flow-mod to it, which is marked
 fresh: the switch drops its staged mods before it stages that one.
+
+Each request is one record, a ReconfigReport: its to_dict() is both the
+line the controller logs and the body the northbound replies with.
 """
 
 from __future__ import annotations
@@ -59,56 +62,35 @@ def timed_exchange(clock, exchange, *args):
 
 
 @dataclass
-class TransactionRecord:
-    xid: int
-    switch: str
-    command: str
-    in_port: int
-    out_port: int
-    status: str = "PENDING"  # PENDING | ACKED | FAILED
-
-    def to_dict(self) -> dict:
-        return {
-            "xid": self.xid,
-            "switch": self.switch,
-            "command": self.command,
-            "in_port": self.in_port,
-            "out_port": self.out_port,
-            "status": self.status,
-        }
-
-
-@dataclass
 class ReconfigReport:
+    """One request's record. Each transaction is the dict to_dict() holds:
+    xid, switch, command, in_port, out_port, and a status of FAILED until
+    the switch acks the mod, then ACKED."""
     request_id: str
-    transactions: list[TransactionRecord] = field(default_factory=list)
-    barrier_xids: list[int] = field(default_factory=list)
-    started_at: float = 0.0
-    completed_at: float = 0.0
+    tear_down: Optional[str]
+    set_up: str
+    t_start: float
+    t_end: float = 0.0
     error: Optional[str] = None
+    barrier_xids: list[int] = field(default_factory=list)
+    transactions: list[dict] = field(default_factory=list)
 
     @property
     def outcome(self) -> str:
         return OUTCOME_SUCCESS if self.error is None else OUTCOME_FAILED
 
-    @property
-    def duration_ms(self) -> float:
-        return (self.completed_at - self.started_at) * 1000.0
-
-    def to_http_body(self) -> dict:
-        """Northbound reply; a failed request also says why."""
-        body = {
+    def to_dict(self) -> dict:
+        return {
+            "t_start": round(self.t_start, 6),
+            "t_end": round(self.t_end, 6),
             "request_id": self.request_id,
+            "tear_down": self.tear_down,
+            "set_up": self.set_up,
             "outcome": self.outcome,
-            "transactions": [
-                {"xid": t.xid, "switch": t.switch, "status": t.status}
-                for t in self.transactions
-            ],
-            "duration_ms": self.duration_ms,
+            "error": self.error,
+            "barrier_xids": self.barrier_xids,
+            "transactions": self.transactions,
         }
-        if self.outcome != OUTCOME_SUCCESS:
-            body["error"] = self.error
-        return body
 
 
 class InProcessSwitchLink:
@@ -147,23 +129,13 @@ class SdnController:
         with self._serial:
             report = self._execute(request_id, tear_down, set_up)
         if self.log is not None:
-            self.log({
-                "t_start": round(report.started_at, 6),
-                "t_end": round(report.completed_at, 6),
-                "request_id": report.request_id,
-                "tear_down": tear_down,
-                "set_up": set_up,
-                "outcome": report.outcome,
-                "error": report.error,
-                "barrier_xids": report.barrier_xids,
-                "transactions": [t.to_dict() for t in report.transactions],
-            })
+            self.log(report.to_dict())
         return report
 
     # -- internals ---------------------------------------------------------
 
     def _execute(self, request_id: str, tear_down: Optional[str], set_up: str) -> ReconfigReport:
-        report = ReconfigReport(request_id, started_at=self.clock.now())
+        report = ReconfigReport(request_id, tear_down, set_up, self.clock.now())
         plan: list[tuple[str, str, int, int]] = []
         if tear_down is not None:
             for cc in self.topology.path(tear_down).cross_connects:
@@ -197,19 +169,19 @@ class SdnController:
             self.active_path = set_up
         else:
             self._compensate(report)
-        report.completed_at = self.clock.now()
+        report.t_end = self.clock.now()
         return report
 
     def _compensate(self, report: ReconfigReport):
         """Reverse every acked mod, newest first, and commit the reversals
         with one barrier per switch they reach."""
-        undo = [t for t in report.transactions if t.status == "ACKED"]
+        undo = [t for t in report.transactions if t["status"] == "ACKED"]
         reached: list[str] = []
         for t in reversed(undo):
-            reverse = CMD_DELETE if t.command == CMD_ADD else CMD_ADD
-            reply, _ = self._flow_mod(report, t.switch, reverse, t.in_port, t.out_port)
-            if reply is not None and t.switch not in reached:
-                reached.append(t.switch)
+            reverse = CMD_DELETE if t["command"] == CMD_ADD else CMD_ADD
+            reply, _ = self._flow_mod(report, t["switch"], reverse, t["in_port"], t["out_port"])
+            if reply is not None and t["switch"] not in reached:
+                reached.append(t["switch"])
         for switch_id in reached:
             self._barrier(report, switch_id)
 
@@ -222,7 +194,8 @@ class SdnController:
         why the mod failed: None if it was staged.
         """
         xid = self.next_xid()
-        record = TransactionRecord(xid, switch_id, command, in_port, out_port, "FAILED")
+        record = {"xid": xid, "switch": switch_id, "command": command,
+                  "in_port": in_port, "out_port": out_port, "status": "FAILED"}
         report.transactions.append(record)
         try:
             reply = self.switch_links[switch_id].send({
@@ -233,7 +206,7 @@ class SdnController:
             return None, f"switch {switch_id} disconnected"
         if reply.get("xid") != xid or reply.get("status") != STATUS_STAGED:
             return reply, f"xid {xid} on {switch_id}: {reply.get('status')}"
-        record.status = "ACKED"
+        record["status"] = "ACKED"
         return reply, None
 
     def _barrier(self, report: ReconfigReport, switch_id: str) -> Optional[list[int]]:
@@ -274,7 +247,7 @@ class Northbound:
         finally:
             with self._admission:
                 self._in_system -= 1
-        return 200, report.to_http_body()
+        return 200, report.to_dict()
 
     def get_paths(self) -> tuple[int, dict]:
         listing = []

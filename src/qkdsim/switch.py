@@ -30,7 +30,7 @@ class ProtocolError(ValueError):
 
 
 class OpticalSwitch:
-    """One switch agent: a committed cross-connect table plus staged mods.
+    """One switch: a committed cross-connect table plus staged mods.
 
     on_commit, when set, is invoked as on_commit(switch) once per barrier,
     after the staged table has been swapped in.

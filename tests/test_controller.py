@@ -59,7 +59,7 @@ def messages(journal) -> list:
 
 
 def transactions(report) -> list:
-    return [(t.xid, t.switch, t.command, t.in_port, t.out_port, t.status)
+    return [(t["xid"], t["switch"], t["command"], t["in_port"], t["out_port"], t["status"])
             for t in report.transactions]
 
 
@@ -75,7 +75,7 @@ class TestReconfigurePlans:
     def test_initial_provisioning(self, fabric):
         report = establish(fabric, "link1")
         assert report.outcome == OUTCOME_SUCCESS
-        assert [t.command for t in report.transactions] == ["ADD", "ADD"]
+        assert [t["command"] for t in report.transactions] == ["ADD", "ADD"]
         assert len(report.barrier_xids) == 2
         assert fabric["controller"].active_path == "link1"
         assert resolve_active_path(fabric["topology"], switch_states(fabric["switches"])) == "link1"
@@ -83,7 +83,7 @@ class TestReconfigurePlans:
     def test_failover_tears_down_before_setting_up(self, fabric):
         establish(fabric, "link1")
         report = establish(fabric, "link2", tear_down="link1")
-        commands = [t.command for t in report.transactions]
+        commands = [t["command"] for t in report.transactions]
         assert commands == ["DELETE", "DELETE", "ADD", "ADD"]
         assert report.outcome == OUTCOME_SUCCESS
         assert resolve_active_path(fabric["topology"], switch_states(fabric["switches"])) == "link2"
@@ -91,8 +91,8 @@ class TestReconfigurePlans:
     def test_multihop_path_touches_every_switch(self, fabric):
         establish(fabric, "link1")
         report = establish(fabric, "link3", tear_down="link1")
-        adds = [t for t in report.transactions if t.command == "ADD"]
-        assert [t.switch for t in adds] == ["alice", "int1", "int2", "bob"]
+        adds = [t for t in report.transactions if t["command"] == "ADD"]
+        assert [t["switch"] for t in adds] == ["alice", "int1", "int2", "bob"]
         assert len(report.barrier_xids) == 4
         assert resolve_active_path(fabric["topology"], switch_states(fabric["switches"])) == "link3"
 
@@ -174,7 +174,7 @@ class TestFailureHandling:
 
         report = establish(fabric, "link2", tear_down="link1")
         assert report.outcome == OUTCOME_FAILED
-        assert any(t.status == "FAILED" for t in report.transactions)
+        assert any(t["status"] == "FAILED" for t in report.transactions)
         # Fabric unchanged apart from the foreign entry; old path still up.
         after = switch_states(fabric["switches"])
         assert after["alice"] == before["alice"]
@@ -189,11 +189,13 @@ class TestFailureHandling:
         bob.handle_flow_mod(90001, "ADD", 2, 5)
         bob.handle_barrier(90002)
         report = establish(fabric, "link2", tear_down="link1")
-        staged_ok = [t for t in report.transactions[:4] if t.status == "ACKED"]
+        staged_ok = [t for t in report.transactions[:4] if t["status"] == "ACKED"]
         compensations = report.transactions[4:]
         # Each acked mod is reversed, most recent first.
-        assert [(t.switch, t.command, t.in_port, t.out_port) for t in compensations] == [
-            (t.switch, "DELETE" if t.command == "ADD" else "ADD", t.in_port, t.out_port)
+        assert [(t["switch"], t["command"], t["in_port"], t["out_port"])
+                for t in compensations] == [
+            (t["switch"], "DELETE" if t["command"] == "ADD" else "ADD",
+             t["in_port"], t["out_port"])
             for t in reversed(staged_ok)
         ]
 
@@ -345,15 +347,16 @@ class TestFailureHandling:
 
 class TestNorthbound:
     def test_success_body_schema(self, fabric):
+        """The reply is the record the controller logged."""
         northbound = Northbound(fabric["controller"])
         status, body = northbound.post_reconfigure(
             {"request_id": "r1", "tear_down": None, "set_up": "link1"})
         assert status == 200
-        assert set(body) == {"request_id", "outcome", "transactions", "duration_ms"}
+        assert body == fabric["records"][-1]
         assert body["request_id"] == "r1"
         assert body["outcome"] == OUTCOME_SUCCESS
-        assert all(set(t) == {"xid", "switch", "status"} for t in body["transactions"])
-        assert body["duration_ms"] > 0.0
+        assert body["error"] is None
+        assert body["t_end"] > body["t_start"]
 
     def test_failed_body_says_why(self, fabric):
         fabric["faults"].down_after("alice", 0)
@@ -361,9 +364,8 @@ class TestNorthbound:
         status, body = northbound.post_reconfigure(
             {"request_id": "r1", "tear_down": None, "set_up": "link1"})
         assert status == 200
+        assert body == fabric["records"][-1]
         assert body["outcome"] == OUTCOME_FAILED
-        assert set(body) == {"request_id", "outcome", "transactions", "duration_ms",
-                             "error"}
         assert "alice" in body["error"]
         assert "disconnected" in body["error"]
 
@@ -446,4 +448,4 @@ class TestLogging:
     def test_controller_time_is_message_latency(self, fabric):
         report = establish(fabric, "link1")
         # 2 flow-mods + 2 barriers, 2 ms each way.
-        assert report.duration_ms == pytest.approx(16.0, abs=1e-6)
+        assert (report.t_end - report.t_start) * 1000 == pytest.approx(16.0, abs=1e-6)

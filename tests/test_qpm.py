@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim.clock import Scheduler, SimClock
+from qkdsim.controller import ReconfigReport
 from qkdsim.qpm import (
     ALARM,
     AVAILABLE,
@@ -109,15 +110,16 @@ class StubController:
 
     def post_reconfigure(self, body):
         self.calls.append(dict(body))
+        report = ReconfigReport(body["request_id"], body.get("tear_down"), body["set_up"],
+                                t_start=0.0, t_end=0.001)
         if body["set_up"] in self.fail_paths:
-            return 200, {"request_id": body["request_id"], "outcome": "FAILED",
-                         "transactions": [], "duration_ms": 1.0}
-        xids = [self._xid + 1, self._xid + 2]
-        self._xid += 2
-        return 200, {"request_id": body["request_id"], "outcome": "SUCCESS",
-                     "transactions": [{"xid": x, "switch": "sw", "status": "ACKED"}
-                                      for x in xids],
-                     "duration_ms": 1.0}
+            report.error = f"scripted failure of {body['set_up']}"
+            return 200, report.to_dict()
+        for _ in range(2):
+            self._xid += 1
+            report.transactions.append({"xid": self._xid, "switch": "sw", "command": "ADD",
+                                        "in_port": 0, "out_port": 1, "status": "ACKED"})
+        return 200, report.to_dict()
 
 
 class StubQkd:

@@ -369,29 +369,34 @@ def http_northbound(reference_topology):
         def send(self, msg):
             return self.switch.handle_message(msg)
 
+    records: list = []
     controller = SdnController(reference_topology,
-                               {sw: DirectLink(s) for sw, s in switches.items()}, clock)
+                               {sw: DirectLink(s) for sw, s in switches.items()}, clock,
+                               log=records.append)
     server = serve_northbound(Northbound(controller))
     host, port = server.server_address
     client = HttpControllerClient(f"http://{host}:{port}", clock)
-    yield client, switches, reference_topology
+    yield client, switches, reference_topology, records
     server.shutdown()
     server.server_close()
 
 
 class TestHttpNorthbound:
     def test_reconfigure_round_trip(self, http_northbound):
-        client, switches, topology = http_northbound
-        status, body = client.post_reconfigure(
-            {"request_id": "r1", "tear_down": None, "set_up": "link1"})
-        assert status == 200
-        assert body["outcome"] == "SUCCESS"
-        assert set(body) == {"request_id", "outcome", "transactions", "duration_ms"}
+        """The reply is the record the controller logged, on success and on
+        failure: a second set-up of link1 finds its ports in use."""
+        client, switches, topology, records = http_northbound
+        for outcome in ("SUCCESS", "FAILED"):
+            status, body = client.post_reconfigure(
+                {"request_id": "r1", "tear_down": None, "set_up": "link1"})
+            assert status == 200
+            assert body["outcome"] == outcome
+            assert body == json.loads(json.dumps(records[-1]))
         states = {sw: s.query_entries() for sw, s in switches.items()}
         assert resolve_active_path(topology, states) == "link1"
 
     def test_validation_errors_surface_as_400(self, http_northbound):
-        client, _, _ = http_northbound
+        client, _, _, _ = http_northbound
         status, body = client.post_reconfigure({"request_id": "r", "set_up": "ghost"})
         assert status == 400
         assert "unknown path" in body["error"]
@@ -409,7 +414,7 @@ class TestHttpNorthbound:
         pytest.param(b"[1]", None, id="body-not-an-object"),
     ])
     def test_malformed_requests_get_one_400(self, http_northbound, body, length):
-        client, switches, _ = http_northbound
+        client, switches, _, _ = http_northbound
         host, port = client.base_url.rsplit("/", 1)[1].split(":")
         conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
         try:
@@ -425,7 +430,7 @@ class TestHttpNorthbound:
 
     def test_an_oversized_length_gets_413_without_reading_the_body(self, http_northbound,
                                                                     capfd):
-        client, switches, _ = http_northbound
+        client, switches, _, _ = http_northbound
         host, port = client.base_url.rsplit("/", 1)[1].split(":")
         for length in (MAX_REQUEST_BYTES + 1, 99999999999999, "1" * 5000):
             conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
@@ -443,7 +448,7 @@ class TestHttpNorthbound:
         assert capfd.readouterr().err == ""
 
     def test_get_paths(self, http_northbound):
-        client, _, _ = http_northbound
+        client, _, _, _ = http_northbound
         client.post_reconfigure({"request_id": "r", "set_up": "link2"})
         status, body = http_get(client.base_url + "/paths")
         assert status == 200
@@ -453,7 +458,7 @@ class TestHttpNorthbound:
         """Six clients set up link1, link2 and link3 at once on an empty
         fabric: one succeeds, the fabric and GET /paths agree on it, and no
         switch is left holding staged mods."""
-        client, switches, topology = http_northbound
+        client, switches, topology, _ = http_northbound
         targets = ["link1", "link2", "link3"] * 2
         start = threading.Barrier(len(targets))
         replies = [None] * len(targets)
@@ -480,12 +485,12 @@ class TestHttpNorthbound:
         assert all(s.pending_count == 0 for s in switches.values())
 
     def test_unknown_routes_are_404(self, http_northbound):
-        client, _, _ = http_northbound
+        client, _, _, _ = http_northbound
         status, _ = http_get(client.base_url + "/nowhere/paths")
         assert status == 404
 
     def test_a_post_to_an_unknown_path_is_404(self, http_northbound):
-        client, switches, _ = http_northbound
+        client, switches, _, _ = http_northbound
         nowhere = HttpControllerClient(client.base_url + "/nowhere", SimClock())
         status, body = nowhere.post_reconfigure({"request_id": "r", "set_up": "link1"})
         assert (status, body) == (404, {"error": "unknown path"})
