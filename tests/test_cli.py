@@ -418,6 +418,12 @@ MALFORMED_THRESHOLDS = [
      "steady_state_qber must be a [low, high] pair of numbers"),
     ("limit-is-a-string", {"controller_reinit_ratio_max": "0.01"}, None,
      "controller_reinit_ratio_max must be a number"),
+    ("band-reversed", {"steady_state_qber": [0.05, 0.01]}, None,
+     "thresholds.json: steady_state_qber must have low <= high, got [0.05, 0.01]"),
+    ("limit-negative", {"controller_reinit_ratio_max": -1}, None,
+     "thresholds.json: controller_reinit_ratio_max must not be negative, got -1"),
+    ("parity-limit-negative", {"reinit_parity_frac_max": -0.5}, None,
+     "thresholds.json: reinit_parity_frac_max must not be negative, got -0.5"),
     ("thresholds-is-a-list", [0.01], None, "must be an object"),
     ("first-init-zero", None, {"first_init_s": 0}, "first_init_s must be positive"),
 ]

@@ -6,11 +6,14 @@ import json
 import math
 import random
 import statistics
+from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qkdsim import report
 from qkdsim.qpm import QpmConfig
 from qkdsim.report import (
     Metrics,
@@ -105,6 +108,30 @@ finite = st.floats(min_value=1e-4, max_value=1e4)
 signed = st.one_of(finite, finite.map(lambda x: -x))
 six_decimals = st.floats(min_value=0.0, max_value=1e4).map(lambda x: float(f"{x:.6f}"))
 
+# Long lists, long enough for pstdev's int64 limb kernel, each built from
+# one drawn seed so that a 2,000-value example costs three draws:
+# six-decimal values near a QBER (0.02) and near a key rate (1,000 b/s),
+# and signed values whose magnitudes span less than 2**10, the kernel's
+# range at full precision.
+LONG_VALUES = {
+    "qber": lambda rng: float(f"{rng.gauss(0.02, 0.002):.6f}"),
+    "skr": lambda rng: float(f"{rng.gauss(1000.0, 30.0):.6f}"),
+    "signed": lambda rng: rng.choice((1.0, -1.0)) * rng.uniform(0.5, 400.0),
+}
+CUT = report._KERNEL_ROWS_MIN
+
+
+def long_list(kind: str, size: int, seed: int) -> list[float]:
+    rng = random.Random(seed)
+    return [LONG_VALUES[kind](rng) for _ in range(size)]
+
+
+long_lists = st.builds(long_list, st.sampled_from(sorted(LONG_VALUES)),
+                       st.integers(CUT - 1, 2000), st.integers(0, 2 ** 32 - 1))
+# The kernel scales by 2**52 for a smallest magnitude of 1.0, so 1024.0
+# scales to 2**62, the first magnitude it refuses.
+BELOW_2_62 = [1.0] * CUT + [1024.0 - 2.0 ** -42, -(1024.0 - 2.0 ** -42)]
+
 
 class TestPstdev:
     @settings(max_examples=300, deadline=None)
@@ -113,7 +140,17 @@ class TestPstdev:
         st.lists(six_decimals, min_size=1, max_size=60),
         st.tuples(signed, st.integers(1, 60)).map(lambda p: [p[0]] * p[1]),
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
+        long_lists,
     ))
+    @example(data=long_list("qber", CUT, 0))
+    @example(data=long_list("qber", CUT - 1, 0))
+    @example(data=[5e-324 * k for k in range(-1000, 1000)])  # subnormals
+    @example(data=[0.0, -0.0] * CUT)
+    @example(data=[-x for x in long_list("skr", 2000, 1)])
+    @example(data=BELOW_2_62)
+    @example(data=[1.0] * CUT + [1024.0])
+    @example(data=[-1.0] * CUT + [-1024.0])
+    @example(data=[1e300, 1e-320] * CUT)
     @example(data=[0.0])
     @example(data=[1e-4, 1e4])
     @example(data=[0.1, 0.2, 0.3])
@@ -123,6 +160,59 @@ class TestPstdev:
     @example(data=[1e-300, -3.5e-12, 7.0, -1e300, 1.7e308])
     def test_bit_equal_to_statistics(self, data):
         assert pstdev(data) == statistics.pstdev(data)
+
+
+def exact(sums):
+    count, total, squares, scale = sums
+    return count, Fraction(total, scale), Fraction(squares, scale * scale)
+
+
+def integer_sums(data):
+    nums, scale = report._integers(data)
+    return len(nums), sum(nums), sum(map(mul, nums, nums)), scale
+
+
+# Six-decimal values whose magnitudes span less than 2**9.
+in_range = st.floats(min_value=1.0, max_value=500.0).map(lambda x: float(f"{x:.6f}"))
+
+
+class TestLimbKernel:
+    """report._sums against the Python-int sums it replaces, before the
+    final rounding can hide a wrong limb term."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.one_of(long_lists, st.lists(in_range, min_size=1, max_size=60)))
+    @example(data=[0.0, -0.0] * CUT)
+    @example(data=BELOW_2_62)
+    @example(data=[-x for x in long_list("qber", 2000, 2)])
+    def test_sums_equal_the_integer_sums(self, data):
+        sums = report._sums(data)
+        assert sums is not None
+        assert exact(sums) == exact(integer_sums(data))
+
+    @pytest.mark.parametrize("data", [
+        [5e-324 * k for k in range(1, 100)],  # the scale 2**1126 is not a float
+        [1e300, 1e-320] * CUT,
+        [1.0] * CUT + [1024.0],  # scales to 2**62
+        [1.0] * CUT + [-1024.0],
+        [1.0, math.inf],
+        [1.0, math.nan],
+        [0.0] * (report._KERNEL_ROWS_MAX + 1),
+    ], ids=["subnormal", "wide", "2**62", "-2**62", "inf", "nan", "too-many"])
+    def test_refuses_data_outside_its_domain(self, data):
+        assert report._sums(data) is None
+
+    def test_sums_fit_int64_at_the_most_rows(self):
+        # -top scales to -2**62 + 2**42 - 2**9, whose limbs are as large as
+        # a float scaled below 2**62 allows: -2**20, 2**21 - 1 and
+        # 2**21 - 2**9; top's high limb is 2**20 - 1.
+        top = 1024.0 - 2.0 ** -10 + 2.0 ** -43
+        rows = report._KERNEL_ROWS_MAX // 2
+        data = [1.0] + [top, -top] * rows
+        data.pop()
+        sums = report._sums(data)
+        one, n = 1 << 52, int(top * 2 ** 52)
+        assert sums == (len(data), one + n, one * one + (2 * rows - 1) * n * n, one)
 
 
 class TestLoadersAndSummary:
