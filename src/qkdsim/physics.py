@@ -236,19 +236,25 @@ SKR_SIGMA = 0.03
 QBER_SIGMA = 0.05
 
 
-def sample(params: ChannelParams, attack_power_dbm: float,
+def sample(params: ChannelParams, means: tuple, counts,
            normals) -> tuple[np.ndarray, np.ndarray]:
-    """Jittered monitoring samples around the model means: (qber, skr_bps)
+    """Jittered monitoring samples around model means: (qber, skr_bps)
     arrays, one entry per sample.
 
+    means holds (qber, skr_bps) pairs, each the model's at one attack power
+    (qber() and skr()), and counts[j] samples in a row take means[j].
     normals holds two standard normal draws per sample, QBER's first, as
     the caller's numpy Generator gave them. Each mean takes relative
     Gaussian jitter and is clamped to its valid range; an in-range value,
     -0.0 included, is kept as it is. A sample whose QBER lands at or
     above the abort point reports zero key rate.
     """
-    q = qber(params, attack_power_dbm) * (1.0 + QBER_SIGMA * normals[0::2])
-    s = skr(params, attack_power_dbm) * (1.0 + SKR_SIGMA * normals[1::2])
+    if len(means) == 1:  # one run: its means broadcast
+        q_mean, s_mean = means[0]
+    else:
+        q_mean, s_mean = np.repeat(np.array(means), counts, axis=0).T
+    q = q_mean * (1.0 + QBER_SIGMA * normals[0::2])
+    s = s_mean * (1.0 + SKR_SIGMA * normals[1::2])
     q = np.where(q > 0.5, 0.5, np.where(q < 0.0, 0.0, q))
     s = np.where((s < 0.0) | (q >= abort_qber(params.ec_efficiency)), 0.0, s)
     return q, s

@@ -47,13 +47,15 @@ whenever the clock has moved, so the ticks end at the distinct event
 times, and the unit alone decides that a tick too short to count is no
 time. Where events share a time, the event loop runs the attack changes
 first, then the poll, then the sample, and one searchsorted side per
-question settles each tie. The ticks run in stretches of constant attack
-powers, one tick_while per stretch, since a change on the lit link
-changes the power its blocks are sampled at; the batch stops at the
-first stretch that stops. An attack change the batch takes over is
-applied as _apply_attack applies it, so rows after it show the new
-powers. The artifacts and random stream come out as the event loop
-alone leaves them.
+question settles each tie. One tick_while walks all the ticks, told the
+stretches of constant attack power on the lit link, since a change there
+changes the power its blocks are sampled at. It may end its walk early,
+after the first block of a stretch whose model means the monitor could
+act on; the batch then takes over only the events before that tick's
+end, as at a stop. An attack change the batch takes over is applied as
+_apply_attack applies it, so rows after it show the new powers. The
+artifacts and random stream come out as the event loop alone leaves
+them.
 """
 
 from __future__ import annotations
@@ -146,18 +148,18 @@ def load_scenario(file_path: str) -> Scenario:
         link = checked(entry, "link", str, where, ScenarioError)
         power = entry.get("attack_power_dbm")
         if t < 0:
-            raise ScenarioError(f"event time must be a non-negative number, got {t!r}")
+            raise ScenarioError(f"{where}: t must be a non-negative number, got {t!r}")
         if power == "off":
             power_dbm = ATTACK_OFF
         elif is_number(power):
             power_dbm = float(power)
         else:
             raise ScenarioError(
-                f"attack_power_dbm must be a number or \"off\", got {power!r}")
+                f"{where}: attack_power_dbm must be a number or \"off\", got {power!r}")
         if t < last_t:
-            raise ScenarioError("events must be sorted by t")
+            raise ScenarioError(f"{where}: events must be sorted by t")
         if (float(t), link) in seen:
-            raise ScenarioError(f"duplicate event for link {link!r} at t={t}")
+            raise ScenarioError(f"{where}: duplicate event for link {link!r} at t={t}")
         seen.add((float(t), link))
         last_t = float(t)
         events.append(ScenarioEvent(t=float(t), link_id=link, attack_power_dbm=power_dbm))
@@ -379,45 +381,38 @@ class ScenarioRun:
         ticked = gaps > 0
         tick_end, dts = times[ticked], gaps[ticked]
 
-        # Ticks in stretches of constant attack powers: an attack change
-        # applies after the tick that ends at its time. The batch stops at
-        # the first stretch that stops.
+        # One call over the ticks, in stretches of constant attack power on
+        # the lit link: an attack change applies after the tick that ends at
+        # its time. The events at the end of the last tick the call takes run
+        # on the event loop, and their sync_unit finds nothing to tick; so do
+        # the later ones, where the call stops or ends its walk early.
         _, channel, power = self.current_circuit()
         attacks = self._attacks[applied:applied + len(attack_t)]
-        bounds, powers = tick_end.searchsorted(attack_t, "right").tolist(), [power]
-        for event, _ in attacks:
-            powers.append(event.attack_power_dbm if event.link_id == link.link_id else powers[-1])
-        bounds.append(len(dts))
-        taken, stopped = 0, False
-        # The kept blocks' times, qber and skr_bps, after the current read-out's.
-        block_t, qs, ss = [_NO_EVENTS], [[current["qber"]]], [[current["skr_bps"]]]
-        for stop, power in zip(bounds, powers):
-            if stop > taken:
-                start = taken
-                ticks, stopped, block_ticks, q, s, _ = unit.tick_while(
-                    dts[start:stop].tolist(), channel, power, qpm.could_act)
-                taken += ticks
-                if block_ticks:
-                    block_t.append(tick_end[np.add(block_ticks, start)])
-                    qs.append(q)
-                    ss.append(s)
-                if stopped:
-                    break
-
-        # Take over every event, or those before the stop tick's end: the events
-        # at its end run on the event loop, and their sync_unit finds nothing to
-        # tick. The event loop moves the clock to each event's time as it runs it.
+        stretches, start = [], 0
+        for bound, (event, _) in zip(tick_end.searchsorted(attack_t, "right").tolist(),
+                                     attacks):
+            if event.link_id == link.link_id:
+                if bound > start:
+                    stretches.append((bound, power))
+                    start = bound
+                power = event.attack_power_dbm
+        stretches.append((len(dts), power))
+        taken, stopped, block_ticks, q, s, _ = unit.tick_while(dts, channel, stretches,
+                                                               qpm.could_act)
+        # The event loop moves the clock to each event's time as it runs it.
         if taken:
             self._last_sync = float(tick_end[taken - 1])
-        stop_t = self._last_sync if stopped else math.inf
+        stop_t = self._last_sync if stopped or taken < len(dts) else math.inf
         polls_kept = int(polls.searchsorted(stop_t))
         if polls_kept:
             qpm.skip_polls(float(polls[polls_kept - 1]))
 
-        # A sample reads the blocks of the ticks up to the one ending at its time.
+        # A sample reads the blocks of the ticks up to the one ending at its
+        # time, after the current read-out.
         sample_t = samples[:samples.searchsorted(stop_t)]
-        done = np.concatenate(block_t).searchsorted(sample_t, "right")
-        qs, ss = (np.concatenate(values)[done].tolist() for values in (qs, ss))
+        done = tick_end[block_ticks].searchsorted(sample_t, "right")
+        qs, ss = (np.concatenate(((current[key],), values))[done].tolist()
+                  for key, values in (("qber", q), ("skr_bps", s)))
 
         # Rows from one template per stretch; at one time an attack change
         # applies before the sample's row.

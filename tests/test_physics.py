@@ -246,21 +246,26 @@ def fixed_normals(value: float) -> np.ndarray:
     return np.full(2, value)
 
 
+def sample_at(p: ChannelParams, power: float, normals) -> tuple[np.ndarray, np.ndarray]:
+    """sample with every sample at one attack power."""
+    return sample(p, ((qber(p, power), skr(p, power)),), [len(normals) // 2], normals)
+
+
 class TestSample:
     def test_zero_sigma_reproduces_the_means(self):
         p = calibrate(LINK2_ANCHORS)
-        q, s = sample(p, ATTACK_OFF, fixed_normals(0.0))
+        q, s = sample_at(p, ATTACK_OFF, fixed_normals(0.0))
         assert s.tolist() == [skr(p, ATTACK_OFF)]
         assert q.tolist() == [qber(p, ATTACK_OFF)]
 
     def test_same_seed_same_draws(self):
         p = calibrate(LINK2_ANCHORS)
-        a, b = (sample(p, -20.0, np.random.default_rng(7).standard_normal(2)) for _ in range(2))
+        a, b = (sample_at(p, -20.0, np.random.default_rng(7).standard_normal(2)) for _ in range(2))
         assert (a[0].tolist(), a[1].tolist()) == (b[0].tolist(), b[1].tolist())
 
     def test_statistical_means(self):
         p = calibrate(LINK2_ANCHORS)
-        q, s = sample(p, ATTACK_OFF, np.random.default_rng(1234).standard_normal(2 * 10_000))
+        q, s = sample_at(p, ATTACK_OFF, np.random.default_rng(1234).standard_normal(2 * 10_000))
         # 0.03 and 0.05 relative sigma; allow 5 standard errors.
         assert abs(float(np.mean(s)) - 950.0) < 5 * 950.0 * 0.03 / math.sqrt(10_000)
         assert abs(float(np.mean(q)) - 0.02) < 5 * 0.02 * 0.05 / math.sqrt(10_000)
@@ -270,7 +275,7 @@ class TestSample:
         qbers = set()
         for power in (ATTACK_OFF, 20.0, 40.0):
             for normal in (30.0, -30.0):
-                q, s = sample(p, power, fixed_normals(normal))
+                q, s = sample_at(p, power, fixed_normals(normal))
                 assert s[0] >= 0.0
                 assert 0.0 <= q[0] <= 0.5
                 qbers.add(q[0].item())
@@ -278,7 +283,7 @@ class TestSample:
 
     def test_aborted_sample_reports_zero_key(self):
         p = calibrate(LINK1_ANCHORS)
-        q, s = sample(p, -40.0, np.random.default_rng(3).standard_normal(2 * 50))
+        q, s = sample_at(p, -40.0, np.random.default_rng(3).standard_normal(2 * 50))
         assert (s == 0.0).all()
         assert (q >= abort_qber(p.ec_efficiency)).all()
 
@@ -310,13 +315,13 @@ class TestSampleMemo:
            st.integers(0, 2**32 - 1))
     def test_sample_equals_the_means_computed_by_hand(self, p, powers, seed):
         for power in powers:
-            q, s = sample(p, power, np.random.default_rng(seed).standard_normal(2))
+            q, s = sample_at(p, power, np.random.default_rng(seed).standard_normal(2))
             assert (q.item(), s.item()) == hand_sample(p, power, np.random.default_rng(seed))
 
     def test_a_power_change_gives_the_new_means(self):
         p = calibrate(LINK2_ANCHORS)
         for power in (ATTACK_OFF, -12.0, -12.0, -30.0, ATTACK_OFF):
-            q, s = sample(p, power, fixed_normals(0.0))
+            q, s = sample_at(p, power, fixed_normals(0.0))
             assert (q.item(), s.item()) == (qber(p, power), skr(p, power))
 
 
@@ -328,7 +333,22 @@ class TestSampleArray:
         """n samples from one draw equal n hand samples drawn one at a time."""
         rng = np.random.default_rng(seed)
         one_by_one = [hand_sample(p, power, rng) for _ in range(n)]
-        q, s = sample(p, power, np.random.default_rng(seed).standard_normal(2 * n))
+        q, s = sample_at(p, power, np.random.default_rng(seed).standard_normal(2 * n))
+        assert list(zip(q.tolist(), s.tolist())) == one_by_one
+
+    @settings(max_examples=60, deadline=None)
+    @given(calibrated_channels,
+           st.lists(st.tuples(st.one_of(st.just(ATTACK_OFF), st.floats(-90.0, 0.0)),
+                              st.integers(0, 6)), min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    def test_runs_of_means_equal_hand_samples(self, p, runs, seed):
+        """Samples over runs of means from one draw, empty runs included,
+        equal hand samples at each run's power, drawn one at a time."""
+        rng = np.random.default_rng(seed)
+        one_by_one = [hand_sample(p, power, rng) for power, n in runs for _ in range(n)]
+        means = tuple((qber(p, power), skr(p, power)) for power, _ in runs)
+        q, s = sample(p, means, [n for _, n in runs],
+                      np.random.default_rng(seed).standard_normal(2 * len(one_by_one)))
         assert list(zip(q.tolist(), s.tolist())) == one_by_one
 
     @pytest.mark.parametrize("normals", [
@@ -344,7 +364,7 @@ class TestSampleArray:
         s = max(s_mean * (1.0 + 0.03 * normals[1]), 0.0)
         if q >= abort_qber(p.ec_efficiency):
             s = 0.0
-        got_q, got_s = sample(p, power, np.array(normals))
+        got_q, got_s = sample_at(p, power, np.array(normals))
         for got, want in ((got_q[0], q), (got_s[0], s)):
             assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 

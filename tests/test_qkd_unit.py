@@ -60,7 +60,8 @@ class TestLifecycle:
         timed = make_unit()
         timed.start_session(CHANNEL)
         timed.tick(120.0, CHANNEL, ATTACK_OFF)
-        assert timed.tick_while([30.0] * 6, CHANNEL, ATTACK_OFF, never)[2] == [1, 3, 5]
+        block_ticks = timed.tick_while([30.0] * 6, CHANNEL, [(6, ATTACK_OFF)], never)[2]
+        assert block_ticks.tolist() == [1, 3, 5]
 
     def test_one_block_per_interval_over_a_long_run(self):
         unit = make_unit()
@@ -341,7 +342,8 @@ class TestTickWhileClean:
         looped._distill = distill
         acts = never if qber_max is None else clean(qber_max)
         reading = ticked.read_monitor(0.0)
-        ticks, stopped, block_ticks, q, s, bits = batched.tick_while(dts, CHANNEL, power, acts)
+        ticks, stopped, block_ticks, q, s, bits = batched.tick_while(
+            dts, CHANNEL, [(len(dts), power)], acts)
         assert len(block_ticks) == len(q) == len(s) == len(bits)
         readouts = [(reading["qber"], reading["skr_bps"], reading["last_key_size_bits"]),
                     *zip(q.tolist(), s.tolist(), bits.tolist())]
@@ -364,7 +366,13 @@ class TestTickWhileClean:
                    for q, _, bits, state in distilled[:before])
         assert stopped == any(acts(q, bits, state) or state == STATE_ABORTED
                               for q, _, bits, state in distilled[before:])
-        assert stopped or ticks == len(dts)
+        # A call that does not stop takes every tick, but where the model
+        # means would stop it, it ends after the first tick with a block.
+        mean_q, mean_s = qber(CHANNEL, power), skr(CHANNEL, power)
+        flagged = mean_q >= abort_qber(CHANNEL.ec_efficiency) or acts(
+            mean_q, round(mean_s * batched.key_interval_s), STATE_GENERATING)
+        assert stopped or ticks == (block_ticks[0] + 1 if flagged and len(block_ticks)
+                                    else len(dts))
 
     def test_an_aborting_first_block_is_taken(self):
         """Under any rule, a first block that aborts stops the batch after its
@@ -375,8 +383,8 @@ class TestTickWhileClean:
                 unit.start_session(CHANNEL)
                 unit.tick(150.0, CHANNEL, ATTACK_OFF)
             ticks, stopped, block_ticks, *_ = batched.tick_while(
-                [60.0] * 10, CHANNEL, KILL_POWER, acts)
-            assert (ticks, stopped, block_ticks) == (1, True, [0])
+                [60.0] * 10, CHANNEL, [(10, KILL_POWER)], acts)
+            assert (ticks, stopped, block_ticks.tolist()) == (1, True, [0])
             assert ticked.tick(60.0, CHANNEL, KILL_POWER) == []
             assert batched.state == STATE_ABORTED
             assert unit_state(batched) == unit_state(ticked)
@@ -418,7 +426,7 @@ class TestTickWhileFixed:
                 dts = dts + [probe._init_remaining + near_end]
         readout, drawn = ticked.read_monitor(0.0), ticked.rng.bit_generator.state
         ticks, stopped, block_ticks, q, s, bits = batched.tick_while(
-            dts, CHANNEL, KILL_POWER, never)
+            dts, CHANNEL, [(len(dts), KILL_POWER)], never)
         assert len(block_ticks) == len(q) == len(s) == len(bits)
         assert all(b == ticks - 1 for b in block_ticks) and len(block_ticks) <= 1
         stop_tick = ticks - 1 if stopped else ticks
@@ -431,9 +439,9 @@ class TestTickWhileFixed:
             assert not aborted and ticked.state == STATE_INITIALIZING
             dt = dts[stop_tick]
             assert ticked.tick(dt, CHANNEL, KILL_POWER) == looped.tick(dt, CHANNEL, KILL_POWER)
-            assert ticked.state == (STATE_ABORTED if block_ticks else STATE_GENERATING)
+            assert ticked.state == (STATE_ABORTED if len(block_ticks) else STATE_GENERATING)
         else:
-            assert ticks == len(dts) and not block_ticks
+            assert ticks == len(dts) and not len(block_ticks)
             assert batched.read_monitor(0.0) == readout
         assert unit_state(batched) == unit_state(ticked) == unit_state(looped)
 
@@ -441,12 +449,130 @@ class TestTickWhileFixed:
         unit = make_unit()
         assert unit.init_left() == math.inf
         unit.start_session(CHANNEL)
-        assert unit.tick_while([30.0, 30.0], CHANNEL, ATTACK_OFF, never)[:2] == (2, False)
+        assert unit.tick_while([30.0, 30.0], CHANNEL, [(2, ATTACK_OFF)], never)[:2] == (2, False)
         assert unit.init_left() == 60.0
         assert unit.state == STATE_INITIALIZING
         # The tick that ends the init is taken, and the batch stops after it.
-        assert unit.tick_while([59.0, 1.0, 1.0], CHANNEL, ATTACK_OFF, never)[:2] == (2, True)
+        assert unit.tick_while([59.0, 1.0, 1.0], CHANNEL, [(3, ATTACK_OFF)], never)[:2] == (2, True)
         assert (unit.state, unit.init_left()) == (STATE_GENERATING, math.inf)
+
+
+def generating_unit(elapsed: float, seed: int = 0) -> QkdUnitPair:
+    """A Generating unit with elapsed of its key interval gone."""
+    unit = make_unit(seed=seed)
+    unit.state, unit._interval_elapsed = STATE_GENERATING, elapsed
+    return unit
+
+
+def poll_timeline(start: float, init_left: float, reinit: float, period: float,
+                  sample_period: float, polls: int) -> tuple[float, list]:
+    """A monitor's timeline after a session starts at start: re-init polls
+    every reinit s (t + reinit, one addition after another) until one sees
+    the init over, then polls every period s, mixed with samples at
+    k * sample_period. Returns the elapsed interval the tick ending the init
+    leaves and the ticks after it, as a batch lists them."""
+    unit = make_unit()
+    unit.start_session(CHANNEL)
+    unit._init_remaining = init_left
+    t = start
+    while unit.state == STATE_INITIALIZING:
+        unit.tick((t + reinit) - t, CHANNEL, ATTACK_OFF)
+        t += reinit
+    times = [t]
+    for _ in range(polls):
+        times.append(times[-1] + period)
+    k = math.floor(t / sample_period) + 1
+    times += [j * sample_period for j in range(k, int(times[-1] // sample_period) + 1)]
+    times = np.unique(times)
+    return unit._interval_elapsed, np.diff(times).tolist()
+
+
+@st.composite
+def grid_timelines(draw):
+    """Timelines of chained polls mixed with samples after a jittered init,
+    as (elapsed, dts)."""
+    start = draw(st.one_of(st.sampled_from([0.0, 600.028, 86400.0]), st.floats(0.0, 2e5)))
+    init_left = 120.0 * (1.0 + 0.03 * draw(st.floats(-1.0, 1.0)))
+    reinit = draw(st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.25, 5.0)))
+    period = draw(st.one_of(st.sampled_from([60.0, 30.0, 1.0, 7.3]), st.floats(0.5, 130.0)))
+    sample_period = draw(st.sampled_from([60.0, period]))
+    return poll_timeline(start, init_left, reinit, period, sample_period,
+                         draw(st.integers(1, 300)))
+
+
+def kernel_and_loop(elapsed, dts):
+    """_grid_steps and _steps over dts from elapsed, as lists."""
+    unit = generating_unit(elapsed)
+    kernel, loop = unit._grid_steps(np.array(dts)), unit._steps(list(dts))
+    if kernel is not None:
+        ticks, ended, block_ticks, init_left, rests = kernel
+        kernel = (ticks, ended, block_ticks.tolist(), init_left, rests.tolist())
+    return kernel, loop
+
+
+# 64 s ticks on a 60 s interval count time in units of 2**-46 s: 1024 of
+# them total 2**62 units, where the kernel leaves int64 to the loop.
+AT_THE_BOUND = [64.0] * 1024
+BELOW_THE_BOUND = [64.0] * 1023 + [32.0]
+
+
+class TestGridKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(grid_timelines(), st.integers(0, 2**32 - 1),
+           st.sampled_from([ATTACK_OFF, -17.0, -9.5]), st.sampled_from([None, 0.021, 0.08]))
+    # A tick ending exactly on a boundary, then two later ones.
+    @example((0.5, [59.5, 60.0, 30.0, 90.0] * 40), 1, ATTACK_OFF, None)
+    # A tick ending 2**-30 s (under _EPS) before a boundary, and one that
+    # crosses a boundary and leaves 2**-30 s after it.
+    @example((0.5, [30.0] * 40 + [59.5 - 2.0 ** -30] + [30.0] * 100), 1, ATTACK_OFF, None)
+    @example((0.5, [30.0] * 40 + [59.5 + 2.0 ** -30] + [30.0] * 100), 1, ATTACK_OFF, None)
+    # A tick of 2**-31 s, which is no time.
+    @example((0.5, [30.0] * 40 + [2.0 ** -31] + [30.0] * 100), 1, ATTACK_OFF, None)
+    # Totals at the int64 bound and just below it.
+    @example((0.0, AT_THE_BOUND), 1, ATTACK_OFF, None)
+    @example((0.0, BELOW_THE_BOUND), 1, ATTACK_OFF, 0.021)
+    def test_the_kernel_equals_the_loop(self, timeline, seed, power, qber_max):
+        """Where the kernel serves, it gives the loop's ticks, block ticks and
+        elapsed interval after every tick, bit for bit; a tick_while over the
+        timeline leaves the unit and the stream as the loop alone does."""
+        elapsed, dts = timeline
+        kernel, loop = kernel_and_loop(elapsed, dts)
+        assert kernel is None or kernel == loop
+        acts = never if qber_max is None else clean(qber_max)
+
+        def outcome(unit):
+            ticks, stopped, *arrays = unit.tick_while(np.array(dts), CHANNEL,
+                                                      [(len(dts), power)], acts)
+            return ticks, stopped, [a.tolist() for a in arrays], unit_state(unit)
+
+        looped = generating_unit(elapsed, seed)
+        looped._grid_steps = lambda dts: None
+        assert outcome(generating_unit(elapsed, seed)) == outcome(looped)
+
+    @pytest.mark.parametrize("elapsed, dts, serves", [
+        pytest.param(0.5, [59.5, 60.0, 30.0, 90.0], True, id="on-boundaries"),
+        pytest.param(0.5, [59.5 - 2.0 ** -30, 30.0], False, id="eps-before"),
+        pytest.param(0.5, [59.5 + 2.0 ** -30, 30.0], False, id="eps-after"),
+        pytest.param(0.5, [30.0, 2.0 ** -31, 30.0], False, id="no-time-tick"),
+        pytest.param(0.0, AT_THE_BOUND, False, id="at-the-int64-bound"),
+        pytest.param(0.0, BELOW_THE_BOUND, True, id="below-the-int64-bound"),
+        # The loop rounds 0.5 + 2**-52 + 60 to 60.5: off the grid.
+        pytest.param(0.5 + 2.0 ** -52, [60.0, 30.0], False, id="off-the-grid"),
+    ])
+    def test_the_kernel_serves_its_domain_only(self, elapsed, dts, serves):
+        kernel, loop = kernel_and_loop(elapsed, dts)
+        assert (kernel is not None) == serves
+        assert kernel is None or kernel == loop
+
+    def test_the_kernel_serves_a_long_attack_batch(self):
+        """Polls every 60 s chained from a failover at 600.028 s and samples on
+        the minute, for the 1024 poll periods a batch spans at most, after a
+        jittered re-init: the kernel serves it."""
+        for init_left in (116.4, 120.0 * (1.0 + 0.03 * 0.7131), 123.3):
+            elapsed, dts = poll_timeline(600.028, init_left, 1.0, 60.0, 60.0, 1024)
+            kernel, loop = kernel_and_loop(elapsed, dts)
+            assert kernel == loop
+            assert len(loop[2]) >= 1023
 
 
 class TestMonitorReadout:

@@ -73,19 +73,27 @@ class TestLoadScenario:
         ({"duration_s": -5}, "duration_s"),
         ({}, "duration_s"),
         ({"duration_s": 60, "events": [{"t": -1, "link": "l", "attack_power_dbm": -4}]},
-         "non-negative"),
+         "^event 0: t must be a non-negative"),
+        ({"duration_s": 60, "events": [
+            {"t": 1, "link": "l", "attack_power_dbm": -4},
+            {"t": -1, "link": "l", "attack_power_dbm": -4}]},
+         "^event 1: t must be a non-negative"),
         ({"duration_s": 60, "events": [{"t": 1, "link": 7, "attack_power_dbm": -4}]},
          "link must be a string"),
         ({"duration_s": 60, "events": [{"t": 1, "link": "l", "attack_power_dbm": "loud"}]},
-         "number or"),
+         "^event 0: attack_power_dbm must be a number or"),
+        ({"duration_s": 60, "events": [
+            {"t": 1, "link": "l", "attack_power_dbm": -4},
+            {"t": 2, "link": "l", "attack_power_dbm": "loud"}]},
+         "^event 1: attack_power_dbm must be a number or"),
         ({"duration_s": 60, "events": [
             {"t": 5, "link": "l", "attack_power_dbm": -4},
             {"t": 1, "link": "l", "attack_power_dbm": -4}]},
-         "sorted"),
+         "^event 1: events must be sorted by t"),
         ({"duration_s": 60, "events": [
             {"t": 5, "link": "l", "attack_power_dbm": -4},
             {"t": 5, "link": "l", "attack_power_dbm": -9}]},
-         "duplicate"),
+         "^event 1: duplicate event for link 'l' at t=5"),
         ([{"duration_s": 60}], "scenario must be an object"),
         ({"duration_s": 60, "events": [[1, "l", -4]]}, "event 0 must be an object"),
         ({"duration_s": float("nan")}, "duration_s must be a number"),
@@ -97,11 +105,13 @@ class TestLoadScenario:
         ({"duration_s": 60, "events": [{"t": False, "link": "l", "attack_power_dbm": -4}]},
          "t must be a number"),
         ({"duration_s": 60, "events": [{"t": 1, "link": "l", "attack_power_dbm": True}]},
-         "number or"),
+         "^event 0: attack_power_dbm must be a number or"),
         ({"duration_s": 60, "events": [{"t": 1, "link": "l",
-                                        "attack_power_dbm": float("nan")}]}, "number or"),
+                                        "attack_power_dbm": float("nan")}]},
+         "^event 0: attack_power_dbm must be a number or"),
         ({"duration_s": 60, "events": [{"t": 1, "link": "l",
-                                        "attack_power_dbm": float("-inf")}]}, "number or"),
+                                        "attack_power_dbm": float("-inf")}]},
+         "^event 0: attack_power_dbm must be a number or"),
     ])
     def test_malformed_documents(self, tmp_path, doc, match):
         with pytest.raises(ScenarioError, match=match):
@@ -606,6 +616,13 @@ class TestQuietBatches:
     @example(seed=8, period=60.0, grace=240.0, debounce=2, threshold=0.08,
              duration=7200.0, attacks=[(0.25, "link3", -8.0), (0.5, "link1", -0.3),
                                        (0.50834, "link2", -10.0)], reinit=60.0)
+    # Hourly lit-link changes below the knee, then one at 28800 s whose first
+    # block acts: one tick_while walks the nine stretches and stops there.
+    @example(seed=13, period=60.0, grace=240.0, debounce=2, threshold=0.08,
+             duration=36000.0,
+             attacks=[(hour / 10 + 1e-6, "link1", offset) for hour, offset in enumerate(
+                 [-10.0, -12.0, -9.0, -11.0, -8.0, -10.5, -9.5, 0.0], start=1)],
+             reinit=1.0)
     def test_batches_leave_the_run_as_the_event_loop_does(
             self, reference_topology, seed, period, grace, debounce, threshold, duration,
             attacks, reinit):
@@ -673,7 +690,11 @@ class TestQuietBatches:
         run = ScenarioRun(reference_topology, Scenario(86400.0, events), seed=3)
         applied, apply = [], run._apply_attack
         run._apply_attack = lambda event: (applied.append(event), apply(event))
+        # The int64 kernel, not the loop, walks the batches from Generating.
+        served, grid_steps = [], run.unit._grid_steps
+        run.unit._grid_steps = lambda dts: (served.append(grid_steps(dts)), served[-1])[1]
         run.execute()
+        assert served and all(steps is not None for steps in served)
         assert len(applied) <= 1
         assert run._attacks_applied == 24
         assert [e.kind for e in run.qpm.events].count(DETECTED) == 1
